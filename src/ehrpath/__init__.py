@@ -13,17 +13,17 @@ __version__ = "0.1.0"
 
 from .corpus import (ComplicationTable, CodeDictionary, CorpusConfig, EhrDocument,
                      TokenDictionary, build_complication_table, filter_top_k,
-                     generate_synthetic_corpus, split_dataset)
+                     generate_synthetic_corpus, split_indices)
 from .generator import DecodedPath, GeneratorConfig, MixtureDistribution, decode_path
 from .metrics import PredictionRecord, auc, complication_ratio, jaccard, micro_macro_prf
-from .numerics import AdamConfig, ParamStore, adam_step, affine, finite_diff_check, softmax_stable
+from .numerics import AdamConfig, ParamStore, adam_step, finite_diff_check
 from .trainer import Model, TrainConfig, TrainReport, pretrain_generator, train
 
 __all__ = [
     "AdamConfig", "CodeDictionary", "ComplicationTable", "CorpusConfig", "DecodedPath",
     "EhrDocument", "GeneratorConfig", "MixtureDistribution", "Model", "ParamStore",
     "PredictionRecord", "TokenDictionary", "TrainConfig", "TrainReport", "adam_step",
-    "affine", "auc", "build_complication_table", "complication_ratio", "decode_path",
+    "auc", "build_complication_table", "complication_ratio", "decode_path",
     "filter_top_k", "finite_diff_check", "generate_synthetic_corpus", "jaccard",
-    "micro_macro_prf", "pretrain_generator", "softmax_stable", "split_dataset", "train",
+    "micro_macro_prf", "pretrain_generator", "split_indices", "train",
 ]

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .generator import PROB_FLOOR, MixtureDistribution, generator_step_loss
+from .generator import PROB_FLOOR, MixtureDistribution
 
 
 @dataclass
@@ -107,11 +107,3 @@ def step_targets(alignment: AlignmentMatrix, n_steps: int, stop_id: int) -> list
             break
     return targets
 
-
-def pla_loss(distributions: Sequence[MixtureDistribution], alignment: AlignmentMatrix) -> float:
-    """Sum of -log p over assigned (step, label) pairs plus -log p(STOP) at
-    the first unassigned step; probabilities floored at 1e-12."""
-    stop_id = distributions[0].probs.shape[0] - 2
-    targets = step_targets(alignment, len(distributions), stop_id)
-    return sum(generator_step_loss(dist, tgt)
-               for dist, tgt in zip(distributions, targets) if tgt is not None)

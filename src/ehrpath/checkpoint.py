@@ -4,12 +4,15 @@ Layout: magic line, sha256 digest of the config block, the flat config
 key=value block, then each slot as a text shape line followed by raw
 little-endian float64 bytes. Loading verifies the magic and digest;
 compatibility with a corpus is checked by the caller against the stored
-config values.
+config values. Config values go to and from text through one codec,
+which the command line also uses for its flags.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import typing
 from typing import Mapping
 
 import numpy as np
@@ -17,6 +20,34 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"CRNNET-CKPT-1"
+
+
+def format_value(value) -> str:
+    """Text form of one config value: bools as 1/0, tuples comma-joined,
+    anything else by str (which round-trips floats exactly)."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def parse_value(kind, raw) -> object:
+    """Value of a config field of type `kind` from its text form; a value
+    that is not text goes through format_value first. Raises ValueError on
+    malformed text."""
+    text = raw if isinstance(raw, str) else format_value(raw)
+    if kind is bool:
+        return text.lower() in ("1", "true", "yes", "on")
+    if typing.get_origin(kind) is tuple:
+        return tuple(int(v) for v in text.split(","))
+    return kind(text)
+
+
+def field_kinds(cls) -> dict[str, type]:
+    """Field name -> declared type, in field order, for a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 def _config_block(config: Mapping[str, str]) -> bytes:

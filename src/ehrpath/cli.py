@@ -14,10 +14,11 @@ import os
 import sys
 
 from . import corpus as corpus_io
-from .checkpoint import load_checkpoint
+from .checkpoint import field_kinds, load_checkpoint, parse_value
 from .corpus import (CorpusBundle, CorpusConfig, build_complication_table, filter_top_k,
                      generate_synthetic_corpus, load_corpus_dir, split_indices, write_table)
 from .errors import CompatibilityError, ConfigError, DataError
+from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import format_metric_table, metric_table, read_predictions, write_predictions
 from .trainer import (TrainConfig, decode_predictions, model_from_checkpoint, save_model,
                       train)
@@ -26,6 +27,17 @@ CHECKPOINT_NAME = "model.ckpt"
 REPORT_NAME = "report.json"
 PREDICTIONS_NAME = "predictions.jsonl"
 METRICS_NAME = "metrics.txt"
+
+# `train` flags not named after their TrainConfig field; None keeps a field
+# off the command line
+TRAIN_FLAG_NAMES = {"learning_rate": "lr", "kernel_sizes": None}
+TRAIN_FLAG_CHOICES = {"candidate_activation": CANDIDATE_ACTIVATIONS}
+
+
+def _train_options() -> list[tuple[str, str, type]]:
+    """(TrainConfig field, argparse dest, field type) for each `train` flag."""
+    return [(name, dest, kind) for name, kind in field_kinds(TrainConfig).items()
+            if (dest := TRAIN_FLAG_NAMES.get(name, name))]
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -65,12 +77,6 @@ def _apply_config_file(subparsers: dict[str, argparse.ArgumentParser], argv: lis
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
         defaults[dest] = val
     sub.set_defaults(**defaults)
-
-
-def _as_bool(val) -> bool:
-    if isinstance(val, bool):
-        return val
-    return str(val).lower() in ("1", "true", "yes", "on")
 
 
 def _require_dir(path: str, role: str) -> None:
@@ -133,14 +139,8 @@ def cmd_train(args) -> int:
     _require_dir(args.corpus, "corpus")
     _require_dir(args.out, "output")
     bundle = load_corpus_dir(args.corpus)
-    cfg = TrainConfig(
-        epochs=int(args.epochs), pretrain_epochs=int(args.pretrain_epochs),
-        batch_size=int(args.batch_size), learning_rate=float(args.lr),
-        max_len=int(args.max_len), seed=int(args.seed),
-        no_copy=_as_bool(args.no_copy), no_arl=_as_bool(args.no_arl),
-        supervised_weight=float(args.supervised_weight), clip_norm=float(args.clip_norm),
-        candidate_activation=args.candidate_activation, dropout=float(args.dropout),
-        d_embed=int(args.d_embed), d_code=int(args.d_code), n_filters=int(args.n_filters))
+    cfg = TrainConfig(**{name: parse_value(kind, getattr(args, dest))
+                         for name, dest, kind in _train_options()})
     report, model = train(bundle, cfg)
     ckpt = os.path.join(args.out, CHECKPOINT_NAME)
     save_model(ckpt, model, cfg.seed)
@@ -236,21 +236,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--config")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", default=200)
-    p.add_argument("--pretrain-epochs", default=10)
-    p.add_argument("--batch-size", default=32)
-    p.add_argument("--lr", default=1e-4)
-    p.add_argument("--max-len", default=8)
-    p.add_argument("--seed", default=0)
-    p.add_argument("--no-copy", action="store_true")
-    p.add_argument("--no-arl", action="store_true")
-    p.add_argument("--supervised-weight", default=1.0)
-    p.add_argument("--clip-norm", default=5.0)
-    p.add_argument("--candidate-activation", default="relu", choices=("relu", "tanh"))
-    p.add_argument("--dropout", default=0.5)
-    p.add_argument("--d-embed", default=100)
-    p.add_argument("--d-code", default=100)
-    p.add_argument("--n-filters", default=100)
+    defaults = TrainConfig()
+    for name, dest, kind in _train_options():
+        flag = "--" + dest.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, action="store_true", default=getattr(defaults, name))
+        else:
+            p.add_argument(flag, default=getattr(defaults, name),
+                           choices=TRAIN_FLAG_CHOICES.get(name))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="decode a split and write predictions plus metrics")

@@ -43,9 +43,27 @@ class EhrDocument:
             raise ValueError("document has no gold codes")
 
 
-class CodeDictionary:
-    """Real code labels with dense ids 0..n-1, plus STOP and UNK sentinels
-    reserved at ids n and n+1."""
+class CodeIds:
+    """The code id space: the `n_codes` real codes take ids 0..n-1, the STOP
+    and UNK sentinels the two ids after them."""
+
+    n_codes: int
+
+    @property
+    def stop_id(self) -> int:
+        return self.n_codes
+
+    @property
+    def unk_id(self) -> int:
+        return self.n_codes + 1
+
+    @property
+    def n_total(self) -> int:
+        return self.n_codes + 2
+
+
+class CodeDictionary(CodeIds):
+    """Real code labels with dense ids 0..n-1, plus the sentinels."""
 
     def __init__(self, labels: Sequence[str]):
         if len(labels) == 0:
@@ -53,20 +71,10 @@ class CodeDictionary:
         self.labels = list(labels)
 
     @property
-    def num_real(self) -> int:
+    def n_codes(self) -> int:
         return len(self.labels)
 
-    @property
-    def stop_id(self) -> int:
-        return self.num_real
-
-    @property
-    def unk_id(self) -> int:
-        return self.num_real + 1
-
-    @property
-    def num_total(self) -> int:
-        return self.num_real + 2
+    num_real = n_codes
 
     def label(self, code: int) -> str:
         if code == self.stop_id:
@@ -251,15 +259,6 @@ def split_indices(n: int, seed: int, ratio: tuple[int, int, int] = (4, 1, 1)) ->
     }
 
 
-def split_dataset(documents: Sequence[EhrDocument], seed: int,
-                  ratio: tuple[int, int, int] = (4, 1, 1),
-                  ) -> tuple[list[EhrDocument], list[EhrDocument], list[EhrDocument]]:
-    idx = split_indices(len(documents), seed, ratio)
-    return ([documents[i] for i in idx["train"]],
-            [documents[i] for i in idx["test"]],
-            [documents[i] for i in idx["validation"]])
-
-
 def build_complication_table(train_documents: Sequence[EhrDocument],
                              or_threshold: float = 2.0,
                              min_support: int = 5) -> ComplicationTable:
@@ -391,9 +390,3 @@ def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
         raise DataError(f"bad corpus directory {corpus_dir}: {exc}") from exc
     table = read_table(os.path.join(corpus_dir, TABLE_FILE))
     return CorpusBundle(documents, codes, tokens, table, splits)
-
-
-def normalize_text(text: str) -> list[str]:
-    """Plain-text fallback: lowercase and strip punctuation, keep word tokens."""
-    cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
-    return cleaned.split()

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import expit
 
+from .corpus import CodeIds
 from .lstm import LstmCache, init_lstm_params, lstm_step, lstm_step_backward
 from .numerics import ParamStore
 
@@ -23,20 +24,16 @@ CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class DiscriminatorConfig:
+class DiscriminatorConfig(CodeIds):
     n_codes: int
     d_code: int = 100
     hidden: int = 300
     rep_dim: int = 300
     candidate_activation: str = "relu"
 
-    @property
-    def n_total(self) -> int:
-        return self.n_codes + 2
-
 
 def init_discriminator_params(store: ParamStore, cfg: DiscriminatorConfig,
-                              rng: np.random.Generator) -> None:
+                              rng: np.random.Generator | None) -> None:
     store.add_uniform("disc.code_embed", (cfg.n_total, cfg.d_code), rng)
     init_lstm_params(store, "disc.lstm", cfg.d_code, cfg.hidden, rng)
     store.add_uniform("disc.reward.W", (cfg.hidden + cfg.rep_dim,), rng)

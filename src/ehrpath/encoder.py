@@ -38,7 +38,8 @@ class EncoderConfig:
             raise ValueError(f"bad kernel sizes {self.kernel_sizes}")
 
 
-def init_encoder_params(store: ParamStore, cfg: EncoderConfig, rng: np.random.Generator) -> None:
+def init_encoder_params(store: ParamStore, cfg: EncoderConfig,
+                        rng: np.random.Generator | None) -> None:
     cfg.validate()
     emb = store.add_uniform("enc.embed", (cfg.vocab_size, cfg.d_embed), rng)
     emb[PAD_TOKEN] = 0.0  # pad row stays zero; its gradient is discarded
@@ -55,23 +56,6 @@ def embed_tokens(tokens, store: ParamStore, cfg: EncoderConfig) -> np.ndarray:
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id outside dictionary of size {cfg.vocab_size}")
     return store["enc.embed"][ids]
-
-
-def conv_feature_map(X: np.ndarray, filt: np.ndarray, bias: float, k: int) -> np.ndarray:
-    """One filter (k, d) slid over X (n, d) -> ReLU feature map (n - k + 1,)."""
-    n = X.shape[0]
-    if n < k:
-        raise ValueError(f"document of {n} rows shorter than kernel {k}")
-    raw = np.array([float(np.sum(X[p:p + k] * filt)) + bias for p in range(n - k + 1)])
-    return np.maximum(raw, 0.0)
-
-
-def max_pool(feature_map: np.ndarray) -> tuple[float, int]:
-    """Max over positions plus the argmax (first index on ties) for backprop."""
-    if feature_map.size == 0:
-        raise ValueError("max pool over empty feature map")
-    idx = int(np.argmax(feature_map))
-    return float(feature_map[idx]), idx
 
 
 @dataclass

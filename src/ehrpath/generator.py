@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ComplicationTable
+from .corpus import CodeIds, ComplicationTable
 from .lstm import LstmCache, init_lstm_params, lstm_step, lstm_step_backward
 from .numerics import ParamStore
 
@@ -29,7 +29,7 @@ PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(CodeIds):
     n_codes: int                      # real codes; STOP and UNK are appended
     d_code: int = 100
     rep_dim: int = 300
@@ -37,20 +37,9 @@ class GeneratorConfig:
     no_copy: bool = False
     max_len: int = 8
 
-    @property
-    def stop_id(self) -> int:
-        return self.n_codes
 
-    @property
-    def unk_id(self) -> int:
-        return self.n_codes + 1
-
-    @property
-    def n_total(self) -> int:
-        return self.n_codes + 2
-
-
-def init_generator_params(store: ParamStore, cfg: GeneratorConfig, rng: np.random.Generator) -> None:
+def init_generator_params(store: ParamStore, cfg: GeneratorConfig,
+                          rng: np.random.Generator | None) -> None:
     store.add_uniform("gen.code_embed", (cfg.n_total, cfg.d_code), rng)
     store.add_uniform("gen.code_proj", (cfg.rep_dim, cfg.d_code), rng)
     store.add_uniform("gen.fuse.W", (cfg.rep_dim, 6 * cfg.rep_dim), rng)
@@ -59,14 +48,9 @@ def init_generator_params(store: ParamStore, cfg: GeneratorConfig, rng: np.rando
     store.add_uniform("gen.copy.W", (cfg.rep_dim, cfg.rep_dim), rng)
 
 
-def fuse(x: np.ndarray, code_vec: np.ndarray, store: ParamStore) -> np.ndarray:
-    """Six-block feature fusion of document and code vectors, both (rep,):
-    tanh(W @ [x, c, x*c, x+c, x-c, c-x]) -> (rep,)."""
-    out, _ = _fuse_forward(x, code_vec, store)
-    return out
-
-
 def _fuse_forward(x: np.ndarray, code_vec: np.ndarray, store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+    """Six-block feature fusion of document and code vectors, both (rep,):
+    tanh(W @ [x, c, x*c, x+c, x-c, c-x]) -> (rep,), plus the feature blocks."""
     if x.shape != code_vec.shape:
         raise ValueError(f"fusion inputs disagree: x {x.shape} vs code {code_vec.shape}")
     u = np.concatenate([x, code_vec, x * code_vec, x + code_vec, x - code_vec, code_vec - x])
@@ -106,15 +90,18 @@ def _shifted_exps(gen_scores: np.ndarray, copy_scores: np.ndarray) -> tuple[np.n
 
 
 def _mixture_from_scores(gen_scores: np.ndarray, copy_scores: np.ndarray,
-                         copy_ids: tuple[int, ...], n_total: int) -> MixtureDistribution:
-    """Combine the two score families under one shared-shift normalizer."""
+                         copy_ids: tuple[int, ...], n_total: int,
+                         ) -> tuple[MixtureDistribution, tuple[np.ndarray, np.ndarray, float]]:
+    """Combine the two score families under one shared-shift normalizer;
+    also returns the shifted exps and their sum, which the backward reuses."""
     exp_gen, exp_copy, z, shift = _shifted_exps(gen_scores, copy_scores)
     gen_mass = exp_gen / z
     copy_mass = np.zeros(n_total)
     if copy_ids:
         copy_mass[list(copy_ids)] = exp_copy / z
-    return MixtureDistribution(gen_mass + copy_mass, gen_mass, copy_mass, copy_ids,
+    dist = MixtureDistribution(gen_mass + copy_mass, gen_mass, copy_mass, copy_ids,
                                shift + float(np.log(z)))
+    return dist, (exp_gen, exp_copy, z)
 
 
 def _mixture_forward(h: np.ndarray, prev_code: int, table: ComplicationTable | None,
@@ -133,16 +120,10 @@ def _mixture_forward(h: np.ndarray, prev_code: int, table: ComplicationTable | N
         copy_scores = tanh_rows @ h
     else:
         copy_scores = np.zeros(0)
-    dist = _mixture_from_scores(gen_scores, copy_scores, copy_ids, cfg.n_total)
-    exp_gen, exp_copy, z, _ = _shifted_exps(gen_scores, copy_scores)
+    dist, (exp_gen, exp_copy, z) = _mixture_from_scores(gen_scores, copy_scores, copy_ids,
+                                                        cfg.n_total)
     cache = MixtureCache(h, exp_gen, exp_copy, z, copy_ids, emb_rows, proj_rows, tanh_rows)
     return dist, cache
-
-
-def mixture_probability(h: np.ndarray, prev_code: int, table: ComplicationTable | None,
-                        store: ParamStore, cfg: GeneratorConfig) -> MixtureDistribution:
-    dist, _ = _mixture_forward(h, prev_code, table, store, cfg)
-    return dist
 
 
 def generator_step_loss(dist: MixtureDistribution, target: int) -> float:

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .numerics import ParamStore, affine
+from .numerics import ParamStore
 
 GATES = ("f", "i", "c", "o")
+CANDIDATE_ACTIVATIONS = ("relu", "tanh")
 
 
 def init_lstm_params(store: ParamStore, prefix: str, input_dim: int, hidden: int,
-                     rng: np.random.Generator) -> None:
+                     rng: np.random.Generator | None) -> None:
     for gate in GATES:
         store.add_uniform(f"{prefix}.W{gate}", (hidden, hidden + input_dim), rng)
         store.add_uniform(f"{prefix}.b{gate}", (hidden,), rng)
@@ -46,16 +47,16 @@ def lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_prev: np.nda
     `activation`; c = f*c_prev + i*candidate; h = o*tanh(c).
     """
     z = np.concatenate([h_prev, x_in])
-    f = expit(affine(store[f"{prefix}.Wf"], z, store[f"{prefix}.bf"]))
-    i = expit(affine(store[f"{prefix}.Wi"], z, store[f"{prefix}.bi"]))
-    g_pre = affine(store[f"{prefix}.Wc"], z, store[f"{prefix}.bc"])
+    f = expit(store[f"{prefix}.Wf"] @ z + store[f"{prefix}.bf"])
+    i = expit(store[f"{prefix}.Wi"] @ z + store[f"{prefix}.bi"])
+    g_pre = store[f"{prefix}.Wc"] @ z + store[f"{prefix}.bc"]
     if activation == "relu":
         g = np.maximum(g_pre, 0.0)
     elif activation == "tanh":
         g = np.tanh(g_pre)
     else:
         raise ValueError(f"unknown candidate activation {activation!r}")
-    o = expit(affine(store[f"{prefix}.Wo"], z, store[f"{prefix}.bo"]))
+    o = expit(store[f"{prefix}.Wo"] @ z + store[f"{prefix}.bo"])
     c = f * c_prev + i * g
     tau = np.tanh(c)
     h = o * tau

@@ -1,7 +1,7 @@
 """Dense float64 math shared by every model component.
 
-Parameter storage with gradient and Adam-moment buffers, stable softmax,
-the bias-corrected Adam update, and a central-difference gradient oracle
+Parameter storage with gradient and Adam-moment buffers, the
+bias-corrected Adam update, and a central-difference gradient oracle
 used to validate every hand-derived backward pass in the test suite.
 """
 
@@ -29,26 +29,6 @@ def named_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w (m, n) @ x (n,) + b (m,) -> (m,)."""
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ValueError(f"affine expects (2d, 1d, 1d), got w {w.shape}, x {x.shape}, b {b.shape}")
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-        raise ValueError(f"affine shape mismatch: w {w.shape} vs x {x.shape}, b {b.shape}")
-    return w @ x + b
-
-
-def softmax_stable(logits: np.ndarray) -> np.ndarray:
-    """Shift-invariant softmax; logits (n,) -> probability vector (n,)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        raise ValueError("softmax of empty logits")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax of non-finite logits")
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
-
-
 class ParamStore:
     """Named float64 parameter slots, each paired with a gradient buffer and
     Adam first/second moments. One store per trainable model side."""
@@ -70,8 +50,12 @@ class ParamStore:
         self._v[name] = np.zeros_like(p)
         return p
 
-    def add_uniform(self, name: str, shape: tuple[int, ...], rng: np.random.Generator,
+    def add_uniform(self, name: str, shape: tuple[int, ...], rng: np.random.Generator | None,
                     scale: float = INIT_SCALE) -> np.ndarray:
+        """Slot drawn uniformly from rng; without an rng the slot starts at
+        zero, for a caller that fills in stored values."""
+        if rng is None:
+            return self.add(name, np.zeros(shape))
         return self.add(name, rng.uniform(-scale, scale, size=shape))
 
     def __getitem__(self, name: str) -> np.ndarray:

@@ -14,18 +14,18 @@ retained.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .alignment import align_path, step_targets
-from .checkpoint import save_checkpoint
+from .checkpoint import field_kinds, format_value, parse_value, save_checkpoint
 from .corpus import ComplicationTable, CorpusBundle, EhrDocument
 from .discriminator import (DiscriminatorConfig, LabeledPrefix, discriminator_loss,
                             init_discriminator_params, reward, split_prefixes)
 from .encoder import EncoderConfig, encode_backward, encode_ehr, init_encoder_params
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .generator import (GeneratorConfig, decode_path, decode_path_traced,
                         init_generator_params, path_loss, run_steps, sequence_backward)
 from .metrics import PredictionRecord, metric_table
@@ -38,8 +38,6 @@ class TrainConfig:
     pretrain_epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
     max_len: int = 8
     seed: int = 0
     no_copy: bool = False
@@ -56,7 +54,7 @@ class TrainConfig:
 
     @property
     def adam(self) -> AdamConfig:
-        return AdamConfig(self.learning_rate, self.beta1, self.beta2)
+        return AdamConfig(self.learning_rate)
 
     @property
     def ablation(self) -> str:
@@ -80,6 +78,12 @@ class Model:
     def snapshot(self) -> "Model":
         return Model(self.enc_cfg, self.gen_cfg, self.gen_store.copy(), self.disc_cfg,
                      self.disc_store.copy() if self.disc_store is not None else None)
+
+    def parameters(self) -> Iterable[tuple[str, np.ndarray]]:
+        """Every slot of both stores; slot names carry their side's prefix."""
+        yield from self.gen_store.parameters()
+        if self.disc_store is not None:
+            yield from self.disc_store.parameters()
 
 
 @dataclass
@@ -110,11 +114,28 @@ class TrainReport:
         }
 
 
+def _new_model(enc_cfg: EncoderConfig, gen_cfg: GeneratorConfig, has_discriminator: bool,
+               rng: np.random.Generator | None) -> Model:
+    """Every parameter slot of a model, drawn from rng (zero without one):
+    the one place that states the slot names and shapes and the scorer's
+    config. The scorer is initialized after the decoder so ablations share
+    decoder init."""
+    gen_store = ParamStore()
+    init_encoder_params(gen_store, enc_cfg, rng)
+    init_generator_params(gen_store, gen_cfg, rng)
+    model = Model(enc_cfg, gen_cfg, gen_store)
+    if has_discriminator:
+        model.disc_cfg = DiscriminatorConfig(n_codes=gen_cfg.n_codes, d_code=gen_cfg.d_code,
+                                             hidden=enc_cfg.rep_dim, rep_dim=enc_cfg.rep_dim,
+                                             candidate_activation=gen_cfg.candidate_activation)
+        model.disc_store = ParamStore()
+        init_discriminator_params(model.disc_store, model.disc_cfg, rng)
+    return model
+
+
 def build_model(bundle: CorpusBundle, cfg: TrainConfig) -> Model:
     """Initialize all parameters from the run seed's init stream. The
-    scorer is only created when adversarial training is enabled, and is
-    initialized after the decoder so ablations share decoder init."""
-    rng = named_rng(cfg.seed, "init")
+    scorer is only created when adversarial training is enabled."""
     enc_cfg = EncoderConfig(vocab_size=bundle.tokens.vocab_size, d_embed=cfg.d_embed,
                             kernel_sizes=cfg.kernel_sizes, n_filters=cfg.n_filters,
                             dropout=cfg.dropout)
@@ -122,17 +143,7 @@ def build_model(bundle: CorpusBundle, cfg: TrainConfig) -> Model:
                               rep_dim=enc_cfg.rep_dim,
                               candidate_activation=cfg.candidate_activation,
                               no_copy=cfg.no_copy, max_len=cfg.max_len)
-    gen_store = ParamStore()
-    init_encoder_params(gen_store, enc_cfg, rng)
-    init_generator_params(gen_store, gen_cfg, rng)
-    model = Model(enc_cfg, gen_cfg, gen_store)
-    if not cfg.no_arl:
-        model.disc_cfg = DiscriminatorConfig(n_codes=bundle.codes.num_real, d_code=cfg.d_code,
-                                             hidden=enc_cfg.rep_dim, rep_dim=enc_cfg.rep_dim,
-                                             candidate_activation=cfg.candidate_activation)
-        model.disc_store = ParamStore()
-        init_discriminator_params(model.disc_store, model.disc_cfg, rng)
-    return model
+    return _new_model(enc_cfg, gen_cfg, not cfg.no_arl, named_rng(cfg.seed, "init"))
 
 
 def _check_alignable(docs: Sequence[EhrDocument], max_len: int) -> None:
@@ -276,24 +287,28 @@ def _batches(docs: Sequence[EhrDocument], batch_size: int,
     return [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
 
 
-def pretrain_generator(bundle: CorpusBundle, cfg: TrainConfig,
-                       model: Model | None = None) -> tuple[Model, list[float]]:
+def _supervised_epoch(model: Model, docs: Sequence[EhrDocument], table: ComplicationTable,
+                      cfg: TrainConfig, dropout_rng: np.random.Generator,
+                      shuffle_rng: np.random.Generator, epoch: int) -> float:
+    """One shuffled pass of supervised batches; returns the mean batch loss."""
+    losses = [_supervised_batch(model, batch, table, cfg, dropout_rng)
+              for batch in _batches(docs, cfg.batch_size, shuffle_rng)]
+    mean_loss = float(np.mean(losses))
+    if not np.isfinite(mean_loss):
+        raise TrainingError(f"pretraining diverged at epoch {epoch}")
+    return mean_loss
+
+
+def pretrain_generator(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[Model, list[float]]:
     """Supervised pretraining only; returns the model and per-epoch losses."""
     cfg.validate()
-    if model is None:
-        model = build_model(bundle, cfg)
+    model = build_model(bundle, cfg)
     train_docs = bundle.split_docs("train")
     _check_alignable(train_docs, cfg.max_len)
     dropout_rng = named_rng(cfg.seed, "dropout")
     shuffle_rng = named_rng(cfg.seed, "shuffle")
-    losses = []
-    for epoch in range(cfg.pretrain_epochs):
-        epoch_losses = [_supervised_batch(model, batch, bundle.table, cfg, dropout_rng)
-                        for batch in _batches(train_docs, cfg.batch_size, shuffle_rng)]
-        mean_loss = float(np.mean(epoch_losses))
-        if not np.isfinite(mean_loss):
-            raise TrainingError(f"pretraining diverged at epoch {epoch}")
-        losses.append(mean_loss)
+    losses = [_supervised_epoch(model, train_docs, bundle.table, cfg, dropout_rng, shuffle_rng,
+                                epoch) for epoch in range(cfg.pretrain_epochs)]
     return model, losses
 
 
@@ -324,12 +339,8 @@ def train(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[TrainReport, Model]:
 
     epoch = 0
     for _ in range(cfg.pretrain_epochs):
-        batch_losses = [_supervised_batch(model, b, bundle.table, cfg, dropout_rng)
-                        for b in _batches(train_docs, cfg.batch_size, shuffle_rng)]
-        mean_loss = float(np.mean(batch_losses))
-        if not np.isfinite(mean_loss):
-            raise TrainingError(f"training diverged at epoch {epoch}")
-        report.pretrain_losses.append(mean_loss)
+        report.pretrain_losses.append(_supervised_epoch(model, train_docs, bundle.table, cfg,
+                                                        dropout_rng, shuffle_rng, epoch))
         validate_epoch(epoch)
         epoch += 1
     for _ in range(cfg.epochs):
@@ -355,54 +366,41 @@ def train(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[TrainReport, Model]:
     return report, best
 
 
+# checkpoint keys that differ from the config field they store
+_STORED_KEYS = {"n_codes": "num_codes"}
+
+
 def model_config_kv(model: Model, seed: int) -> dict[str, str]:
-    """Flat config block stored in checkpoints and checked at eval time."""
-    enc, gen = model.enc_cfg, model.gen_cfg
-    return {
-        "vocab_size": str(enc.vocab_size),
-        "num_codes": str(gen.n_codes),
-        "d_embed": str(enc.d_embed),
-        "d_code": str(gen.d_code),
-        "rep_dim": str(gen.rep_dim),
-        "kernel_sizes": ",".join(str(k) for k in enc.kernel_sizes),
-        "n_filters": str(enc.n_filters),
-        "dropout": repr(enc.dropout),
-        "candidate_activation": gen.candidate_activation,
-        "no_copy": "1" if gen.no_copy else "0",
-        "max_len": str(gen.max_len),
-        "has_discriminator": "1" if model.disc_store is not None else "0",
-        "seed": str(seed),
-    }
+    """Flat config block stored in checkpoints and checked at eval time:
+    every EncoderConfig and GeneratorConfig field, whether the scorer is
+    present, and the run seed."""
+    values = {**asdict(model.enc_cfg), **asdict(model.gen_cfg),
+              "has_discriminator": model.disc_store is not None, "seed": seed}
+    return {_STORED_KEYS.get(name, name): format_value(v) for name, v in values.items()}
 
 
 def save_model(path: str, model: Model, seed: int) -> None:
-    slots = dict(model.gen_store.parameters())
-    if model.disc_store is not None:
-        slots.update(model.disc_store.parameters())
-    save_checkpoint(path, model_config_kv(model, seed), slots)
+    save_checkpoint(path, model_config_kv(model, seed), dict(model.parameters()))
+
+
+def _stored_config(cls, kv: dict[str, str]):
+    return cls(**{name: parse_value(kind, kv[_STORED_KEYS.get(name, name)])
+                  for name, kind in field_kinds(cls).items()})
 
 
 def model_from_checkpoint(kv: dict[str, str], slots: dict[str, np.ndarray]) -> Model:
-    enc_cfg = EncoderConfig(vocab_size=int(kv["vocab_size"]), d_embed=int(kv["d_embed"]),
-                            kernel_sizes=tuple(int(k) for k in kv["kernel_sizes"].split(",")),
-                            n_filters=int(kv["n_filters"]), dropout=float(kv["dropout"]))
-    gen_cfg = GeneratorConfig(n_codes=int(kv["num_codes"]), d_code=int(kv["d_code"]),
-                              rep_dim=int(kv["rep_dim"]),
-                              candidate_activation=kv["candidate_activation"],
-                              no_copy=kv["no_copy"] == "1", max_len=int(kv["max_len"]))
-    gen_store = ParamStore()
-    disc_store = None
-    disc_cfg = None
-    for name in sorted(slots):
-        if name.startswith("disc."):
-            if disc_store is None:
-                disc_store = ParamStore()
-            disc_store.add(name, slots[name])
-        else:
-            gen_store.add(name, slots[name])
-    if disc_store is not None:
-        disc_cfg = DiscriminatorConfig(n_codes=gen_cfg.n_codes, d_code=gen_cfg.d_code,
-                                       hidden=disc_store["disc.lstm.Wf"].shape[0],
-                                       rep_dim=gen_cfg.rep_dim,
-                                       candidate_activation=gen_cfg.candidate_activation)
-    return Model(enc_cfg, gen_cfg, gen_store, disc_cfg, disc_store)
+    """Rebuild a model from a checkpoint's config block and slots. The slots
+    must have exactly the names and shapes the stored config implies."""
+    model = _new_model(_stored_config(EncoderConfig, kv), _stored_config(GeneratorConfig, kv),
+                       parse_value(bool, kv["has_discriminator"]), rng=None)
+    expected = dict(model.parameters())
+    for name in sorted(expected.keys() | slots.keys()):
+        if name not in slots:
+            raise DataError(f"checkpoint lacks slot {name!r}, which its config implies")
+        if name not in expected:
+            raise DataError(f"checkpoint slot {name!r} is not in the model its config implies")
+        if slots[name].shape != expected[name].shape:
+            raise DataError(f"checkpoint slot {name!r} has shape {slots[name].shape}, "
+                            f"its config implies {expected[name].shape}")
+        expected[name][...] = slots[name]
+    return model

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ehrpath.alignment import (AlignmentMatrix, align_path, fix_correct_predictions,
-                               hungarian_assign, pla_loss, step_targets)
+                               hungarian_assign, step_targets)
 from ehrpath.generator import MixtureDistribution
+from oracles import pla_loss
 
 
 def dist_from_probs(probs):

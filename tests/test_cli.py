@@ -2,10 +2,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from ehrpath.checkpoint import load_checkpoint
-from ehrpath.cli import main
+from ehrpath.checkpoint import load_checkpoint, save_checkpoint
+from ehrpath.cli import build_parser, main
 from ehrpath.corpus import CORPUS_FILE, CODES_FILE, SPLITS_FILE, TABLE_FILE, TOKENS_FILE
 
 GEN_FLAGS = ["--docs", "48", "--vocab", "60", "--codes", "6", "--top-k", "6",
@@ -116,6 +117,25 @@ class TestTrainCommand:
         kv, _ = load_checkpoint(str(out / "model.ckpt"))
         assert kv["seed"] == "9"  # flag beats config file
 
+    def test_flag_names_and_defaults_are_pinned(self):
+        _, subparsers = build_parser()
+        flags = [(a.option_strings[0], a.default) for a in subparsers["train"]._actions
+                 if a.option_strings[0] not in ("-h", "--config", "--corpus", "--out")]
+        assert flags == [
+            ("--epochs", 200), ("--pretrain-epochs", 10), ("--batch-size", 32),
+            ("--lr", 1e-4), ("--max-len", 8), ("--seed", 0), ("--no-copy", False),
+            ("--no-arl", False), ("--supervised-weight", 1.0), ("--clip-norm", 5.0),
+            ("--candidate-activation", "relu"), ("--dropout", 0.5), ("--d-embed", 100),
+            ("--d-code", 100), ("--n-filters", 100),
+        ]
+
+    def test_malformed_flag_value_exits_2(self, tmp_path):
+        corpus = gen_corpus(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "two"])
+        assert rc == 2
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         corpus = gen_corpus(tmp_path)
         out = tmp_path / "run"
@@ -196,6 +216,26 @@ class TestEvalCommand:
         rc = main(["eval", "--corpus", str(other), "--checkpoint", str(ckpt),
                    "--out", str(out)])
         assert rc == 4
+
+    @pytest.mark.parametrize("slot, damage", [
+        ("gen.lstm.bf", lambda w: np.zeros(1)),
+        ("gen.copy.W", None),
+        ("gen.out.W", lambda w: np.zeros((w.shape[0], w.shape[1] + 1))),
+    ], ids=["bias-shape", "missing-slot", "wide-output"])
+    def test_slot_disagreeing_with_config_exits_3(self, tmp_path, capsys, slot, damage):
+        corpus, ckpt = self._train(tmp_path)
+        kv, slots = load_checkpoint(str(ckpt))
+        if damage is None:
+            del slots[slot]
+        else:
+            slots[slot] = damage(slots[slot])
+        save_checkpoint(str(ckpt), kv, slots)
+        out = tmp_path / "eval"
+        out.mkdir()
+        rc = main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                   "--out", str(out)])
+        assert rc == 3
+        assert slot in capsys.readouterr().err
 
     def test_eval_without_checkpoint_or_predictions_exits_2(self, tmp_path):
         corpus = gen_corpus(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 
 from ehrpath.corpus import (ComplicationTable, CorpusBundle, CorpusConfig, EhrDocument,
                             build_complication_table, filter_top_k, generate_synthetic_corpus,
-                            load_corpus_dir, split_dataset, split_indices, write_corpus_dir)
+                            load_corpus_dir, split_indices, write_corpus_dir)
 from ehrpath.errors import ConfigError, DataError
 
 
@@ -59,7 +59,7 @@ class TestGeneration:
 
     def test_dictionaries_carry_sentinels(self):
         _, codes, tokens = generate_synthetic_corpus(CorpusConfig(**BASE))
-        assert codes.num_total == codes.num_real + 2
+        assert codes.n_total == codes.num_real + 2
         assert codes.stop_id != codes.unk_id
         assert codes.label(codes.stop_id) == "<stop>"
         assert tokens.labels[0] == "<pad>"
@@ -95,14 +95,12 @@ class TestFilterTopK:
 
 class TestSplit:
     def test_600_docs_split_400_100_100(self):
-        docs = [doc({0}) for _ in range(600)]
-        train, test, val = split_dataset(docs, seed=1)
-        assert (len(train), len(test), len(val)) == (400, 100, 100)
+        idx = split_indices(600, seed=1)
+        assert (len(idx["train"]), len(idx["test"]), len(idx["validation"])) == (400, 100, 100)
 
     def test_minimal_six_documents(self):
-        docs = [doc({i % 3}) for i in range(6)]
-        train, test, val = split_dataset(docs, seed=1)
-        assert (len(train), len(test), len(val)) == (4, 1, 1)
+        idx = split_indices(6, seed=1)
+        assert (len(idx["train"]), len(idx["test"]), len(idx["validation"])) == (4, 1, 1)
 
     def test_same_seed_identical(self):
         assert split_indices(100, seed=9) == split_indices(100, seed=9)
@@ -199,16 +197,6 @@ class TestCorpusIo:
         (tmp_path / "corpus.jsonl").write_text(bad + "\n")
         with pytest.raises(DataError):
             load_corpus_dir(str(tmp_path))
-
-
-class TestNormalizeText:
-    def test_lowercases_and_strips_punctuation(self):
-        from ehrpath.corpus import normalize_text
-        assert normalize_text("Chest PAIN, w/ dyspnea!") == ["chest", "pain", "w", "dyspnea"]
-
-    def test_empty_and_whitespace(self):
-        from ehrpath.corpus import normalize_text
-        assert normalize_text("   ") == []
 
 
 class TestDocumentInvariants:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ehrpath.encoder import (EncoderConfig, conv_feature_map, embed_tokens, encode_backward,
-                             encode_ehr, init_encoder_params, max_pool)
+from ehrpath.encoder import (EncoderConfig, embed_tokens, encode_backward, encode_ehr,
+                             init_encoder_params)
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
+from oracles import conv_feature_map, max_pool
 
 SMALL = EncoderConfig(vocab_size=30, d_embed=6, kernel_sizes=(2, 3), n_filters=4, dropout=0.5)
 

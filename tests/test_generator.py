@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ehrpath.corpus import ComplicationTable
-from ehrpath.generator import (GeneratorConfig, _mixture_from_scores, decode_path, fuse,
-                               generator_step_loss, init_generator_params,
-                               mixture_probability, path_loss, run_steps, sequence_backward)
+from ehrpath.generator import (GeneratorConfig, _fuse_forward, _mixture_forward,
+                               _mixture_from_scores, decode_path, generator_step_loss,
+                               init_generator_params, path_loss, run_steps, sequence_backward)
 from ehrpath.lstm import init_lstm_params, lstm_step
-from ehrpath.numerics import ParamStore, finite_diff_check, named_rng, softmax_stable
+from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
+from oracles import softmax_stable
 
 CFG = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8)
 TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
@@ -25,7 +26,6 @@ class TestFuse:
         store = make_store()
         rng = named_rng(1, "x")
         x = rng.normal(size=CFG.rep_dim)
-        from ehrpath.generator import _fuse_forward
         _, u = _fuse_forward(x, x.copy(), store)
         r = CFG.rep_dim
         np.testing.assert_array_equal(u[4 * r:5 * r], np.zeros(r))  # x - c
@@ -33,7 +33,7 @@ class TestFuse:
 
     def test_zero_inputs_zero_output(self):
         store = make_store()
-        out = fuse(np.zeros(CFG.rep_dim), np.zeros(CFG.rep_dim), store)
+        out = _fuse_forward(np.zeros(CFG.rep_dim), np.zeros(CFG.rep_dim), store)[0]
         np.testing.assert_array_equal(out, np.zeros(CFG.rep_dim))
 
     def test_selector_weight_recovers_sum_block(self):
@@ -45,18 +45,18 @@ class TestFuse:
         rng = named_rng(2, "x")
         x = rng.normal(size=r)
         c = rng.normal(size=r)
-        np.testing.assert_allclose(fuse(x, c, store), np.tanh(x + c), atol=1e-12)
+        np.testing.assert_allclose(_fuse_forward(x, c, store)[0], np.tanh(x + c), atol=1e-12)
 
     def test_output_strictly_inside_unit_interval(self):
         store = make_store()
         rng = named_rng(3, "x")
-        out = fuse(rng.normal(size=CFG.rep_dim), rng.normal(size=CFG.rep_dim), store)
+        out = _fuse_forward(rng.normal(size=CFG.rep_dim), rng.normal(size=CFG.rep_dim), store)[0]
         assert np.all(np.abs(out) < 1.0)
 
     def test_shape_mismatch_rejected(self):
         store = make_store()
         with pytest.raises(ValueError):
-            fuse(np.zeros(CFG.rep_dim), np.zeros(CFG.rep_dim + 1), store)
+            _fuse_forward(np.zeros(CFG.rep_dim), np.zeros(CFG.rep_dim + 1), store)[0]
 
 
 class TestLstmStep:
@@ -118,7 +118,7 @@ class TestMixture:
     def test_empty_vocabulary_is_pure_generate_softmax(self):
         store = make_store()
         h = named_rng(4, "h").normal(size=CFG.rep_dim)
-        dist = mixture_probability(h, 5, TABLE, store, CFG)  # code 5 has no partners
+        dist = _mixture_forward(h, 5, TABLE, store, CFG)[0]  # code 5 has no partners
         np.testing.assert_allclose(dist.probs, softmax_stable(store["gen.out.W"] @ h),
                                    atol=1e-12)
         assert dist.copy_ids == ()
@@ -126,7 +126,7 @@ class TestMixture:
 
     def test_counting_case_exact(self):
         # 3 real codes + STOP + UNK = 5 generate ids, 2 copy ids, all scores zero
-        dist = _mixture_from_scores(np.zeros(5), np.zeros(2), (0, 2), 5)
+        dist = _mixture_from_scores(np.zeros(5), np.zeros(2), (0, 2), 5)[0]
         assert dist.probs[1] == 1.0 / 7.0
         assert dist.probs[0] == 2.0 / 7.0
         assert dist.probs[2] == 2.0 / 7.0
@@ -149,7 +149,7 @@ class TestMixture:
                 if pairs:
                     table = ComplicationTable(pairs, 2.0, 1)
             h = rng.normal(size=cfg.rep_dim)
-            dist = mixture_probability(h, prev, table, store, cfg)
+            dist = _mixture_forward(h, prev, table, store, cfg)[0]
             assert abs(dist.probs.sum() - 1.0) < 1e-9
             outside = np.ones(cfg.n_total, dtype=bool)
             if dist.copy_ids:
@@ -160,15 +160,15 @@ class TestMixture:
         rng = np.random.default_rng(12)
         gen = rng.normal(size=6)
         cop = rng.normal(size=2)
-        a = _mixture_from_scores(gen, cop, (1, 3), 6)
-        b = _mixture_from_scores(gen + 55.5, cop + 55.5, (1, 3), 6)
+        a = _mixture_from_scores(gen, cop, (1, 3), 6)[0]
+        b = _mixture_from_scores(gen + 55.5, cop + 55.5, (1, 3), 6)[0]
         np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
     def test_no_copy_flag_forces_pure_generate(self):
         cfg = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8, no_copy=True)
         store = make_store(cfg=cfg)
         h = named_rng(5, "h").normal(size=cfg.rep_dim)
-        dist = mixture_probability(h, 0, TABLE, store, cfg)  # code 0 has a partner
+        dist = _mixture_forward(h, 0, TABLE, store, cfg)[0]  # code 0 has a partner
         assert dist.copy_ids == ()
         np.testing.assert_allclose(dist.probs, softmax_stable(store["gen.out.W"] @ h),
                                    atol=1e-12)
@@ -176,20 +176,20 @@ class TestMixture:
 
 class TestStepLoss:
     def test_certain_target_zero_loss(self):
-        dist = _mixture_from_scores(np.array([100.0, 0.0, 0.0]), np.zeros(0), (), 3)
+        dist = _mixture_from_scores(np.array([100.0, 0.0, 0.0]), np.zeros(0), (), 3)[0]
         assert generator_step_loss(dist, 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_exp_minus_two(self):
         probs = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0)])
-        dist = _mixture_from_scores(np.log(probs), np.zeros(0), (), 2)
+        dist = _mixture_from_scores(np.log(probs), np.zeros(0), (), 2)[0]
         assert generator_step_loss(dist, 0) == pytest.approx(2.0, abs=1e-12)
 
     def test_uniform_seven_terms(self):
-        dist = _mixture_from_scores(np.zeros(5), np.zeros(2), (0, 2), 5)
+        dist = _mixture_from_scores(np.zeros(5), np.zeros(2), (0, 2), 5)[0]
         assert generator_step_loss(dist, 1) == pytest.approx(math.log(7.0), abs=1e-12)
 
     def test_floor_prevents_infinity(self):
-        dist = _mixture_from_scores(np.array([1000.0, 0.0]), np.zeros(0), (), 2)
+        dist = _mixture_from_scores(np.array([1000.0, 0.0]), np.zeros(0), (), 2)[0]
         assert generator_step_loss(dist, 1) <= -math.log(1e-12) + 1e-9
 
 

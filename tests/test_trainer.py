@@ -9,7 +9,7 @@ from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath.generator import decode_path
 from ehrpath.numerics import named_rng
-from ehrpath.trainer import (TrainConfig, adversarial_round, decode_predictions,
+from ehrpath.trainer import (TrainConfig, adversarial_round, build_model, decode_predictions,
                              model_config_kv, model_from_checkpoint, pretrain_generator,
                              save_model, train)
 from ehrpath.checkpoint import load_checkpoint
@@ -161,6 +161,16 @@ class TestTrain:
 
 
 class TestCheckpointRoundtrip:
+    def test_config_block_is_pinned(self, bundle):
+        # checkpoint keys and value formats; a change here changes the file format
+        model = build_model(bundle, TrainConfig(seed=3, **TINY))
+        assert model_config_kv(model, 3) == {
+            "vocab_size": "60", "num_codes": "6", "d_embed": "10", "d_code": "8",
+            "rep_dim": "12", "kernel_sizes": "2,3", "n_filters": "6", "dropout": "0.2",
+            "candidate_activation": "relu", "no_copy": "0", "max_len": "5",
+            "has_discriminator": "1", "seed": "3",
+        }
+
     def test_model_roundtrip_bitwise(self, bundle, tmp_path):
         cfg = TrainConfig(epochs=1, pretrain_epochs=1, seed=14, **TINY)
         report, model = train(bundle, cfg)
