@@ -56,6 +56,7 @@ def _config_block(config: Mapping[str, str]) -> bytes:
 
 
 def config_digest(config: Mapping[str, str]) -> str:
+    """sha256 of the config block as save_checkpoint writes it."""
     return hashlib.sha256(_config_block(config)).hexdigest()
 
 
@@ -64,7 +65,7 @@ def save_checkpoint(path: str, config: Mapping[str, str],
     block = _config_block(config)
     with open(path, "wb") as fh:
         fh.write(MAGIC + b"\n")
-        fh.write(f"digest={hashlib.sha256(block).hexdigest()}\n".encode())
+        fh.write(f"digest={config_digest(config)}\n".encode())
         fh.write(f"nconfig={len(config)}\n".encode())
         fh.write(block)
         fh.write(f"nslots={len(slots)}\n".encode())

@@ -20,8 +20,8 @@ from .corpus import (CorpusBundle, CorpusConfig, build_complication_table, filte
 from .errors import CompatibilityError, ConfigError, DataError
 from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import format_metric_table, metric_table, read_predictions, write_predictions
-from .trainer import (TrainConfig, decode_predictions, model_from_checkpoint, save_model,
-                      train)
+from .trainer import (Model, TrainConfig, decode_predictions, model_from_checkpoint,
+                      save_model, train)
 
 CHECKPOINT_NAME = "model.ckpt"
 REPORT_NAME = "report.json"
@@ -153,13 +153,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _compat_check(kv: dict[str, str], bundle: CorpusBundle) -> None:
-    if int(kv["vocab_size"]) != bundle.tokens.vocab_size:
+def _compat_check(model: Model, bundle: CorpusBundle) -> None:
+    vocab, n_codes = model.enc_cfg.vocab_size, model.gen_cfg.n_codes
+    if vocab != bundle.tokens.vocab_size:
         raise CompatibilityError(
-            f"checkpoint vocabulary {kv['vocab_size']} != corpus {bundle.tokens.vocab_size}")
-    if int(kv["num_codes"]) != bundle.codes.num_real:
+            f"checkpoint vocabulary {vocab} != corpus {bundle.tokens.vocab_size}")
+    if n_codes != bundle.codes.num_real:
         raise CompatibilityError(
-            f"checkpoint code count {kv['num_codes']} != corpus {bundle.codes.num_real}")
+            f"checkpoint code count {n_codes} != corpus {bundle.codes.num_real}")
 
 
 def cmd_eval(args) -> int:
@@ -171,9 +172,8 @@ def cmd_eval(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --from-predictions")
-        kv, slots = load_checkpoint(args.checkpoint)
-        _compat_check(kv, bundle)
-        model = model_from_checkpoint(kv, slots)
+        model = model_from_checkpoint(*load_checkpoint(args.checkpoint))
+        _compat_check(model, bundle)
         docs = bundle.split_docs(args.split)
         records = decode_predictions(model, docs, bundle.table)
         write_predictions(os.path.join(args.out, PREDICTIONS_NAME), records)

@@ -51,13 +51,10 @@ class LabeledPrefix:
             raise ValueError("empty prefix")
 
 
-def split_prefixes(path: Sequence[int], positive: bool, doc_id: int,
-                   stop_id: int | None = None) -> list[LabeledPrefix]:
-    """Expand a path of t valid codes into its t prefixes (STOP excluded)."""
-    codes = list(path)
-    if stop_id is not None and stop_id in codes:
-        codes = codes[:codes.index(stop_id)]
-    return [LabeledPrefix(tuple(codes[:k]), positive, doc_id) for k in range(1, len(codes) + 1)]
+def split_prefixes(path: Sequence[int], positive: bool, doc_id: int) -> list[LabeledPrefix]:
+    """Expand a path of t valid codes (no STOP) into its t prefixes."""
+    codes = tuple(path)
+    return [LabeledPrefix(codes[:k], positive, doc_id) for k in range(1, len(codes) + 1)]
 
 
 def encode_path(prefix: Sequence[int], store: ParamStore,

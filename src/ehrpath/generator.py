@@ -246,7 +246,7 @@ def _mixture_backward(store: ParamStore, trace: StepTrace, target: int, weight: 
         return np.zeros_like(trace.h)  # loss is clamped constant here
     dpsi_g = weight * mix.exp_gen / mix.z
     dpsi_g[target] -= weight * mix.exp_gen[target] / numer
-    store.grad("gen.out.W")[:] += np.outer(dpsi_g, trace.h)
+    store.add_outer("gen.out.W", dpsi_g, trace.h)
     dh = store["gen.out.W"].T @ dpsi_g
     if mix.copy_ids:
         dpsi_c = weight * mix.exp_copy / mix.z
@@ -255,9 +255,9 @@ def _mixture_backward(store: ParamStore, trace: StepTrace, target: int, weight: 
         dh += mix.tanh_rows.T @ dpsi_c
         d_tanh = np.outer(dpsi_c, trace.h)
         d_pre = d_tanh * (1.0 - mix.tanh_rows ** 2)
-        store.grad("gen.copy.W")[:] += mix.proj_rows.T @ d_pre
+        store.add_outer("gen.copy.W", mix.proj_rows, d_pre)
         d_proj = d_pre @ store["gen.copy.W"].T
-        store.grad("gen.code_proj")[:] += d_proj.T @ mix.emb_rows
+        store.add_outer("gen.code_proj", d_proj, mix.emb_rows)
         np.add.at(store.grad("gen.code_embed"), list(mix.copy_ids), d_proj @ store["gen.code_proj"])
     return dh
 
@@ -281,14 +281,14 @@ def sequence_backward(store: ParamStore, cfg: GeneratorConfig, traces: Sequence[
         d_fused = dv * trace.code_vec
         d_code_vec = dv * trace.fused
         dq = d_fused * (1.0 - trace.fused ** 2)
-        store.grad("gen.fuse.W")[:] += np.outer(dq, trace.u)
+        store.add_outer("gen.fuse.W", dq, trace.u)
         du = store["gen.fuse.W"].T @ dq
         b = [du[i * rep:(i + 1) * rep] for i in range(6)]
         x_like = trace.u[:rep]
         c_like = trace.u[rep:2 * rep]
         dx += b[0] + b[2] * c_like + b[3] + b[4] - b[5]
         d_code_vec += b[1] + b[2] * x_like + b[3] - b[4] + b[5]
-        store.grad("gen.code_proj")[:] += np.outer(d_code_vec, trace.emb_prev)
+        store.add_outer("gen.code_proj", d_code_vec, trace.emb_prev)
         store.grad("gen.code_embed")[trace.prev_code] += store["gen.code_proj"].T @ d_code_vec
         dh_next, dc_next = dh_prev, dc_prev
     return dx

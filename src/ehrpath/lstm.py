@@ -84,7 +84,7 @@ def lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray, dc_in: np
 
     dz = np.zeros_like(cache.z)
     for gate, da in (("f", da_f), ("i", da_i), ("c", da_g), ("o", da_o)):
-        store.grad(f"{prefix}.W{gate}")[:] += np.outer(da, cache.z)
+        store.add_outer(f"{prefix}.W{gate}", da, cache.z)
         store.grad(f"{prefix}.b{gate}")[:] += da
         dz += store[f"{prefix}.W{gate}"].T @ da
     return dz[:hidden], dc_prev, dz[hidden:]

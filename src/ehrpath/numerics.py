@@ -31,13 +31,17 @@ def named_rng(seed: int, stream: str) -> np.random.Generator:
 
 class ParamStore:
     """Named float64 parameter slots, each paired with a gradient buffer and
-    Adam first/second moments. One store per trainable model side."""
+    Adam first/second moments. One store per trainable model side.
+    Weight gradients that are sums of outer products arrive as rows through
+    add_outer; a slot's pending rows are folded in with one GEMM before
+    anything reads its gradient, instead of one rank-1 pass per step."""
 
     def __init__(self) -> None:
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._pending: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
         self.step = 0
 
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
@@ -67,18 +71,38 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
+    def add_outer(self, name: str, left: np.ndarray, right: np.ndarray) -> None:
+        """Defer grad[name] += left.T @ right over rows: a 1-D vector is one
+        row, a 2-D (m, .) block is m rows, and left and right pair row by row."""
+        lefts, rights = self._pending.setdefault(name, ([], []))
+        lefts.append(left)
+        rights.append(right)
+
+    def _flush(self, name: str) -> None:
+        rows = self._pending.pop(name, None)
+        if rows is not None:
+            self._grads[name] += np.vstack(rows[0]).T @ np.vstack(rows[1])
+
+    def _flush_all(self) -> None:
+        for name in list(self._pending):
+            self._flush(name)
+
     def grad(self, name: str) -> np.ndarray:
+        self._flush(name)
         return self._grads[name]
 
     def zero_grads(self) -> None:
+        self._pending.clear()
         for g in self._grads.values():
             g.fill(0.0)
 
     def scale_grads(self, factor: float) -> None:
+        self._flush_all()
         for g in self._grads.values():
             g *= factor
 
     def grad_norm(self) -> float:
+        self._flush_all()
         total = 0.0
         for g in self._grads.values():
             total += float(np.sum(g * g))
@@ -93,6 +117,7 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         """Deep copy of parameters, gradients, moments, and step counter."""
+        self._flush_all()
         out = ParamStore()
         for name, p in self._params.items():
             out._params[name] = p.copy()

@@ -383,8 +383,17 @@ def save_model(path: str, model: Model, seed: int) -> None:
     save_checkpoint(path, model_config_kv(model, seed), dict(model.parameters()))
 
 
+def _stored_value(kv: dict[str, str], key: str, kind):
+    if key not in kv:
+        raise DataError(f"checkpoint config lacks key {key!r}")
+    try:
+        return parse_value(kind, kv[key])
+    except ValueError as exc:
+        raise DataError(f"checkpoint config key {key!r} has malformed value {kv[key]!r}") from exc
+
+
 def _stored_config(cls, kv: dict[str, str]):
-    return cls(**{name: parse_value(kind, kv[_STORED_KEYS.get(name, name)])
+    return cls(**{name: _stored_value(kv, _STORED_KEYS.get(name, name), kind)
                   for name, kind in field_kinds(cls).items()})
 
 
@@ -392,7 +401,7 @@ def model_from_checkpoint(kv: dict[str, str], slots: dict[str, np.ndarray]) -> M
     """Rebuild a model from a checkpoint's config block and slots. The slots
     must have exactly the names and shapes the stored config implies."""
     model = _new_model(_stored_config(EncoderConfig, kv), _stored_config(GeneratorConfig, kv),
-                       parse_value(bool, kv["has_discriminator"]), rng=None)
+                       _stored_value(kv, "has_discriminator", bool), rng=None)
     expected = dict(model.parameters())
     for name in sorted(expected.keys() | slots.keys()):
         if name not in slots:

@@ -237,6 +237,22 @@ class TestEvalCommand:
         assert rc == 3
         assert slot in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", [
+        lambda kv: kv.pop("d_code"),
+        lambda kv: kv.update(d_code="abc"),
+    ], ids=["missing-key", "malformed-value"])
+    def test_bad_config_block_exits_3_naming_key(self, tmp_path, capsys, damage):
+        corpus, ckpt = self._train(tmp_path)
+        kv, slots = load_checkpoint(str(ckpt))
+        damage(kv)
+        save_checkpoint(str(ckpt), kv, slots)
+        out = tmp_path / "eval"
+        out.mkdir()
+        rc = main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "d_code" in capsys.readouterr().err
+
     def test_eval_without_checkpoint_or_predictions_exits_2(self, tmp_path):
         corpus = gen_corpus(tmp_path)
         out = tmp_path / "eval"

@@ -88,14 +88,6 @@ class TestReward:
 
 
 class TestSplitPrefixes:
-    def test_path_with_stop_excluded(self):
-        out = split_prefixes([0, 1, 6], True, 3, stop_id=6)
-        assert [p.codes for p in out] == [(0,), (0, 1)]
-        assert all(p.positive and p.doc_id == 3 for p in out)
-
-    def test_stop_only_path_empty(self):
-        assert split_prefixes([6], False, 0, stop_id=6) == []
-
     def test_five_codes_five_prefixes(self):
         out = split_prefixes([0, 1, 2, 3, 4], False, 1)
         assert len(out) == 5

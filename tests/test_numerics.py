@@ -164,6 +164,75 @@ class TestParamStore:
         assert store["w"][0] == 1.0
 
 
+class TestDeferredOuter:
+    LEFT = np.array([1.0, -2.0, 3.0])
+    RIGHT = np.array([0.5, 4.0])
+
+    def _store(self):
+        store = ParamStore()
+        store.add("w", np.zeros((3, 2)))
+        store.add_outer("w", self.LEFT, self.RIGHT)
+        return store
+
+    def test_grad_sees_pending_rows(self):
+        np.testing.assert_array_equal(self._store().grad("w"), np.outer(self.LEFT, self.RIGHT))
+
+    def test_grad_norm_sees_pending_rows(self):
+        expected = np.linalg.norm(np.outer(self.LEFT, self.RIGHT))
+        assert self._store().grad_norm() == pytest.approx(expected, rel=1e-15)
+
+    def test_scale_grads_scales_pending_rows(self):
+        store = self._store()
+        store.scale_grads(0.5)
+        np.testing.assert_array_equal(store.grad("w"), 0.5 * np.outer(self.LEFT, self.RIGHT))
+
+    def test_clip_grads_clips_pending_rows(self):
+        store = self._store()
+        norm = store.clip_grads(1.0)
+        assert norm == pytest.approx(np.linalg.norm(np.outer(self.LEFT, self.RIGHT)))
+        assert np.linalg.norm(store.grad("w")) == pytest.approx(1.0)
+
+    def test_copy_carries_pending_rows(self):
+        store = self._store()
+        dup = store.copy()
+        np.testing.assert_array_equal(dup.grad("w"), np.outer(self.LEFT, self.RIGHT))
+        np.testing.assert_array_equal(store.grad("w"), dup.grad("w"))
+
+    def test_adam_step_applies_pending_rows_and_drops_them(self):
+        store = self._store()
+        adam_step(store, AdamConfig(learning_rate=0.1))
+        # Adam's first step moves every coordinate by lr against its gradient's sign
+        np.testing.assert_allclose(store["w"], -0.1 * np.sign(np.outer(self.LEFT, self.RIGHT)),
+                                   atol=1e-7)
+        assert np.all(store.grad("w") == 0.0)
+
+    def test_adam_step_sees_non_finite_pending_rows(self):
+        store = self._store()
+        store.add_outer("w", self.LEFT, np.array([np.nan, 0.0]))
+        with pytest.raises(FloatingPointError, match="'w'"):
+            adam_step(store, AdamConfig())
+
+    def test_zero_grads_drops_pending_rows(self):
+        store = self._store()
+        store.zero_grads()
+        assert np.all(store.grad("w") == 0.0)
+
+    def test_block_equals_sum_of_row_outer_products(self):
+        rng = np.random.default_rng(4)
+        left, right = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        store = self._store()
+        store.add_outer("w", left, right)
+        expected = np.outer(self.LEFT, self.RIGHT) + sum(np.outer(a, b)
+                                                         for a, b in zip(left, right))
+        np.testing.assert_allclose(store.grad("w"), expected, rtol=0, atol=1e-13)
+
+    def test_rows_add_to_immediate_updates(self):
+        store = self._store()
+        store.grad("w")[:] += 1.0
+        store.add_outer("w", self.LEFT, self.RIGHT)
+        np.testing.assert_array_equal(store.grad("w"), 1.0 + 2.0 * np.outer(self.LEFT, self.RIGHT))
+
+
 class TestNamedRng:
     def test_same_seed_same_stream(self):
         a = named_rng(7, "init").uniform(size=5)

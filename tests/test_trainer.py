@@ -9,9 +9,9 @@ from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath.generator import decode_path
 from ehrpath.numerics import named_rng
-from ehrpath.trainer import (TrainConfig, adversarial_round, build_model, decode_predictions,
-                             model_config_kv, model_from_checkpoint, pretrain_generator,
-                             save_model, train)
+from ehrpath.trainer import (TrainConfig, _supervised_doc_backward, adversarial_round,
+                             build_model, decode_predictions, model_config_kv,
+                             model_from_checkpoint, pretrain_generator, save_model, train)
 from ehrpath.checkpoint import load_checkpoint
 
 TINY = dict(d_embed=10, d_code=8, n_filters=6, kernel_sizes=(2, 3), batch_size=8,
@@ -158,6 +158,37 @@ class TestTrain:
                                      cfg.max_len)
         from ehrpath.metrics import jaccard
         assert jaccard(records) == pytest.approx(best, abs=1e-12)
+
+
+class TestBatchEquivalence:
+    def test_deferred_batch_equals_sum_of_single_documents(self, bundle):
+        # a batch leaves every weight gradient's rows pending until the first
+        # read; reading after each document folds them in one document at a time
+        cfg = TrainConfig(seed=15, d_embed=24, d_code=24, n_filters=20, dropout=0.1)
+        model = build_model(bundle, cfg)
+        store = model.gen_store
+        batch = bundle.split_docs("train")[:6]
+
+        store.zero_grads()
+        rng = named_rng(3, "dropout")
+        batch_loss = sum(_supervised_doc_backward(model, doc, bundle.table, cfg, rng)
+                         for doc in batch)
+        batch_grads = {n: store.grad(n).copy() for n in store.names()}
+
+        rng = named_rng(3, "dropout")
+        single_loss = 0.0
+        single_grads = {n: np.zeros_like(g) for n, g in batch_grads.items()}
+        for doc in batch:
+            store.zero_grads()
+            single_loss += _supervised_doc_backward(model, doc, bundle.table, cfg, rng)
+            for n in store.names():
+                single_grads[n] += store.grad(n)
+
+        assert np.linalg.norm(batch_grads["gen.copy.W"]) > 0.0  # the copy head took part
+        assert batch_loss == pytest.approx(single_loss, rel=0, abs=1e-10)
+        for n in store.names():
+            np.testing.assert_allclose(batch_grads[n], single_grads[n], rtol=0, atol=1e-10,
+                                       err_msg=n)
 
 
 class TestCheckpointRoundtrip:
