@@ -379,14 +379,22 @@ def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
         with open(os.path.join(corpus_dir, SPLITS_FILE)) as fh:
             raw = json.load(fh)
         splits = {k: [int(i) for i in v] for k, v in raw.items()}
+        owner: dict[int, str] = {}
         for name in ("train", "test", "validation"):
             if name not in splits:
                 raise ValueError(f"splits manifest missing {name!r}")
             if any(not 0 <= i < len(documents) for i in splits[name]):
                 raise ValueError(f"split {name!r} references unknown documents")
+            for i in splits[name]:
+                if owner.setdefault(i, name) != name:
+                    raise ValueError(f"document {i} is in split {owner[i]!r} and in {name!r}")
     except DataError:
         raise
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"bad corpus directory {corpus_dir}: {exc}") from exc
     table = read_table(os.path.join(corpus_dir, TABLE_FILE))
+    for a, b in table.pairs:
+        if not 0 <= a < b < codes.num_real:
+            raise DataError(f"bad complication table {TABLE_FILE}: pair ({a}, {b}) names an id "
+                            f"outside the {codes.num_real} real codes")
     return CorpusBundle(documents, codes, tokens, table, splits)

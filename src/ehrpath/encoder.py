@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PAD_TOKEN
-from .numerics import ParamStore
+from .numerics import ParamStore, add_rows
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,9 @@ def encode_backward(dx: np.ndarray, cache: EncodeCache, store: ParamStore,
         store.grad(f"enc.conv{k}.W")[:] += coef[:, None] * win[idx]
         store.grad(f"enc.conv{k}.b")[:] += coef
         dwin = np.zeros_like(win)
-        np.add.at(dwin, idx, coef[:, None] * store[f"enc.conv{k}.W"])
+        add_rows(dwin, idx, coef[:, None] * store[f"enc.conv{k}.W"])
         for off in range(k):
             dX[off:off + dwin.shape[0]] += dwin[:, off * d:(off + 1) * d]
     demb = store.grad("enc.embed")
-    np.add.at(demb, cache.padded_ids, dX)
+    add_rows(demb, cache.padded_ids, dX)
     demb[PAD_TOKEN] = 0.0  # pad embedding is pinned at zero

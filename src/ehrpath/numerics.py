@@ -131,6 +131,16 @@ class ParamStore:
         return self._params.items()
 
 
+def add_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """target[ids[j]] += rows[j] for every j, rows sharing an id summed first
+    (in their order) with one stable sort and one np.add.reduceat, where
+    np.add.at would loop over the rows one element at a time."""
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    target[ids[starts]] += np.add.reduceat(rows[order], starts)
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float = 1e-4

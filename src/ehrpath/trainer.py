@@ -24,10 +24,16 @@ from .checkpoint import field_kinds, format_value, parse_value, save_checkpoint
 from .corpus import ComplicationTable, CorpusBundle, EhrDocument
 from .discriminator import (DiscriminatorConfig, LabeledPrefix, discriminator_loss,
                             init_discriminator_params, reward, split_prefixes)
-from .encoder import EncoderConfig, encode_backward, encode_ehr, init_encoder_params
+from .encoder import EncodeCache, EncoderConfig, encode_backward, encode_ehr, init_encoder_params
 from .errors import ConfigError, DataError, TrainingError
-from .generator import (GeneratorConfig, decode_path, decode_path_traced,
-                        init_generator_params, path_loss, run_steps, sequence_backward)
+from .generator import (GeneratorConfig, MixtureDistribution, StepTrace, batch_backward,
+                        decode_path, decode_path_traced, generator_step_loss,
+                        init_generator_params, path_loss, run_batch, stack_steps)
+# unused here: benchmarks/tracing.py still swaps trainer.run_steps and
+# trainer.sequence_backward, though the lockstep engine no longer calls them
+# (the FOUND line on tracing.py in CHANGES.md); drop this import together
+# with those two swaps
+from .generator import run_steps, sequence_backward  # noqa: F401
 from .metrics import PredictionRecord, metric_table
 from .numerics import AdamConfig, ParamStore, adam_step, named_rng
 
@@ -153,49 +159,78 @@ def _check_alignable(docs: Sequence[EhrDocument], max_len: int) -> None:
                           "raise max_len so every label can claim a step")
 
 
-def _aligned_forward(model: Model, doc: EhrDocument, table: ComplicationTable,
-                     x: np.ndarray, max_len: int):
-    """Teacher-forced pass over the gold codes in ascending order (the same
-    serialization the path scorer sees), aligned to the per-step
-    predictions; returns (traces, per-step targets).
+@dataclass
+class _BatchForward:
+    """A batch's training forward: each document's representation (one row
+    of x) and encoder cache, the aligned teacher-forced lockstep steps, and
+    each document's per-step distributions and targets."""
+    x: np.ndarray
+    enc_caches: list[EncodeCache]
+    steps: list[StepTrace]
+    dists: list[list[MixtureDistribution]]
+    targets: list[list[int | None]]
+
+    def losses(self) -> list[float]:
+        """Each document's aligned loss: -log p(target) summed over its steps."""
+        return [sum(generator_step_loss(d, t) for d, t in zip(dists, targets) if t is not None)
+                for dists, targets in zip(self.dists, self.targets)]
+
+
+def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
+                     max_len: int, dropout_rng: np.random.Generator) -> _BatchForward:
+    """Train-mode encoding, then a teacher-forced lockstep pass over each
+    document's gold codes in ascending order (the same serialization the
+    path scorer sees), aligned to the per-step predictions.
 
     The assignment is square: the first |gold| steps each claim exactly one
     label, so every content step is supervised, and the surplus step right
     after them is supervised toward STOP."""
-    gold = sorted(doc.gold_codes)
-    n_steps = min(max_len, len(gold) + 1)
-    inputs = [model.gen_cfg.stop_id] + gold[:n_steps - 1]
-    traces = run_steps(model.gen_store, model.gen_cfg, table, x, inputs)
-    label_dists = [t.dist for t in traces[:len(gold)]]
-    greedy = [int(np.argmax(d.probs)) for d in label_dists]
-    alignment = align_path(label_dists, greedy, doc.gold_codes)
-    targets = step_targets(alignment, n_steps, model.gen_cfg.stop_id)
-    return traces, targets
+    store, gen_cfg = model.gen_store, model.gen_cfg
+    encoded = [encode_ehr(doc.tokens, store, model.enc_cfg, train_mode=True,
+                          dropout_rng=dropout_rng) for doc in batch]
+    x = np.stack([rep for rep, _ in encoded])
+    golds = [sorted(doc.gold_codes) for doc in batch]
+    inputs = [[gen_cfg.stop_id] + gold[:min(max_len, len(gold) + 1) - 1] for gold in golds]
+    steps = run_batch(store, gen_cfg, table, x, inputs)
+    dists: list[list[MixtureDistribution]] = [[] for _ in batch]
+    for step in steps:
+        for b, dist in zip(step.rows, step.dists):
+            dists[b].append(dist)
+    targets = []
+    for doc, gold, doc_dists in zip(batch, golds, dists):
+        label_dists = doc_dists[:len(gold)]
+        greedy = [int(np.argmax(d.probs)) for d in label_dists]
+        alignment = align_path(label_dists, greedy, doc.gold_codes)
+        targets.append(step_targets(alignment, len(doc_dists), gen_cfg.stop_id))
+    return _BatchForward(x, [cache for _, cache in encoded], steps, dists, targets)
 
 
-def _supervised_doc_backward(model: Model, doc: EhrDocument, table: ComplicationTable,
-                             cfg: TrainConfig, dropout_rng: np.random.Generator) -> float:
-    """Aligned forward, then decoder+encoder gradient accumulation."""
-    x, enc_cache = encode_ehr(doc.tokens, model.gen_store, model.enc_cfg,
-                              train_mode=True, dropout_rng=dropout_rng)
-    traces, targets = _aligned_forward(model, doc, table, x, cfg.max_len)
-    tw = [(t, 1.0) if t is not None else None for t in targets]
-    loss = path_loss(traces, tw)
-    dx = sequence_backward(model.gen_store, model.gen_cfg, traces, tw)
-    encode_backward(dx, enc_cache, model.gen_store, model.enc_cfg)
-    return loss
+def _decoder_backward(model: Model, fwd: _BatchForward, weight: float,
+                      pg_steps: Sequence[StepTrace] = (),
+                      pg_targets: Sequence[Sequence[tuple[int, float]]] = ()) -> None:
+    """Decoder+encoder gradient accumulation for the aligned loss at
+    `weight`, plus, in adversarial rounds, the policy-gradient terms
+    pg_targets of the greedy steps pg_steps (lockstep, like the aligned
+    pass)."""
+    store, gen_cfg = model.gen_store, model.gen_cfg
+    dx = batch_backward(store, gen_cfg, fwd.steps,
+                        [[(t, weight) if t is not None else None for t in targets]
+                         for targets in fwd.targets])
+    if pg_steps:
+        dx += batch_backward(store, gen_cfg, pg_steps, pg_targets)
+    for row, cache in zip(dx, fwd.enc_caches):
+        encode_backward(row, cache, store, model.enc_cfg)
 
 
 def _supervised_batch(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
                       cfg: TrainConfig, dropout_rng: np.random.Generator) -> float:
     model.gen_store.zero_grads()
-    total = 0.0
-    for doc in batch:
-        total += _supervised_doc_backward(model, doc, table, cfg, dropout_rng)
+    fwd = _aligned_forward(model, batch, table, cfg.max_len, dropout_rng)
+    _decoder_backward(model, fwd, 1.0)
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
     adam_step(model.gen_store, cfg.adam)
-    return total / len(batch)
+    return sum(fwd.losses()) / len(batch)
 
 
 def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
@@ -206,21 +241,16 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         return {"gen": _supervised_batch(model, batch, table, cfg, dropout_rng),
                 "pg": 0.0, "disc": 0.0}
 
-    # forward pass per document: representation, aligned pass, greedy decode
-    forwards = []
-    for doc_id, doc in enumerate(batch):
-        x, enc_cache = encode_ehr(doc.tokens, model.gen_store, model.enc_cfg,
-                                  train_mode=True, dropout_rng=dropout_rng)
-        traces, targets = _aligned_forward(model, doc, table, x, cfg.max_len)
-        path, dec_traces = decode_path_traced(model.gen_store, model.gen_cfg, table, x,
-                                              cfg.max_len)
-        forwards.append((doc_id, doc, x, enc_cache, traces, targets, path, dec_traces))
+    # forward pass: representations, aligned lockstep pass, greedy decode per document
+    fwd = _aligned_forward(model, batch, table, cfg.max_len, dropout_rng)
+    decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x, cfg.max_len)
+               for x in fwd.x]
+    paths = [path for path, _ in decodes]
 
     # scorer update: ground-truth prefixes positive, generated negative
     prefixes: list[LabeledPrefix] = []
-    xs: dict[int, np.ndarray] = {}
-    for doc_id, doc, x, _cache, _traces, _targets, path, _dec in forwards:
-        xs[doc_id] = x
+    xs = dict(enumerate(fwd.x))
+    for doc_id, (doc, path) in enumerate(zip(batch, paths)):
         prefixes.extend(split_prefixes(sorted(doc.gold_codes), True, doc_id))
         prefixes.extend(split_prefixes(path.valid_codes, False, doc_id))
     disc_loss = 0.0
@@ -232,35 +262,24 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         adam_step(model.disc_store, cfg.adam)
 
     # rewards from the updated scorer; baseline is the batch mean
-    all_rewards = []
-    per_doc_rewards: list[list[float]] = []
-    for doc_id, _doc, x, _cache, _traces, _targets, path, _dec in forwards:
-        rs = [reward(path.valid_codes[:k + 1], x, model.disc_store, model.disc_cfg)
-              for k in range(path.valid_len)]
-        per_doc_rewards.append(rs)
-        all_rewards.extend(rs)
+    per_doc_rewards = [[reward(path.valid_codes[:k + 1], xs[doc_id], model.disc_store,
+                               model.disc_cfg) for k in range(path.valid_len)]
+                       for doc_id, path in enumerate(paths)]
+    all_rewards = [r for rs in per_doc_rewards for r in rs]
     baseline = float(np.mean(all_rewards)) if all_rewards else 0.0
 
     # decoder update: supervised aligned loss plus reward-weighted surrogate
     model.gen_store.zero_grads()
-    sup_total = 0.0
-    pg_total = 0.0
-    for (doc_id, _doc, _x, enc_cache, traces, targets, path, dec_traces), rs in zip(
-            forwards, per_doc_rewards):
-        tw_sup = [(t, cfg.supervised_weight) if t is not None else None for t in targets]
-        sup_total += path_loss(traces, [(t, 1.0) if t is not None else None for t in targets])
-        dx = sequence_backward(model.gen_store, model.gen_cfg, traces, tw_sup)
-        tw_pg: list[tuple[int, float] | None] = [None] * len(dec_traces)
-        for k in range(path.valid_len):
-            tw_pg[k] = (path.codes[k], rs[k] - baseline)
-        if path.valid_len:
-            pg_total += path_loss(dec_traces, tw_pg)
-            dx = dx + sequence_backward(model.gen_store, model.gen_cfg, dec_traces, tw_pg)
-        encode_backward(dx, enc_cache, model.gen_store, model.enc_cfg)
+    pg_traces = [traces[:path.valid_len] for path, traces in decodes]
+    pg_targets = [[(path.codes[k], r - baseline) for k, r in enumerate(rs)]
+                  for path, rs in zip(paths, per_doc_rewards)]
+    pg_total = sum(path_loss(traces, targets) for traces, targets in zip(pg_traces, pg_targets))
+    _decoder_backward(model, fwd, cfg.supervised_weight, stack_steps(pg_traces), pg_targets)
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
     adam_step(model.gen_store, cfg.adam)
-    return {"gen": sup_total / len(batch), "pg": pg_total / len(batch), "disc": disc_loss}
+    return {"gen": sum(fwd.losses()) / len(batch), "pg": pg_total / len(batch),
+            "disc": disc_loss}
 
 
 def decode_predictions(model: Model, docs: Sequence[EhrDocument],
@@ -400,8 +419,12 @@ def _stored_config(cls, kv: dict[str, str]):
 def model_from_checkpoint(kv: dict[str, str], slots: dict[str, np.ndarray]) -> Model:
     """Rebuild a model from a checkpoint's config block and slots. The slots
     must have exactly the names and shapes the stored config implies."""
-    model = _new_model(_stored_config(EncoderConfig, kv), _stored_config(GeneratorConfig, kv),
-                       _stored_value(kv, "has_discriminator", bool), rng=None)
+    configs = (_stored_config(EncoderConfig, kv), _stored_config(GeneratorConfig, kv),
+               _stored_value(kv, "has_discriminator", bool))
+    try:
+        model = _new_model(*configs, rng=None)
+    except ValueError as exc:  # values that parse but cannot build a model
+        raise DataError(f"checkpoint config cannot build a model: {exc}") from exc
     expected = dict(model.parameters())
     for name in sorted(expected.keys() | slots.keys()):
         if name not in slots:

@@ -170,14 +170,14 @@ def test_criterion_2_mixture_validity():
             table = ComplicationTable({tuple(sorted((a, p))): 5.0 for p in partners}, 2.0, 1)
         prev = a if rng.random() < 0.5 else int(rng.integers(0, cfg.n_total))
         h = rng.normal(scale=2.0, size=cfg.rep_dim)
-        dist, _ = _mixture_forward(h, prev, table, store, cfg)
+        (dist,), _ = _mixture_forward(h[None], [prev], table, store, cfg)
         worst = max(worst, abs(float(dist.probs.sum()) - 1.0))
         outside = np.ones(cfg.n_total, dtype=bool)
         if dist.copy_ids:
             outside[list(dist.copy_ids)] = False
         assert np.all(dist.copy_mass[outside] == 0.0)
 
-    counting, _ = _mixture_from_scores(np.zeros(5), np.zeros(2), (0, 2), 5)
+    (counting,), _ = _mixture_from_scores(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
     exact = (counting.probs[1] == 1.0 / 7.0 and counting.probs[0] == 2.0 / 7.0
              and counting.probs[2] == 2.0 / 7.0)
     ok = worst <= 1e-9 and exact

@@ -253,12 +253,54 @@ class TestEvalCommand:
         assert rc == 3
         assert "d_code" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("candidate_activation", "foo"), ("max_len", "0")],
+                             ids=["unknown-activation", "zero-max-len"])
+    def test_unrunnable_config_value_exits_3_naming_key(self, tmp_path, capsys, key, value):
+        # values that parse but cannot build a working model
+        corpus, ckpt = self._train(tmp_path)
+        kv, slots = load_checkpoint(str(ckpt))
+        kv[key] = value
+        save_checkpoint(str(ckpt), kv, slots)
+        out = tmp_path / "eval"
+        out.mkdir()
+        rc = main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                   "--out", str(out)])
+        assert rc == 3
+        assert key in capsys.readouterr().err
+
     def test_eval_without_checkpoint_or_predictions_exits_2(self, tmp_path):
         corpus = gen_corpus(tmp_path)
         out = tmp_path / "eval"
         out.mkdir()
         rc = main(["eval", "--corpus", str(corpus), "--out", str(out)])
         assert rc == 2
+
+
+class TestCorpusCrossChecks:
+    """Corpus files that disagree with each other end with exit 3 before
+    anything is trained or scored."""
+
+    def _train(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        return main(["train", "--corpus", str(corpus), "--out", str(out)] + TRAIN_FLAGS)
+
+    @pytest.mark.parametrize("pair", ["0 6", "0 99", "3 3"],
+                             ids=["stop-id", "out-of-range", "self-pair"])
+    def test_table_pair_outside_code_dictionary_exits_3(self, tmp_path, capsys, pair):
+        corpus = gen_corpus(tmp_path)  # six codes: id 6 is STOP
+        with open(corpus / TABLE_FILE, "a") as fh:
+            fh.write(f"{pair} 2.5\n")
+        assert self._train(corpus, tmp_path) == 3
+        assert TABLE_FILE in capsys.readouterr().err
+
+    def test_overlapping_splits_exit_3(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        splits = json.loads((corpus / SPLITS_FILE).read_text())
+        splits["test"].append(splits["train"][0])
+        (corpus / SPLITS_FILE).write_text(json.dumps(splits))
+        assert self._train(corpus, tmp_path) == 3
+        assert "split" in capsys.readouterr().err
 
 
 class TestReportAndBuildTable:

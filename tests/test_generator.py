@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ehrpath.corpus import ComplicationTable
 from ehrpath.generator import (GeneratorConfig, _fuse_forward, _mixture_forward,
-                               _mixture_from_scores, decode_path, generator_step_loss,
-                               init_generator_params, path_loss, run_steps, sequence_backward)
+                               _mixture_from_scores, decode_path, decode_path_traced,
+                               generator_step_loss, init_generator_params, path_loss, run_steps,
+                               sequence_backward, stack_steps)
 from ehrpath.lstm import init_lstm_params, lstm_step
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
 from oracles import softmax_stable
@@ -118,7 +120,7 @@ class TestMixture:
     def test_empty_vocabulary_is_pure_generate_softmax(self):
         store = make_store()
         h = named_rng(4, "h").normal(size=CFG.rep_dim)
-        dist = _mixture_forward(h, 5, TABLE, store, CFG)[0]  # code 5 has no partners
+        (dist,), _ = _mixture_forward(h[None], [5], TABLE, store, CFG)  # no partners
         np.testing.assert_allclose(dist.probs, softmax_stable(store["gen.out.W"] @ h),
                                    atol=1e-12)
         assert dist.copy_ids == ()
@@ -126,7 +128,7 @@ class TestMixture:
 
     def test_counting_case_exact(self):
         # 3 real codes + STOP + UNK = 5 generate ids, 2 copy ids, all scores zero
-        dist = _mixture_from_scores(np.zeros(5), np.zeros(2), (0, 2), 5)[0]
+        (dist,), _ = _mixture_from_scores(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
         assert dist.probs[1] == 1.0 / 7.0
         assert dist.probs[0] == 2.0 / 7.0
         assert dist.probs[2] == 2.0 / 7.0
@@ -149,7 +151,7 @@ class TestMixture:
                 if pairs:
                     table = ComplicationTable(pairs, 2.0, 1)
             h = rng.normal(size=cfg.rep_dim)
-            dist = _mixture_forward(h, prev, table, store, cfg)[0]
+            (dist,), _ = _mixture_forward(h[None], [prev], table, store, cfg)
             assert abs(dist.probs.sum() - 1.0) < 1e-9
             outside = np.ones(cfg.n_total, dtype=bool)
             if dist.copy_ids:
@@ -160,15 +162,15 @@ class TestMixture:
         rng = np.random.default_rng(12)
         gen = rng.normal(size=6)
         cop = rng.normal(size=2)
-        a = _mixture_from_scores(gen, cop, (1, 3), 6)[0]
-        b = _mixture_from_scores(gen + 55.5, cop + 55.5, (1, 3), 6)[0]
+        (a,), _ = _mixture_from_scores(gen[None], cop, [(1, 3)])
+        (b,), _ = _mixture_from_scores(gen[None] + 55.5, cop + 55.5, [(1, 3)])
         np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
     def test_no_copy_flag_forces_pure_generate(self):
         cfg = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8, no_copy=True)
         store = make_store(cfg=cfg)
         h = named_rng(5, "h").normal(size=cfg.rep_dim)
-        dist = _mixture_forward(h, 0, TABLE, store, cfg)[0]  # code 0 has a partner
+        (dist,), _ = _mixture_forward(h[None], [0], TABLE, store, cfg)  # has a partner
         assert dist.copy_ids == ()
         np.testing.assert_allclose(dist.probs, softmax_stable(store["gen.out.W"] @ h),
                                    atol=1e-12)
@@ -176,20 +178,20 @@ class TestMixture:
 
 class TestStepLoss:
     def test_certain_target_zero_loss(self):
-        dist = _mixture_from_scores(np.array([100.0, 0.0, 0.0]), np.zeros(0), (), 3)[0]
+        (dist,), _ = _mixture_from_scores(np.array([[100.0, 0.0, 0.0]]), np.zeros(0), [()])
         assert generator_step_loss(dist, 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_exp_minus_two(self):
         probs = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0)])
-        dist = _mixture_from_scores(np.log(probs), np.zeros(0), (), 2)[0]
+        (dist,), _ = _mixture_from_scores(np.log(probs)[None], np.zeros(0), [()])
         assert generator_step_loss(dist, 0) == pytest.approx(2.0, abs=1e-12)
 
     def test_uniform_seven_terms(self):
-        dist = _mixture_from_scores(np.zeros(5), np.zeros(2), (0, 2), 5)[0]
+        (dist,), _ = _mixture_from_scores(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
         assert generator_step_loss(dist, 1) == pytest.approx(math.log(7.0), abs=1e-12)
 
     def test_floor_prevents_infinity(self):
-        dist = _mixture_from_scores(np.array([1000.0, 0.0]), np.zeros(0), (), 2)[0]
+        (dist,), _ = _mixture_from_scores(np.array([[1000.0, 0.0]]), np.zeros(0), [()])
         assert generator_step_loss(dist, 1) <= -math.log(1e-12) + 1e-9
 
 
@@ -238,6 +240,16 @@ class TestDecode:
         for dist in path.distributions:
             assert abs(dist.probs.sum() - 1.0) < 1e-9
             assert np.all(dist.probs > 0.0)
+
+
+class TestStackSteps:
+    def test_steps_with_differing_settings_rejected(self):
+        store = make_store()
+        x = named_rng(6, "x").normal(size=CFG.rep_dim)
+        _, traces = decode_path_traced(store, CFG, TABLE, x, max_len=1)
+        tanh = replace(traces[0], lstm=replace(traces[0].lstm, activation="tanh"))
+        with pytest.raises(ValueError, match="activation"):
+            stack_steps([traces, [tanh]])
 
 
 class TestSequenceGradients:

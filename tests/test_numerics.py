@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ehrpath.numerics import AdamConfig, ParamStore, adam_step, finite_diff_check, named_rng
+from ehrpath.numerics import (AdamConfig, ParamStore, adam_step, add_rows, finite_diff_check,
+                              named_rng)
 from oracles import softmax_stable
 
 
@@ -231,6 +232,20 @@ class TestDeferredOuter:
         store.grad("w")[:] += 1.0
         store.add_outer("w", self.LEFT, self.RIGHT)
         np.testing.assert_array_equal(store.grad("w"), 1.0 + 2.0 * np.outer(self.LEFT, self.RIGHT))
+
+
+class TestAddRows:
+    def test_matches_add_at_with_repeated_ids(self):
+        rng = np.random.default_rng(5)
+        ids = np.array([3, 0, 3, 7, 0, 3, 5])
+        rows = rng.normal(size=(ids.size, 4))
+        start = rng.normal(size=(8, 4))
+        expected = start.copy()
+        np.add.at(expected, ids, rows)
+        got = start.copy()
+        add_rows(got, ids, rows)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got[[1, 2, 4, 6]], start[[1, 2, 4, 6]])  # untouched
 
 
 class TestNamedRng:

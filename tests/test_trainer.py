@@ -7,9 +7,10 @@ from conftest import tiny_bundle
 from ehrpath.discriminator import reward
 from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
-from ehrpath.generator import decode_path
+from ehrpath import generator
+from ehrpath.generator import decode_path, decode_path_traced, stack_steps
 from ehrpath.numerics import named_rng
-from ehrpath.trainer import (TrainConfig, _supervised_doc_backward, adversarial_round,
+from ehrpath.trainer import (TrainConfig, _aligned_forward, _decoder_backward, adversarial_round,
                              build_model, decode_predictions, model_config_kv,
                              model_from_checkpoint, pretrain_generator, save_model, train)
 from ehrpath.checkpoint import load_checkpoint
@@ -161,34 +162,102 @@ class TestTrain:
 
 
 class TestBatchEquivalence:
-    def test_deferred_batch_equals_sum_of_single_documents(self, bundle):
-        # a batch leaves every weight gradient's rows pending until the first
-        # read; reading after each document folds them in one document at a time
-        cfg = TrainConfig(seed=15, d_embed=24, d_code=24, n_filters=20, dropout=0.1)
+    """A lockstep batch of six documents against the same six documents as
+    batches of one, each batch's gradient read (and so folded in) before the
+    next: equal to 1e-10 in loss, in every per-step distribution and in
+    every slot's gradient."""
+    CFG = TrainConfig(seed=15, d_embed=24, d_code=24, n_filters=20, dropout=0.1)
+
+    @staticmethod
+    def _batch(bundle):
+        """Training documents with 1, 3, 2, 1, 3 and 2 gold codes: aligned
+        paths of 2, 4, 3, 2, 4 and 3 steps, so that the rows a step covers
+        are not a prefix of the batch and the steps after them send
+        gradient back."""
+        by_size = {}
+        for doc in bundle.split_docs("train"):
+            by_size.setdefault(len(doc.gold_codes), []).append(doc)
+        return [by_size[n][i] for i, n in ((0, 1), (0, 3), (0, 2), (1, 1), (1, 3), (1, 2))]
+
+    def _compare(self, bundle, backward):
+        # backward(fwd, doc_ids) accumulates the decoder update of one
+        # forward, whose documents sit at doc_ids in the batch
+        cfg = self.CFG
         model = build_model(bundle, cfg)
         store = model.gen_store
-        batch = bundle.split_docs("train")[:6]
+        batch = self._batch(bundle)
 
         store.zero_grads()
-        rng = named_rng(3, "dropout")
-        batch_loss = sum(_supervised_doc_backward(model, doc, bundle.table, cfg, rng)
-                         for doc in batch)
+        fwd = _aligned_forward(model, batch, bundle.table, cfg.max_len, named_rng(3, "dropout"))
+        backward(model, fwd, range(6))
         batch_grads = {n: store.grad(n).copy() for n in store.names()}
 
         rng = named_rng(3, "dropout")
-        single_loss = 0.0
+        singles = []
         single_grads = {n: np.zeros_like(g) for n, g in batch_grads.items()}
-        for doc in batch:
+        for b, doc in enumerate(batch):
             store.zero_grads()
-            single_loss += _supervised_doc_backward(model, doc, bundle.table, cfg, rng)
+            singles.append(_aligned_forward(model, [doc], bundle.table, cfg.max_len, rng))
+            backward(model, singles[-1], [b])
             for n in store.names():
                 single_grads[n] += store.grad(n)
 
-        assert np.linalg.norm(batch_grads["gen.copy.W"]) > 0.0  # the copy head took part
-        assert batch_loss == pytest.approx(single_loss, rel=0, abs=1e-10)
+        # mixed path lengths, and steps with and without copy candidates
+        assert [len(d) for d in fwd.dists] == [2, 4, 3, 2, 4, 3]
+        copy_rows = [bool(d.copy_ids) for dists in fwd.dists for d in dists]
+        assert any(copy_rows) and not all(copy_rows)
+        assert np.linalg.norm(batch_grads["gen.copy.W"]) > 0.0
+        assert sum(fwd.losses()) == pytest.approx(sum(sum(s.losses()) for s in singles),
+                                                  rel=0, abs=1e-10)
+        for b, single in enumerate(singles):
+            assert single.targets[0] == fwd.targets[b]
+            assert len(single.dists[0]) == len(fwd.dists[b])
+            for mine, theirs in zip(fwd.dists[b], single.dists[0]):
+                assert mine.copy_ids == theirs.copy_ids
+                np.testing.assert_allclose(mine.probs, theirs.probs, rtol=0, atol=1e-10)
         for n in store.names():
             np.testing.assert_allclose(batch_grads[n], single_grads[n], rtol=0, atol=1e-10,
                                        err_msg=n)
+        return fwd
+
+    def _clamp_one_target(self, bundle, monkeypatch):
+        """Raise the probability floor just above the smallest target
+        probability of the batch, so that exactly one step's loss is
+        clamped and that step sends no gradient."""
+        cfg = self.CFG
+        model = build_model(bundle, cfg)
+        fwd = _aligned_forward(model, self._batch(bundle), bundle.table, cfg.max_len,
+                               named_rng(3, "dropout"))
+        probs = sorted(d.probs[t] for dists, targets in zip(fwd.dists, fwd.targets)
+                       for d, t in zip(dists, targets) if t is not None)
+        monkeypatch.setattr(generator, "PROB_FLOOR", (probs[0] + probs[1]) / 2)
+
+    def test_deferred_batch_equals_sum_of_single_documents(self, bundle, monkeypatch):
+        self._clamp_one_target(bundle, monkeypatch)
+        fwd = self._compare(bundle, lambda model, fwd, doc_ids: _decoder_backward(model, fwd, 1.0))
+        clamped = [d.probs[t] < generator.PROB_FLOOR for dists, targets
+                   in zip(fwd.dists, fwd.targets) for d, t in zip(dists, targets) if t is not None]
+        assert sum(clamped) == 1
+
+    def test_adversarial_decoder_update_equals_single_documents(self, bundle, monkeypatch):
+        # the aligned pass at the supervised weight plus the policy-gradient
+        # pass over greedy paths of mixed lengths, with fixed advantages
+        self._clamp_one_target(bundle, monkeypatch)
+        lengths = set()
+
+        def backward(model, fwd, doc_ids):
+            pg_traces, pg_targets = [], []
+            for x, b in zip(fwd.x, doc_ids):
+                path, traces = decode_path_traced(model.gen_store, model.gen_cfg, bundle.table,
+                                                  x, max_len=2 + b % 3)
+                pg_traces.append(traces[:path.valid_len])
+                pg_targets.append([(code, 0.3 - 0.2 * b + 0.1 * k)
+                                   for k, code in enumerate(path.valid_codes)])
+                lengths.add(path.valid_len)
+            _decoder_backward(model, fwd, 0.7, stack_steps(pg_traces), pg_targets)
+
+        self._compare(bundle, backward)
+        assert len(lengths - {0}) > 1
 
 
 class TestCheckpointRoundtrip:
