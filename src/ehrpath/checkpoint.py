@@ -17,6 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .corpus import atomic_write
 from .errors import DataError
 
 MAGIC = b"CRNNET-CKPT-1"
@@ -63,7 +64,7 @@ def config_digest(config: Mapping[str, str]) -> str:
 def save_checkpoint(path: str, config: Mapping[str, str],
                     slots: Mapping[str, np.ndarray]) -> None:
     block = _config_block(config)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC + b"\n")
         fh.write(f"digest={config_digest(config)}\n".encode())
         fh.write(f"nconfig={len(config)}\n".encode())

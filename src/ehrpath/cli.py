@@ -15,8 +15,9 @@ import sys
 
 from . import corpus as corpus_io
 from .checkpoint import field_kinds, load_checkpoint, parse_value
-from .corpus import (CorpusBundle, CorpusConfig, build_complication_table, filter_top_k,
-                     generate_synthetic_corpus, load_corpus_dir, split_indices, write_table)
+from .corpus import (CorpusBundle, CorpusConfig, atomic_write, build_complication_table,
+                     filter_top_k, generate_synthetic_corpus, load_corpus_dir, split_indices,
+                     write_table)
 from .errors import CompatibilityError, ConfigError, DataError
 from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import format_metric_table, metric_table, read_predictions, write_predictions
@@ -145,7 +146,7 @@ def cmd_train(args) -> int:
     ckpt = os.path.join(args.out, CHECKPOINT_NAME)
     save_model(ckpt, model, cfg.seed)
     report.checkpoint_path = ckpt
-    with open(os.path.join(args.out, REPORT_NAME), "w") as fh:
+    with atomic_write(os.path.join(args.out, REPORT_NAME)) as fh:
         json.dump(report.as_dict(), fh, indent=2)
         fh.write("\n")
     print(f"trained (ablation={report.ablation}) best epoch {report.best_epoch} "
@@ -179,7 +180,7 @@ def cmd_eval(args) -> int:
         write_predictions(os.path.join(args.out, PREDICTIONS_NAME), records)
     values = metric_table(records, bundle.table, range(bundle.codes.num_real))
     text = format_metric_table(values)
-    with open(os.path.join(args.out, METRICS_NAME), "w") as fh:
+    with atomic_write(os.path.join(args.out, METRICS_NAME)) as fh:
         fh.write(text)
     print(text, end="")
     return 0
@@ -192,7 +193,7 @@ def cmd_report(args) -> int:
     text = format_metric_table(metric_table(records, bundle.table,
                                             range(bundle.codes.num_real)))
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text)
     print(text, end="")
     return 0

@@ -10,6 +10,7 @@ formats consumed by the CLI.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections import Counter
@@ -312,23 +313,35 @@ class CorpusBundle:
         return [self.documents[i] for i in self.splits[name]]
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """A file that replaces path, through os.replace, only once the block
+    completes and the file is synced; a block that raises leaves path as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_corpus_dir(out_dir: str, bundle: CorpusBundle) -> None:
-    with open(os.path.join(out_dir, CORPUS_FILE), "w") as fh:
-        for doc in bundle.documents:
-            fh.write(json.dumps({"tokens": list(doc.tokens),
-                                 "codes": sorted(doc.gold_codes)}) + "\n")
-    with open(os.path.join(out_dir, TOKENS_FILE), "w") as fh:
-        fh.write("".join(label + "\n" for label in bundle.tokens.labels))
-    with open(os.path.join(out_dir, CODES_FILE), "w") as fh:
-        fh.write("".join(label + "\n" for label in bundle.codes.labels))
+    lines = {CORPUS_FILE: [json.dumps({"tokens": list(doc.tokens), "codes": sorted(doc.gold_codes)})
+                           for doc in bundle.documents],
+             TOKENS_FILE: bundle.tokens.labels, CODES_FILE: bundle.codes.labels,
+             SPLITS_FILE: [json.dumps(bundle.splits)]}
+    for name, file_lines in lines.items():
+        with atomic_write(os.path.join(out_dir, name)) as fh:
+            fh.write("".join(line + "\n" for line in file_lines))
     write_table(os.path.join(out_dir, TABLE_FILE), bundle.table)
-    with open(os.path.join(out_dir, SPLITS_FILE), "w") as fh:
-        json.dump(bundle.splits, fh)
-        fh.write("\n")
 
 
 def write_table(path: str, table: ComplicationTable) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# threshold={table.threshold!r} min_support={table.min_support}\n")
         for (a, b) in sorted(table.pairs):
             fh.write(f"{a} {b} {table.pairs[(a, b)]!r}\n")
@@ -386,8 +399,9 @@ def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
             if any(not 0 <= i < len(documents) for i in splits[name]):
                 raise ValueError(f"split {name!r} references unknown documents")
             for i in splits[name]:
-                if owner.setdefault(i, name) != name:
-                    raise ValueError(f"document {i} is in split {owner[i]!r} and in {name!r}")
+                if i in owner:
+                    raise ValueError(f"document {i} is listed in split {owner[i]!r} and {name!r}")
+                owner[i] = name
     except DataError:
         raise
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -5,7 +5,9 @@ decoder), concatenates the final hidden state with the document
 representation, and maps through one sigmoid linear layer to a reward in
 (0, 1). Trained with binary cross-entropy: ground-truth prefixes positive,
 generated prefixes negative. Paths are expanded into all their prefixes of
-valid codes to enlarge the sample count.
+valid codes to enlarge the sample count. The prefixes of a batch share one
+lockstep LSTM pass over the longest paths among them, each prefix reading
+its state at its own last step, and one reverse-time sweep back.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy.special import expit
 
 from .corpus import CodeIds
 from .lstm import LstmCache, init_lstm_params, lstm_step, lstm_step_backward
-from .numerics import ParamStore
+from .numerics import ParamStore, add_rows
 
 CLAMP = 1e-12
 
@@ -57,30 +59,52 @@ def split_prefixes(path: Sequence[int], positive: bool, doc_id: int) -> list[Lab
     return [LabeledPrefix(codes[:k], positive, doc_id) for k in range(1, len(codes) + 1)]
 
 
-def encode_path(prefix: Sequence[int], store: ParamStore,
-                cfg: DiscriminatorConfig) -> tuple[np.ndarray, list[LstmCache]]:
-    """Run the path LSTM left-to-right from zero state; returns the final
-    hidden state (hidden,) and the per-step caches."""
-    if len(prefix) == 0:
-        raise ValueError("cannot encode an empty prefix")
-    if any(not 0 <= c < cfg.n_total for c in prefix):
-        raise ValueError(f"prefix {tuple(prefix)} contains ids outside vocabulary of {cfg.n_total}")
-    h = np.zeros(cfg.hidden)
-    c = np.zeros(cfg.hidden)
-    caches = []
-    for code in prefix:
-        h, c, cache = lstm_step(store, "disc.lstm", h, c, store["disc.code_embed"][code],
-                                cfg.candidate_activation)
-        caches.append(cache)
-    return h, caches
+@dataclass
+class PathPass:
+    """The scorer over a batch of prefixes: steps[t] holds (rows, codes,
+    LSTM cache) of the paths longer than t; prefix j ends on path row
+    path_of[j] at step last[j], and feats[j] is [its final hidden state,
+    its document vector]."""
+    steps: list[tuple[np.ndarray, list[int], LstmCache]]
+    path_of: np.ndarray
+    last: np.ndarray
+    feats: np.ndarray
+    logits: np.ndarray
 
 
-def reward(prefix: Sequence[int], x: np.ndarray, store: ParamStore,
-           cfg: DiscriminatorConfig) -> float:
-    """Sigmoid of the linear map over [path encoding, document vector]."""
-    h, _ = encode_path(prefix, store, cfg)
-    logit = float(store["disc.reward.W"] @ np.concatenate([h, x]) + store["disc.reward.b"][0])
-    return float(expit(logit))
+def score_prefixes(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.ndarray],
+                   store: ParamStore, cfg: DiscriminatorConfig) -> PathPass:
+    """Every prefix run from zero state, by one lockstep pass over the
+    distinct code tuples that extend no other, in order of first
+    appearance, then one product with the reward layer."""
+    distinct = list(dict.fromkeys(pf.codes for pf in prefixes))
+    if any(not 0 <= c < cfg.n_total for p in distinct for c in p):
+        raise ValueError(f"prefixes contain ids outside vocabulary of {cfg.n_total}")
+    inner = {p[:k] for p in distinct for k in range(1, len(p))}
+    paths = [p for p in distinct if p not in inner]
+    where = {path[:k + 1]: (row, k) for row, path in enumerate(paths) for k in range(len(path))}
+    path_of, last = np.array([where[pf.codes] for pf in prefixes]).reshape(-1, 2).T
+    lengths = np.array([len(p) for p in paths])
+    states = np.zeros((len(paths), lengths.max() + 1, cfg.hidden))  # step 0: zero state
+    c = np.zeros((len(paths), cfg.hidden))
+    steps = []
+    for t in range(lengths.max()):
+        rows = np.flatnonzero(lengths > t)
+        codes = [paths[r][t] for r in rows]
+        states[rows, t + 1], c[rows], cache = lstm_step(
+            store, "disc.lstm", states[rows, t], c[rows],
+            store["disc.code_embed"].take(codes, axis=0), cfg.candidate_activation)
+        steps.append((rows, codes, cache))
+    feats = np.hstack([states[path_of, last + 1], np.stack([xs[pf.doc_id] for pf in prefixes])])
+    logits = feats.dot(store["disc.reward.W"]) + store["disc.reward.b"][0]
+    return PathPass(steps, path_of, last, feats, logits)
+
+
+def reward(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.ndarray],
+           store: ParamStore, cfg: DiscriminatorConfig) -> np.ndarray:
+    """Sigmoid of the linear map over [path encoding, document vector], one
+    per prefix."""
+    return expit(score_prefixes(prefixes, xs, store, cfg).logits)
 
 
 def discriminator_loss(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.ndarray],
@@ -92,29 +116,29 @@ def discriminator_loss(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.nd
     """
     if len(prefixes) == 0:
         raise ValueError("empty discriminator batch")
-    total = 0.0
+    scored = score_prefixes(prefixes, xs, store, cfg)
+    p = expit(scored.logits)
+    positive = np.array([pf.positive for pf in prefixes])
+    clamped = np.clip(p, CLAMP, 1.0 - CLAMP)
     scale = 1.0 / len(prefixes)
-    w = store["disc.reward.W"]
-    for pf in prefixes:
-        x = xs[pf.doc_id]
-        h, caches = encode_path(pf.codes, store, cfg)
-        feats = np.concatenate([h, x])
-        p = float(expit(float(w @ feats + store["disc.reward.b"][0])))
-        clamped = min(max(p, CLAMP), 1.0 - CLAMP)
-        total += -np.log(clamped) if pf.positive else -np.log(1.0 - clamped)
-        if not with_grads:
-            continue
-        # d(-log p)/dlogit = p - 1 for positives, p for negatives; zero when
-        # the clamp is active (the loss is locally constant there)
-        if CLAMP <= p <= 1.0 - CLAMP:
-            dlogit = scale * (p - 1.0 if pf.positive else p)
-        else:
-            dlogit = 0.0
-        store.grad("disc.reward.W")[:] += dlogit * feats
-        store.grad("disc.reward.b")[:] += dlogit
-        dh = dlogit * w[:cfg.hidden]
-        dc = np.zeros(cfg.hidden)
-        for k in range(len(caches) - 1, -1, -1):
-            dh, dc, dx_in = lstm_step_backward(store, "disc.lstm", dh, dc, caches[k])
-            store.grad("disc.code_embed")[pf.codes[k]] += dx_in
+    total = float(np.where(positive, -np.log(clamped), -np.log(1.0 - clamped)).sum())
+    if not with_grads:
+        return total * scale
+    # d(-log p)/dlogit = p - 1 for positives, p for negatives; zero when
+    # the clamp is active (the loss is locally constant there)
+    dlogit = np.where((CLAMP <= p) & (p <= 1.0 - CLAMP), scale * (p - positive), 0.0)
+    store.grad("disc.reward.W")[:] += dlogit @ scored.feats
+    store.grad("disc.reward.b")[:] += dlogit.sum()
+    # one reverse-time sweep over the path rows; each prefix's dh enters at
+    # its own last step, so the sweep sums every prefix's gradient
+    n_paths, n_steps = len(scored.steps[0][0]), len(scored.steps)  # step 0 has every path
+    inject = np.zeros((n_paths, n_steps, cfg.hidden))
+    add_rows(inject.reshape(-1, cfg.hidden), scored.path_of * n_steps + scored.last,
+             np.outer(dlogit, store["disc.reward.W"][:cfg.hidden]))
+    dh, dc = np.zeros((2, n_paths, cfg.hidden))
+    for t in range(n_steps - 1, -1, -1):
+        rows, codes, cache = scored.steps[t]
+        dh[rows], dc[rows], dx = lstm_step_backward(store, "disc.lstm",
+                                                    dh[rows] + inject[rows, t], dc[rows], cache)
+        add_rows(store.grad("disc.code_embed"), np.array(codes), dx)
     return total * scale

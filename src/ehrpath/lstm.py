@@ -2,11 +2,11 @@
 
 Shared by the path decoder and the path scorer; gate weights act on the
 concatenation [h_prev, x_in]. The candidate activation defaults to ReLU
-with tanh available behind a flag. A step takes one row (1-D arrays) or a
-batch of rows in lockstep (2-D arrays, one row each), so every gate is one
-GEMM over the batch. The forward products use `ndarray.dot`, which gives
-the same result as `@` with less fixed cost per call; greedy decoding
-steps one row at a time, where that cost shows.
+with tanh available behind a flag. A step takes a batch of rows in
+lockstep (2-D arrays, one row each; one sequence is a batch of one), so
+every gate is one GEMM over the batch. The forward products use
+`ndarray.dot`, which gives the same result as `@` with less fixed cost per
+call; greedy decoding steps one row at a time, where that cost shows.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ class LstmCache:
 
 def lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_prev: np.ndarray,
               x_in: np.ndarray, activation: str = "relu") -> tuple[np.ndarray, np.ndarray, LstmCache]:
-    """(h_prev, c_prev, x_in) -> (h, c, cache).
+    """(h_prev, c_prev, x_in) -> (h, c, cache), each (rows, .).
 
     f, i, o are sigmoid gates over [h_prev, x_in]; the candidate uses
     `activation`; c = f*c_prev + i*candidate; h = o*tanh(c).
     """
-    z = np.concatenate([h_prev, x_in], axis=-1)
+    z = np.concatenate([h_prev, x_in], axis=1)
     f = expit(z.dot(store[f"{prefix}.Wf"].T) + store[f"{prefix}.bf"])
     i = expit(z.dot(store[f"{prefix}.Wi"].T) + store[f"{prefix}.bi"])
     g_pre = z.dot(store[f"{prefix}.Wc"].T) + store[f"{prefix}.bc"]
@@ -69,9 +69,9 @@ def lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_prev: np.nda
 
 def lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray, dc_in: np.ndarray,
                        cache: LstmCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate gate-weight gradients; return (dh_prev, dc_prev, dx_in).
-    A batch of rows adds every row's gradient."""
-    hidden = dh.shape[-1]
+    """Accumulate gate-weight gradients, every row's added; return
+    (dh_prev, dc_prev, dx_in), each (rows, .)."""
+    hidden = dh.shape[1]
     do = dh * cache.tau
     dc = dc_in + dh * cache.o * (1.0 - cache.tau ** 2)
     df = dc * cache.c_prev
@@ -90,6 +90,6 @@ def lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray, dc_in: np
     dz = np.zeros_like(cache.z)
     for gate, da in (("f", da_f), ("i", da_i), ("c", da_g), ("o", da_o)):
         store.add_outer(f"{prefix}.W{gate}", da, cache.z)
-        store.grad(f"{prefix}.b{gate}")[:] += da.sum(axis=0) if da.ndim == 2 else da
+        store.grad(f"{prefix}.b{gate}")[:] += da.sum(axis=0)
         dz += da @ store[f"{prefix}.W{gate}"]
-    return dz[..., :hidden], dc_prev, dz[..., hidden:]
+    return dz[:, :hidden], dc_prev, dz[:, hidden:]

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ComplicationTable
+from .corpus import ComplicationTable, atomic_write
 from .errors import DataError
 
 REPORT_KEYS = ("jaccard", "complication",
@@ -162,7 +162,7 @@ def format_metric_table(values: dict[str, float | None]) -> str:
 
 
 def write_predictions(path: str, records: Sequence[PredictionRecord]) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps({
                 "doc": rec.doc_id,

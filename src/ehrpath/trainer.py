@@ -261,17 +261,17 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         model.disc_store.clip_grads(cfg.clip_norm)
         adam_step(model.disc_store, cfg.adam)
 
-    # rewards from the updated scorer; baseline is the batch mean
-    per_doc_rewards = [[reward(path.valid_codes[:k + 1], xs[doc_id], model.disc_store,
-                               model.disc_cfg) for k in range(path.valid_len)]
-                       for doc_id, path in enumerate(paths)]
-    all_rewards = [r for rs in per_doc_rewards for r in rs]
-    baseline = float(np.mean(all_rewards)) if all_rewards else 0.0
+    # rewards of the generated prefixes from the updated scorer, in path
+    # order; baseline is the batch mean
+    generated = [pf for pf in prefixes if not pf.positive]
+    rewards = reward(generated, xs, model.disc_store, model.disc_cfg) if generated else np.empty(0)
+    baseline = float(np.mean(rewards)) if generated else 0.0
+    per_doc_rewards = np.split(rewards, np.cumsum([path.valid_len for path in paths])[:-1])
 
     # decoder update: supervised aligned loss plus reward-weighted surrogate
     model.gen_store.zero_grads()
     pg_traces = [traces[:path.valid_len] for path, traces in decodes]
-    pg_targets = [[(path.codes[k], r - baseline) for k, r in enumerate(rs)]
+    pg_targets = [[(path.codes[k], r - baseline) for k, r in enumerate(rs.tolist())]
                   for path, rs in zip(paths, per_doc_rewards)]
     pg_total = sum(path_loss(traces, targets) for traces, targets in zip(pg_traces, pg_targets))
     _decoder_backward(model, fwd, cfg.supervised_weight, stack_steps(pg_traces), pg_targets)
@@ -292,8 +292,8 @@ def decode_predictions(model: Model, docs: Sequence[EhrDocument],
     for doc_id, doc in enumerate(docs):
         x, _ = encode_ehr(doc.tokens, model.gen_store, model.enc_cfg, train_mode=False)
         path = decode_path(model.gen_store, model.gen_cfg, table, x, max_len)
-        scores = {c: max(float(d.probs[c]) for d in path.distributions)
-                  for c in range(model.gen_cfg.n_codes)}
+        best = np.max([d.probs[:model.gen_cfg.n_codes] for d in path.distributions], axis=0)
+        scores = dict(enumerate(best.tolist()))
         records.append(PredictionRecord(doc_id, frozenset(path.valid_codes),
                                         doc.gold_codes, scores))
     return records

@@ -1,12 +1,16 @@
 """Loop-form reference implementations that the tests compare the package's
 vectorized code against."""
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from ehrpath.alignment import AlignmentMatrix, step_targets
+from ehrpath.discriminator import CLAMP, DiscriminatorConfig, LabeledPrefix
 from ehrpath.generator import MixtureDistribution, generator_step_loss
+from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
+from ehrpath.numerics import ParamStore
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
@@ -44,3 +48,69 @@ def pla_loss(distributions: Sequence[MixtureDistribution], alignment: AlignmentM
     targets = step_targets(alignment, len(distributions), stop_id)
     return sum(generator_step_loss(dist, tgt)
                for dist, tgt in zip(distributions, targets) if tgt is not None)
+
+
+# The path scorer one prefix at a time, each from zero state (a path of L
+# codes costs L(L+1)/2 LSTM steps). The LSTM steps one-row arrays.
+
+def encode_path(prefix: Sequence[int], store: ParamStore,
+                cfg: DiscriminatorConfig) -> tuple[np.ndarray, list[LstmCache]]:
+    """Run the path LSTM left-to-right from zero state; returns the final
+    hidden state (hidden,) and the per-step caches."""
+    if len(prefix) == 0:
+        raise ValueError("cannot encode an empty prefix")
+    if any(not 0 <= c < cfg.n_total for c in prefix):
+        raise ValueError(f"prefix {tuple(prefix)} contains ids outside vocabulary of {cfg.n_total}")
+    h = np.zeros((1, cfg.hidden))
+    c = np.zeros((1, cfg.hidden))
+    caches = []
+    for code in prefix:
+        h, c, cache = lstm_step(store, "disc.lstm", h, c, store["disc.code_embed"][[code]],
+                                cfg.candidate_activation)
+        caches.append(cache)
+    return h[0], caches
+
+
+def reward(prefix: Sequence[int], x: np.ndarray, store: ParamStore,
+           cfg: DiscriminatorConfig) -> float:
+    """Sigmoid of the linear map over [path encoding, document vector]."""
+    h, _ = encode_path(prefix, store, cfg)
+    logit = float(store["disc.reward.W"] @ np.concatenate([h, x]) + store["disc.reward.b"][0])
+    return float(expit(logit))
+
+
+def discriminator_loss(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.ndarray],
+                       store: ParamStore, cfg: DiscriminatorConfig,
+                       with_grads: bool = False) -> float:
+    """Mean binary cross-entropy over the batch, probabilities clamped to
+    [1e-12, 1 - 1e-12]. With with_grads, accumulates gradients for the
+    scorer parameters only; the document representation is treated as data.
+    """
+    if len(prefixes) == 0:
+        raise ValueError("empty discriminator batch")
+    total = 0.0
+    scale = 1.0 / len(prefixes)
+    w = store["disc.reward.W"]
+    for pf in prefixes:
+        x = xs[pf.doc_id]
+        h, caches = encode_path(pf.codes, store, cfg)
+        feats = np.concatenate([h, x])
+        p = float(expit(float(w @ feats + store["disc.reward.b"][0])))
+        clamped = min(max(p, CLAMP), 1.0 - CLAMP)
+        total += -np.log(clamped) if pf.positive else -np.log(1.0 - clamped)
+        if not with_grads:
+            continue
+        # d(-log p)/dlogit = p - 1 for positives, p for negatives; zero when
+        # the clamp is active (the loss is locally constant there)
+        if CLAMP <= p <= 1.0 - CLAMP:
+            dlogit = scale * (p - 1.0 if pf.positive else p)
+        else:
+            dlogit = 0.0
+        store.grad("disc.reward.W")[:] += dlogit * feats
+        store.grad("disc.reward.b")[:] += dlogit
+        dh = dlogit * w[None, :cfg.hidden]
+        dc = np.zeros((1, cfg.hidden))
+        for k in range(len(caches) - 1, -1, -1):
+            dh, dc, dx_in = lstm_step_backward(store, "disc.lstm", dh, dc, caches[k])
+            store.grad("disc.code_embed")[pf.codes[k]] += dx_in[0]
+    return total * scale

@@ -3,6 +3,7 @@ import pytest
 
 from ehrpath.checkpoint import config_digest, load_checkpoint, save_checkpoint
 from ehrpath.errors import DataError
+from ehrpath.metrics import PredictionRecord, write_predictions
 
 
 def sample_slots():
@@ -64,3 +65,34 @@ class TestCheckpointFile:
     def test_digest_depends_on_values(self):
         assert config_digest({"a": "1"}) != config_digest({"a": "2"})
         assert config_digest({"a": "1", "b": "2"}) == config_digest({"b": "2", "a": "1"})
+
+
+class TestAtomicWrite:
+    """A write that raises partway leaves the file it would replace as it
+    was, and leaves no temporary file behind."""
+
+    def _assert_untouched(self, path, before):
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+    def test_failed_checkpoint_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), {"seed": "7"}, sample_slots())
+        before = path.read_bytes()
+        # slots are written in name order: "a" goes out, then "b" cannot be
+        # converted to float64
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), {"seed": "8"}, {"a": np.ones(3), "b": np.array(["x"])})
+        self._assert_untouched(path, before)
+
+    def test_failed_predictions_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "predictions.jsonl"
+        old = PredictionRecord(0, frozenset({1}), frozenset({1}), {1: 0.5})
+        write_predictions(str(path), [old])
+        before = path.read_bytes()
+        # the first record goes out, the second cannot be serialized
+        good = PredictionRecord(1, frozenset({2}), frozenset({2}), {2: 0.25})
+        bad = PredictionRecord(2, frozenset({1}), frozenset({2}), {1: object()})
+        with pytest.raises(TypeError):
+            write_predictions(str(path), [good, bad])
+        self._assert_untouched(path, before)

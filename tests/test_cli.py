@@ -302,6 +302,14 @@ class TestCorpusCrossChecks:
         assert self._train(corpus, tmp_path) == 3
         assert "split" in capsys.readouterr().err
 
+    def test_document_twice_in_one_split_exits_3(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        splits = json.loads((corpus / SPLITS_FILE).read_text())
+        splits["train"].append(splits["train"][0])
+        (corpus / SPLITS_FILE).write_text(json.dumps(splits))
+        assert self._train(corpus, tmp_path) == 3
+        assert "split 'train' and 'train'" in capsys.readouterr().err
+
 
 class TestReportAndBuildTable:
     def test_report_matches_eval_from_predictions(self, tmp_path, capsys):

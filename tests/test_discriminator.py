@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from ehrpath.discriminator import (DiscriminatorConfig, LabeledPrefix, discriminator_loss,
-                                   encode_path, init_discriminator_params, reward,
-                                   split_prefixes)
+import oracles
+from ehrpath.discriminator import (CLAMP, DiscriminatorConfig, LabeledPrefix,
+                                   discriminator_loss, init_discriminator_params, reward,
+                                   score_prefixes, split_prefixes)
 from ehrpath.lstm import lstm_step
 from ehrpath.numerics import AdamConfig, ParamStore, adam_step, finite_diff_check, named_rng
 
@@ -17,6 +18,25 @@ def make_store(seed=0, cfg=CFG):
     store = ParamStore()
     init_discriminator_params(store, cfg, named_rng(seed, "init"))
     return store
+
+
+def encode_path(prefix, store, cfg):
+    """Final hidden state of one prefix: score_prefixes on a batch of one."""
+    scored = score_prefixes([LabeledPrefix(tuple(prefix), True, 0)], {0: np.zeros(cfg.rep_dim)},
+                            store, cfg)
+    return scored.feats[0, :cfg.hidden], None
+
+
+def reward_one(prefix, x, store, cfg):
+    """Reward of one prefix: the batched reward on a batch of one."""
+    (r,) = reward([LabeledPrefix(tuple(prefix), False, 0)], {0: x}, store, cfg)
+    return r
+
+
+def one_row_step(store, h, c, x):
+    """lstm_step on one row, given and returned as vectors."""
+    h, c, _ = lstm_step(store, "disc.lstm", h[None], c[None], x[None])
+    return h[0], c[0]
 
 
 class TestEncodePath:
@@ -35,8 +55,8 @@ class TestEncodePath:
     def test_single_code_is_one_lstm_step(self):
         store = make_store(seed=1)
         h, _ = encode_path([4], store, CFG)
-        expected, _, _ = lstm_step(store, "disc.lstm", np.zeros(CFG.hidden),
-                                   np.zeros(CFG.hidden), store["disc.code_embed"][4])
+        expected, _ = one_row_step(store, np.zeros(CFG.hidden), np.zeros(CFG.hidden),
+                                   store["disc.code_embed"][4])
         np.testing.assert_allclose(h, expected, atol=1e-14)
 
     def test_three_codes_match_chained_steps(self):
@@ -45,7 +65,7 @@ class TestEncodePath:
         hh = np.zeros(CFG.hidden)
         cc = np.zeros(CFG.hidden)
         for code in (0, 3, 5):
-            hh, cc, _ = lstm_step(store, "disc.lstm", hh, cc, store["disc.code_embed"][code])
+            hh, cc = one_row_step(store, hh, cc, store["disc.code_embed"][code])
         np.testing.assert_allclose(h, hh, atol=1e-14)
 
     def test_empty_prefix_rejected(self):
@@ -58,7 +78,7 @@ class TestReward:
         store = make_store(seed=3)
         store["disc.reward.W"][:] = 0.0
         store["disc.reward.b"][:] = 0.0
-        assert reward([2], np.zeros(CFG.rep_dim), store, CFG) == pytest.approx(0.5)
+        assert reward_one([2], np.zeros(CFG.rep_dim), store, CFG) == pytest.approx(0.5)
 
     def test_monotone_in_bias_toward_one(self):
         store = make_store(seed=4)
@@ -66,7 +86,7 @@ class TestReward:
         values = []
         for bias in (0.0, 5.0, 20.0):
             store["disc.reward.b"][:] = bias
-            values.append(reward([1, 2], x, store, CFG))
+            values.append(reward_one([1, 2], x, store, CFG))
         assert values[0] < values[1] < values[2]
         assert values[2] > 1.0 - 1e-6
 
@@ -76,15 +96,66 @@ class TestReward:
         h, _ = encode_path([0, 5], store, CFG)
         logit_val = float(store["disc.reward.W"] @ np.concatenate([h, x])
                           + store["disc.reward.b"][0])
-        assert reward([0, 5], x, store, CFG) == pytest.approx(float(expit(logit_val)),
-                                                              rel=1e-12)
+        assert reward_one([0, 5], x, store, CFG) == pytest.approx(float(expit(logit_val)),
+                                                                  rel=1e-12)
 
     def test_always_inside_open_unit_interval(self):
         store = make_store(seed=8)
         rng = named_rng(9, "x")
         for _ in range(20):
-            r = reward([int(rng.integers(0, 6))], rng.normal(size=CFG.rep_dim), store, CFG)
+            r = reward_one([int(rng.integers(0, 6))], rng.normal(size=CFG.rep_dim), store, CFG)
             assert 0.0 < r < 1.0
+
+
+class TestLockstepMatchesOracle:
+    """One lockstep pass against the per-prefix oracle in tests/oracles.py."""
+    # maximal paths in order: (3,), (0, 2, 5, 1), (4, 1), (2, 3, 1), (5, 0)
+    PREFIXES = [LabeledPrefix((3,), True, 0),
+                LabeledPrefix((0,), True, 0),
+                LabeledPrefix((0, 2), True, 0),          # nested in (0, 2, 5, 1)
+                LabeledPrefix((0, 2, 5, 1), True, 0),
+                LabeledPrefix((4, 1), True, 0),          # positive for document 0,
+                LabeledPrefix((4, 1), False, 1),         # negative for document 1
+                LabeledPrefix((4,), False, 1),
+                LabeledPrefix((0, 2, 5), False, 1),
+                LabeledPrefix((2, 3, 1), False, 1),
+                LabeledPrefix((5, 0), False, 2)]         # clamped: document 2 saturates it
+
+    def _inputs(self):
+        store = make_store(seed=17)
+        for name in store.names():
+            store[name][:] *= 8.0  # out of the init's near-linear range
+        rng = named_rng(18, "x")
+        w_x = store["disc.reward.W"][CFG.hidden:]
+        xs = {0: rng.normal(size=CFG.rep_dim), 1: rng.normal(size=CFG.rep_dim),
+              2: 100.0 * w_x / (w_x @ w_x)}
+        return store, xs
+
+    def test_step_t_runs_the_paths_longer_than_t(self):
+        store, xs = self._inputs()
+        scored = score_prefixes(self.PREFIXES, xs, store, CFG)
+        assert [rows.tolist() for rows, _, _ in scored.steps] == [[0, 1, 2, 3, 4], [1, 2, 3, 4],
+                                                                 [1, 3], [1]]
+
+    def test_loss_rewards_and_gradients_match_oracle(self):
+        store, xs = self._inputs()
+        rewards = reward(self.PREFIXES, xs, store, CFG)
+        expected = [oracles.reward(pf.codes, xs[pf.doc_id], store, CFG) for pf in self.PREFIXES]
+        np.testing.assert_allclose(rewards, expected, rtol=0.0, atol=1e-10)
+        clamped = (rewards < CLAMP) | (rewards > 1.0 - CLAMP)
+        assert np.flatnonzero(clamped).tolist() == [len(self.PREFIXES) - 1]
+
+        store.zero_grads()
+        loss = discriminator_loss(self.PREFIXES, xs, store, CFG, with_grads=True)
+        grads = {name: store.grad(name).copy() for name in store.names()}
+        store.zero_grads()
+        assert loss == pytest.approx(
+            oracles.discriminator_loss(self.PREFIXES, xs, store, CFG, with_grads=True),
+            rel=0.0, abs=1e-10)
+        for name in store.names():
+            assert np.abs(grads[name]).max() > 1e-4, name
+            np.testing.assert_allclose(grads[name], store.grad(name), rtol=0.0, atol=1e-10,
+                                       err_msg=name)
 
 
 class TestSplitPrefixes:

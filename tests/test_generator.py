@@ -69,7 +69,8 @@ class TestLstmStep:
         for name in store.names():
             store[name][:] = 0.0
         c_prev = np.array([1.0, -2.0, 0.5, 0.0])
-        h, c, cache = lstm_step(store, "z", np.zeros(hidden), c_prev, np.zeros(3))
+        (h,), (c,), cache = lstm_step(store, "z", np.zeros((1, hidden)), c_prev[None],
+                                      np.zeros((1, 3)))
         np.testing.assert_allclose(cache.f, 0.5)
         np.testing.assert_allclose(cache.i, 0.5)
         np.testing.assert_allclose(cache.g, 0.0)
@@ -81,7 +82,7 @@ class TestLstmStep:
         init_lstm_params(store, "z", 3, 4, named_rng(1, "init"))
         store["z.bf"][:] = -50.0
         c_prev = np.full(4, 3.0)
-        _, c, cache = lstm_step(store, "z", np.zeros(4), c_prev, np.ones(3))
+        _, c, cache = lstm_step(store, "z", np.zeros((1, 4)), c_prev[None], np.ones((1, 3)))
         np.testing.assert_allclose(c, cache.i * cache.g, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -92,7 +93,7 @@ class TestLstmStep:
         h_prev = rng.normal(size=hidden)
         c_prev = rng.normal(size=hidden)
         x = rng.normal(size=d_in)
-        h, c, _ = lstm_step(store, "z", h_prev, c_prev, x)
+        (h,), (c,), _ = lstm_step(store, "z", h_prev[None], c_prev[None], x[None])
         z = np.concatenate([h_prev, x])
 
         def sig(v):
@@ -111,7 +112,7 @@ class TestLstmStep:
         store = ParamStore()
         init_lstm_params(store, "z", 2, 3, named_rng(3, "init"))
         store["z.bc"][:] = -2.0
-        _, _, cache = lstm_step(store, "z", np.zeros(3), np.zeros(3), np.zeros(2),
+        _, _, cache = lstm_step(store, "z", np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 2)),
                                 activation="tanh")
         assert np.all(cache.g < 0.0)  # relu would clamp these to zero
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_bundle
-from ehrpath.discriminator import reward
+from ehrpath.discriminator import LabeledPrefix, reward
 from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath import generator
@@ -92,7 +92,8 @@ class TestAdversarialRound:
         batch = bundle.split_docs("train")[:6]
 
         import ehrpath.trainer as trainer_mod
-        monkeypatch.setattr(trainer_mod, "reward", lambda *a, **k: 0.5)
+        monkeypatch.setattr(trainer_mod, "reward",
+                            lambda prefixes, *a, **k: np.full(len(prefixes), 0.5))
         m1 = model.snapshot()
         out = adversarial_round(m1, batch, bundle.table, cfg, named_rng(8, "dropout"))
         assert out["pg"] == pytest.approx(0.0, abs=1e-12)
@@ -108,7 +109,8 @@ class TestAdversarialRound:
         model.disc_store["disc.reward.W"][:] = 0.0
         model.disc_store["disc.reward.b"][:] = 0.0
         x = np.zeros(model.enc_cfg.rep_dim)
-        assert reward([0], x, model.disc_store, model.disc_cfg) == pytest.approx(0.5)
+        (r,) = reward([LabeledPrefix((0,), False, 0)], {0: x}, model.disc_store, model.disc_cfg)
+        assert r == pytest.approx(0.5)
 
     def test_discriminator_loss_falls_on_frozen_generator(self, bundle):
         cfg, model = self._setup(bundle, seed=6)
