@@ -1,8 +1,9 @@
 """Single-file parameter container with a versioned header.
 
-Layout: magic line, sha256 digest of the config block, the flat config
-key=value block, then each slot as a text shape line followed by raw
-little-endian float64 bytes. Loading verifies the magic and digest;
+Layout: magic line, then a line with the sha256 digest of every byte after
+it, then the flat config key=value block, then each slot as a text shape
+line followed by raw little-endian float64 bytes. Loading verifies the
+magic and the digest, so a changed config value or slot byte is caught;
 compatibility with a corpus is checked by the caller against the stored
 config values. Config values go to and from text through one codec,
 which the command line also uses for its flags.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import typing
 from typing import Mapping
 
@@ -20,7 +22,7 @@ import numpy as np
 from .corpus import atomic_write
 from .errors import DataError
 
-MAGIC = b"CRNNET-CKPT-1"
+MAGIC = b"CRNNET-CKPT-2"
 
 
 def format_value(value) -> str:
@@ -56,58 +58,54 @@ def _config_block(config: Mapping[str, str]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8") if config else b""
 
 
-def config_digest(config: Mapping[str, str]) -> str:
-    """sha256 of the config block as save_checkpoint writes it."""
-    return hashlib.sha256(_config_block(config)).hexdigest()
-
-
 def save_checkpoint(path: str, config: Mapping[str, str],
                     slots: Mapping[str, np.ndarray]) -> None:
-    block = _config_block(config)
+    parts = [f"nconfig={len(config)}\n".encode(), _config_block(config),
+             f"nslots={len(slots)}\n".encode()]
+    for name in sorted(slots):
+        arr = np.ascontiguousarray(slots[name], dtype=np.float64)
+        dims = " ".join(str(d) for d in arr.shape)
+        parts += [f"{name} {arr.ndim} {dims}\n".encode(), arr.tobytes()]
+    body = b"".join(parts)
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC + b"\n")
-        fh.write(f"digest={config_digest(config)}\n".encode())
-        fh.write(f"nconfig={len(config)}\n".encode())
-        fh.write(block)
-        fh.write(f"nslots={len(slots)}\n".encode())
-        for name in sorted(slots):
-            arr = np.ascontiguousarray(slots[name], dtype=np.float64)
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"{name} {arr.ndim} {dims}\n".encode())
-            fh.write(arr.tobytes())
+        fh.write(f"digest={hashlib.sha256(body).hexdigest()}\n".encode())
+        fh.write(body)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     try:
         with open(path, "rb") as fh:
-            if fh.readline().rstrip(b"\n") != MAGIC:
+            magic = fh.readline().rstrip(b"\n")
+            if magic != MAGIC:
+                if magic.startswith(b"CRNNET-CKPT-"):
+                    raise DataError(f"{path} is a {magic.decode(errors='replace')} checkpoint; "
+                                    f"this version reads {MAGIC.decode()} only, retrain to "
+                                    "rewrite it")
                 raise DataError(f"{path} is not a recognized checkpoint")
             digest_line = fh.readline().decode().strip()
             if not digest_line.startswith("digest="):
                 raise DataError(f"{path}: missing digest line")
-            stored_digest = digest_line.split("=", 1)[1]
-            n_config = int(fh.readline().decode().split("=", 1)[1])
-            config: dict[str, str] = {}
-            raw_lines = []
-            for _ in range(n_config):
-                line = fh.readline().decode().rstrip("\n")
-                raw_lines.append(line)
-                key, _, val = line.partition("=")
-                config[key] = val
-            block = ("\n".join(raw_lines) + "\n").encode() if raw_lines else b""
-            if hashlib.sha256(block).hexdigest() != stored_digest:
-                raise DataError(f"{path}: config digest mismatch, file is corrupt")
-            n_slots = int(fh.readline().decode().split("=", 1)[1])
-            slots: dict[str, np.ndarray] = {}
-            for _ in range(n_slots):
-                header = fh.readline().decode().split()
-                name, ndim = header[0], int(header[1])
-                shape = tuple(int(d) for d in header[2:2 + ndim])
-                count = int(np.prod(shape)) if shape else 1
-                buf = fh.read(count * 8)
-                if len(buf) != count * 8:
-                    raise DataError(f"{path}: truncated slot {name!r}")
-                slots[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+            raw = fh.read()
+        if hashlib.sha256(raw).hexdigest() != digest_line.split("=", 1)[1]:
+            raise DataError(f"{path}: digest mismatch, file is corrupt")
+        body = io.BytesIO(raw)
+        n_config = int(body.readline().decode().split("=", 1)[1])
+        config: dict[str, str] = {}
+        for _ in range(n_config):
+            key, _, val = body.readline().decode().rstrip("\n").partition("=")
+            config[key] = val
+        n_slots = int(body.readline().decode().split("=", 1)[1])
+        slots: dict[str, np.ndarray] = {}
+        for _ in range(n_slots):
+            header = body.readline().decode().split()
+            name, ndim = header[0], int(header[1])
+            shape = tuple(int(d) for d in header[2:2 + ndim])
+            count = int(np.prod(shape)) if shape else 1
+            buf = body.read(count * 8)
+            if len(buf) != count * 8:
+                raise DataError(f"{path}: truncated slot {name!r}")
+            slots[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
         return config, slots
     except DataError:
         raise

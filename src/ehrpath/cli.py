@@ -9,6 +9,8 @@ deterministic given its seed and inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -21,7 +23,7 @@ from .corpus import (CorpusBundle, CorpusConfig, atomic_write, build_complicatio
 from .errors import CompatibilityError, ConfigError, DataError
 from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import format_metric_table, metric_table, read_predictions, write_predictions
-from .trainer import (Model, TrainConfig, decode_predictions, model_from_checkpoint,
+from .trainer import (TrainConfig, decode_predictions, model_from_checkpoint,
                       save_model, train)
 
 CHECKPOINT_NAME = "model.ckpt"
@@ -136,32 +138,42 @@ def cmd_build_table(args) -> int:
     return 0
 
 
+def _fingerprints(corpus_dir: str) -> dict[str, str]:
+    """Checkpoint key -> sha256 of one of the corpus files that a model's ids
+    and copy candidates depend on. train stores these; eval compares them."""
+    out = {}
+    for name in (corpus_io.CODES_FILE, corpus_io.TOKENS_FILE, corpus_io.TABLE_FILE):
+        with open(os.path.join(corpus_dir, name), "rb") as fh:
+            out[f"{name}.sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
 def cmd_train(args) -> int:
     _require_dir(args.corpus, "corpus")
     _require_dir(args.out, "output")
     bundle = load_corpus_dir(args.corpus)
+    fingerprints = _fingerprints(args.corpus)
     cfg = TrainConfig(**{name: parse_value(kind, getattr(args, dest))
                          for name, dest, kind in _train_options()})
     report, model = train(bundle, cfg)
     ckpt = os.path.join(args.out, CHECKPOINT_NAME)
-    save_model(ckpt, model, cfg.seed)
+    save_model(ckpt, model, cfg.seed, fingerprints)
     report.checkpoint_path = ckpt
     with atomic_write(os.path.join(args.out, REPORT_NAME)) as fh:
-        json.dump(report.as_dict(), fh, indent=2)
+        json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")
     print(f"trained (ablation={report.ablation}) best epoch {report.best_epoch} "
           f"val jaccard {report.best_jaccard:.4f} -> {ckpt}")
     return 0
 
 
-def _compat_check(model: Model, bundle: CorpusBundle) -> None:
-    vocab, n_codes = model.enc_cfg.vocab_size, model.gen_cfg.n_codes
-    if vocab != bundle.tokens.vocab_size:
-        raise CompatibilityError(
-            f"checkpoint vocabulary {vocab} != corpus {bundle.tokens.vocab_size}")
-    if n_codes != bundle.codes.num_real:
-        raise CompatibilityError(
-            f"checkpoint code count {n_codes} != corpus {bundle.codes.num_real}")
+def _compat_check(stored: dict[str, str], corpus_dir: str) -> None:
+    for key, digest in _fingerprints(corpus_dir).items():
+        if key not in stored:
+            raise DataError(f"checkpoint config lacks key {key!r}")
+        if stored[key] != digest:
+            raise CompatibilityError(f"corpus file {key.removesuffix('.sha256')} is not the "
+                                     "one the checkpoint was trained on (sha256 differs)")
 
 
 def cmd_eval(args) -> int:
@@ -173,8 +185,9 @@ def cmd_eval(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --from-predictions")
-        model = model_from_checkpoint(*load_checkpoint(args.checkpoint))
-        _compat_check(model, bundle)
+        stored, slots = load_checkpoint(args.checkpoint)
+        model = model_from_checkpoint(stored, slots)
+        _compat_check(stored, args.corpus)
         docs = bundle.split_docs(args.split)
         records = decode_predictions(model, docs, bundle.table)
         write_predictions(os.path.join(args.out, PREDICTIONS_NAME), records)

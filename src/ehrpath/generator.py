@@ -78,13 +78,11 @@ def _fuse_forward(x: np.ndarray, code_vec: np.ndarray, store: ParamStore) -> tup
 
 @dataclass
 class MixtureDistribution:
-    """Next-code distribution: total probability per id, its generate/copy
-    mass decomposition, the copy candidate ids, and the log normalizer."""
+    """Next-code distribution: total probability per id, the part of it
+    that the copy mode contributes, and the copy candidate ids."""
     probs: np.ndarray
-    gen_mass: np.ndarray
     copy_mass: np.ndarray
     copy_ids: tuple[int, ...]
-    log_z: float
 
 
 @dataclass
@@ -122,11 +120,9 @@ def _mixture_from_scores(gen_scores: np.ndarray, copy_scores: np.ndarray,
         exp_copy[owner, ids] = np.exp(copy_scores - shift[owner, 0])
     exp_gen = np.exp(gen_scores - shift)
     z = exp_gen.sum(axis=1, keepdims=True) + exp_copy.sum(axis=1, keepdims=True)
-    gen_mass = exp_gen / z
     copy_mass = exp_copy / z
-    probs = gen_mass + copy_mass
-    log_z = (shift + np.log(z))[:, 0].tolist()
-    dists = [MixtureDistribution(*row) for row in zip(probs, gen_mass, copy_mass, copy_ids, log_z)]
+    probs = exp_gen / z + copy_mass
+    dists = [MixtureDistribution(*row) for row in zip(probs, copy_mass, copy_ids)]
     return dists, (exp_gen, exp_copy, z[:, 0])
 
 
@@ -287,21 +283,17 @@ class DecodedPath:
 
 
 def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
-                       x: np.ndarray, max_len: int | None = None) -> tuple[DecodedPath, list[StepTrace]]:
+                       x: np.ndarray) -> tuple[DecodedPath, list[StepTrace]]:
     """Greedy decode with repetition masking: already-emitted codes and UNK
     are renormalized to zero before the argmax (ties break to the lowest
-    id); stops at STOP or max_len. Stored distributions are unmasked."""
-    if max_len is None:
-        max_len = cfg.max_len
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    id); stops at STOP or cfg.max_len. Stored distributions are unmasked."""
     h = np.zeros(cfg.rep_dim)
     c = np.zeros(cfg.rep_dim)
     prev = cfg.stop_id
     codes: list[int] = []
     traces: list[StepTrace] = []
     banned = {cfg.unk_id}
-    for _ in range(max_len):
+    for _ in range(cfg.max_len):
         trace = generator_step(store, cfg, table, x, prev, h, c)
         masked = trace.dist.probs.copy()
         masked[list(banned)] = 0.0
@@ -319,8 +311,8 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
 
 
 def decode_path(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
-                x: np.ndarray, max_len: int | None = None) -> DecodedPath:
-    path, _ = decode_path_traced(store, cfg, table, x, max_len)
+                x: np.ndarray) -> DecodedPath:
+    path, _ = decode_path_traced(store, cfg, table, x)
     return path
 
 

@@ -29,6 +29,14 @@ def named_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
+def uniform_init(shape: tuple[int, ...], rng: np.random.Generator | None) -> np.ndarray:
+    """Weights drawn uniformly from rng; without an rng, zeros, for a caller
+    that fills in stored values."""
+    if rng is None:
+        return np.zeros(shape)
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+
+
 class ParamStore:
     """Named float64 parameter slots, each paired with a gradient buffer and
     Adam first/second moments. One store per trainable model side.
@@ -54,13 +62,9 @@ class ParamStore:
         self._v[name] = np.zeros_like(p)
         return p
 
-    def add_uniform(self, name: str, shape: tuple[int, ...], rng: np.random.Generator | None,
-                    scale: float = INIT_SCALE) -> np.ndarray:
-        """Slot drawn uniformly from rng; without an rng the slot starts at
-        zero, for a caller that fills in stored values."""
-        if rng is None:
-            return self.add(name, np.zeros(shape))
-        return self.add(name, rng.uniform(-scale, scale, size=shape))
+    def add_uniform(self, name: str, shape: tuple[int, ...],
+                    rng: np.random.Generator | None) -> np.ndarray:
+        return self.add(name, uniform_init(shape, rng))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,20 +105,6 @@ class TrainReport:
     ablation: str = "none"
     checkpoint_path: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "pretrain_losses": self.pretrain_losses,
-            "gen_losses": self.gen_losses,
-            "pg_losses": self.pg_losses,
-            "disc_losses": self.disc_losses,
-            "val_metrics": self.val_metrics,
-            "best_epoch": self.best_epoch,
-            "best_jaccard": self.best_jaccard,
-            "wall_clock_s": self.wall_clock_s,
-            "ablation": self.ablation,
-            "checkpoint_path": self.checkpoint_path,
-        }
-
 
 def _new_model(enc_cfg: EncoderConfig, gen_cfg: GeneratorConfig, has_discriminator: bool,
                rng: np.random.Generator | None) -> Model:
@@ -177,7 +163,7 @@ class _BatchForward:
 
 
 def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
-                     max_len: int, dropout_rng: np.random.Generator) -> _BatchForward:
+                     dropout_rng: np.random.Generator) -> _BatchForward:
     """Train-mode encoding, then a teacher-forced lockstep pass over each
     document's gold codes in ascending order (the same serialization the
     path scorer sees), aligned to the per-step predictions.
@@ -190,7 +176,7 @@ def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: Complica
                           dropout_rng=dropout_rng) for doc in batch]
     x = np.stack([rep for rep, _ in encoded])
     golds = [sorted(doc.gold_codes) for doc in batch]
-    inputs = [[gen_cfg.stop_id] + gold[:min(max_len, len(gold) + 1) - 1] for gold in golds]
+    inputs = [[gen_cfg.stop_id] + gold[:gen_cfg.max_len - 1] for gold in golds]
     steps = run_batch(store, gen_cfg, table, x, inputs)
     dists: list[list[MixtureDistribution]] = [[] for _ in batch]
     for step in steps:
@@ -225,7 +211,7 @@ def _decoder_backward(model: Model, fwd: _BatchForward, weight: float,
 def _supervised_batch(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
                       cfg: TrainConfig, dropout_rng: np.random.Generator) -> float:
     model.gen_store.zero_grads()
-    fwd = _aligned_forward(model, batch, table, cfg.max_len, dropout_rng)
+    fwd = _aligned_forward(model, batch, table, dropout_rng)
     _decoder_backward(model, fwd, 1.0)
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
@@ -242,9 +228,8 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
                 "pg": 0.0, "disc": 0.0}
 
     # forward pass: representations, aligned lockstep pass, greedy decode per document
-    fwd = _aligned_forward(model, batch, table, cfg.max_len, dropout_rng)
-    decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x, cfg.max_len)
-               for x in fwd.x]
+    fwd = _aligned_forward(model, batch, table, dropout_rng)
+    decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x) for x in fwd.x]
     paths = [path for path, _ in decodes]
 
     # scorer update: ground-truth prefixes positive, generated negative
@@ -283,15 +268,14 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
 
 
 def decode_predictions(model: Model, docs: Sequence[EhrDocument],
-                       table: ComplicationTable | None,
-                       max_len: int | None = None) -> list[PredictionRecord]:
+                       table: ComplicationTable | None) -> list[PredictionRecord]:
     """Eval-mode decode of every document into a prediction record. The
     per-code confidence is the code's highest mixture probability over the
     decode steps."""
     records = []
     for doc_id, doc in enumerate(docs):
         x, _ = encode_ehr(doc.tokens, model.gen_store, model.enc_cfg, train_mode=False)
-        path = decode_path(model.gen_store, model.gen_cfg, table, x, max_len)
+        path = decode_path(model.gen_store, model.gen_cfg, table, x)
         best = np.max([d.probs[:model.gen_cfg.n_codes] for d in path.distributions], axis=0)
         scores = dict(enumerate(best.tolist()))
         records.append(PredictionRecord(doc_id, frozenset(path.valid_codes),
@@ -348,7 +332,7 @@ def train(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[TrainReport, Model]:
 
     def validate_epoch(epoch: int) -> None:
         nonlocal best
-        records = decode_predictions(model, val_docs, bundle.table, cfg.max_len)
+        records = decode_predictions(model, val_docs, bundle.table)
         table = metric_table(records, bundle.table, range(bundle.codes.num_real))
         report.val_metrics.append({k: v for k, v in table.items()})
         if table["jaccard"] > report.best_jaccard:
@@ -398,8 +382,12 @@ def model_config_kv(model: Model, seed: int) -> dict[str, str]:
     return {_STORED_KEYS.get(name, name): format_value(v) for name, v in values.items()}
 
 
-def save_model(path: str, model: Model, seed: int) -> None:
-    save_checkpoint(path, model_config_kv(model, seed), dict(model.parameters()))
+def save_model(path: str, model: Model, seed: int,
+               extra: Mapping[str, str] | None = None) -> None:
+    """Checkpoint of the model under model_config_kv, plus any extra stored
+    keys, such as the fingerprints of the corpus files it was trained on."""
+    save_checkpoint(path, {**model_config_kv(model, seed), **(extra or {})},
+                    dict(model.parameters()))
 
 
 def _stored_value(kv: dict[str, str], key: str, kind):

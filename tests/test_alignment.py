@@ -12,7 +12,7 @@ from oracles import pla_loss
 
 def dist_from_probs(probs):
     p = np.asarray(probs, dtype=np.float64)
-    return MixtureDistribution(p, p.copy(), np.zeros_like(p), (), float(np.log(p.sum())))
+    return MixtureDistribution(p, np.zeros_like(p), ())
 
 
 def brute_force_assignment(cost, pinned):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ehrpath.checkpoint import config_digest, load_checkpoint, save_checkpoint
+from ehrpath.checkpoint import load_checkpoint, save_checkpoint
 from ehrpath.errors import DataError
 from ehrpath.metrics import PredictionRecord, write_predictions
 
@@ -31,7 +31,7 @@ class TestCheckpointFile:
     def test_header_is_versioned(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), {}, sample_slots())
-        assert path.read_bytes().startswith(b"CRNNET-CKPT-1\n")
+        assert path.read_bytes().startswith(b"CRNNET-CKPT-2\n")
 
     def test_same_inputs_identical_bytes(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -62,9 +62,14 @@ class TestCheckpointFile:
         with pytest.raises(DataError):
             load_checkpoint(str(path))
 
-    def test_digest_depends_on_values(self):
-        assert config_digest({"a": "1"}) != config_digest({"a": "2"})
-        assert config_digest({"a": "1", "b": "2"}) == config_digest({"b": "2", "a": "1"})
+    def test_digest_depends_on_values(self, tmp_path):
+        def digest_line(config):
+            path = tmp_path / "m.ckpt"
+            save_checkpoint(str(path), config, sample_slots())
+            return path.read_bytes().split(b"\n")[1]
+
+        assert digest_line({"a": "1"}) != digest_line({"a": "2"})
+        assert digest_line({"a": "1", "b": "2"}) == digest_line({"b": "2", "a": "1"})
 
 
 class TestAtomicWrite:

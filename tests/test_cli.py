@@ -218,7 +218,7 @@ class TestEvalCommand:
         assert rc == 4
 
     @pytest.mark.parametrize("slot, damage", [
-        ("gen.lstm.bf", lambda w: np.zeros(1)),
+        ("gen.lstm.b", lambda w: np.zeros(1)),
         ("gen.copy.W", None),
         ("gen.out.W", lambda w: np.zeros((w.shape[0], w.shape[1] + 1))),
     ], ids=["bias-shape", "missing-slot", "wide-output"])
@@ -236,6 +236,38 @@ class TestEvalCommand:
                    "--out", str(out)])
         assert rc == 3
         assert slot in capsys.readouterr().err
+
+    def _eval(self, corpus, ckpt, tmp_path):
+        out = tmp_path / "eval"
+        out.mkdir()
+        return main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                     "--out", str(out)])
+
+    def test_flipped_slot_byte_exits_3(self, tmp_path, capsys):
+        corpus, ckpt = self._train(tmp_path)
+        raw = bytearray(ckpt.read_bytes())
+        raw[-8] ^= 1  # lowest mantissa bit of the last weight of the last slot
+        ckpt.write_bytes(bytes(raw))
+        assert self._eval(corpus, ckpt, tmp_path) == 3
+        assert "digest" in capsys.readouterr().err
+
+    def test_older_format_exits_3_naming_its_version(self, tmp_path, capsys):
+        corpus, ckpt = self._train(tmp_path)
+        _magic, rest = ckpt.read_bytes().split(b"\n", 1)
+        ckpt.write_bytes(b"CRNNET-CKPT-1\n" + rest)
+        assert self._eval(corpus, ckpt, tmp_path) == 3
+        assert "CRNNET-CKPT-1" in capsys.readouterr().err
+
+    def test_edited_complication_table_exits_4_naming_it(self, tmp_path, capsys):
+        # same code and token dictionaries, so every size still agrees
+        corpus, ckpt = self._train(tmp_path)
+        before = (corpus / TABLE_FILE).read_text()
+        assert main(["build-table", "--corpus", str(corpus), "--or-threshold", "1000000",
+                     "--min-support", "3"]) == 0
+        assert (corpus / TABLE_FILE).read_text() != before
+        capsys.readouterr()
+        assert self._eval(corpus, ckpt, tmp_path) == 4
+        assert TABLE_FILE in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", [
         lambda kv: kv.pop("d_code"),

@@ -183,7 +183,8 @@ class TestLoss:
 
     def test_known_probabilities_hand_value(self):
         store = make_store(seed=12)
-        store["disc.lstm.Wf"][:] = 0.0  # keep h deterministic but nonzero-free
+        # the forget gate's weights: keep h deterministic but nonzero-free
+        store["disc.lstm.W"][:CFG.hidden] = 0.0
         store["disc.reward.W"][:] = 0.0
         store["disc.reward.W"][CFG.hidden] = 1.0  # read x[0] only
         store["disc.reward.b"][:] = 0.0

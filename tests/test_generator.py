@@ -9,9 +9,10 @@ from ehrpath.generator import (GeneratorConfig, _fuse_forward, _mixture_forward,
                                _mixture_from_scores, decode_path, decode_path_traced,
                                generator_step_loss, init_generator_params, path_loss, run_steps,
                                sequence_backward, stack_steps)
-from ehrpath.lstm import init_lstm_params, lstm_step
+from ehrpath.lstm import init_lstm_params, lstm_step, lstm_step_backward
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
-from oracles import softmax_stable
+from oracles import (GATES, four_gate_lstm_step, four_gate_lstm_step_backward,
+                     init_four_gate_lstm_params, softmax_stable)
 
 CFG = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8)
 TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
@@ -80,7 +81,7 @@ class TestLstmStep:
     def test_large_negative_forget_bias_saturates(self):
         store = ParamStore()
         init_lstm_params(store, "z", 3, 4, named_rng(1, "init"))
-        store["z.bf"][:] = -50.0
+        store["z.b"][:4] = -50.0  # the forget gate's block
         c_prev = np.full(4, 3.0)
         _, c, cache = lstm_step(store, "z", np.zeros((1, 4)), c_prev[None], np.ones((1, 3)))
         np.testing.assert_allclose(c, cache.i * cache.g, atol=1e-12)
@@ -99,11 +100,15 @@ class TestLstmStep:
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
+        def pre(gate, row):  # gate blocks in the order f, i, c, o
+            k = gate * hidden + row
+            return float(store["z.W"][k] @ z + store["z.b"][k])
+
         for row in range(hidden):
-            f = sig(float(store["z.Wf"][row] @ z + store["z.bf"][row]))
-            i = sig(float(store["z.Wi"][row] @ z + store["z.bi"][row]))
-            g = max(float(store["z.Wc"][row] @ z + store["z.bc"][row]), 0.0)
-            o = sig(float(store["z.Wo"][row] @ z + store["z.bo"][row]))
+            f = sig(pre(0, row))
+            i = sig(pre(1, row))
+            g = max(pre(2, row), 0.0)
+            o = sig(pre(3, row))
             c_row = f * c_prev[row] + i * g
             assert c[row] == pytest.approx(c_row, rel=1e-12)
             assert h[row] == pytest.approx(o * math.tanh(c_row), rel=1e-12)
@@ -111,10 +116,60 @@ class TestLstmStep:
     def test_tanh_candidate_flag(self):
         store = ParamStore()
         init_lstm_params(store, "z", 2, 3, named_rng(3, "init"))
-        store["z.bc"][:] = -2.0
+        store["z.b"][6:9] = -2.0  # the candidate's block
         _, _, cache = lstm_step(store, "z", np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 2)),
                                 activation="tanh")
         assert np.all(cache.g < 0.0)  # relu would clamp these to zero
+
+
+class TestFusedLstmMatchesFourGateOracle:
+    """The fused cell against the four-gate reference cell in oracles.py,
+    whose per-gate slots hold the fused slots' row blocks."""
+    HIDDEN, D_IN = 4, 3
+
+    def _blocks(self):
+        return [slice(k * self.HIDDEN, (k + 1) * self.HIDDEN) for k in range(4)]
+
+    def test_init_stacks_the_four_gate_draws(self):
+        fused, gates = ParamStore(), ParamStore()
+        init_lstm_params(fused, "z", self.D_IN, self.HIDDEN, named_rng(5, "init"))
+        init_four_gate_lstm_params(gates, "z", self.D_IN, self.HIDDEN, named_rng(5, "init"))
+        assert fused.names() == ["z.W", "z.b"]
+        for gate, block in zip(GATES, self._blocks()):
+            np.testing.assert_array_equal(fused["z.W"][block], gates[f"z.W{gate}"])
+            np.testing.assert_array_equal(fused["z.b"][block], gates[f"z.b{gate}"])
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_step_and_backward_match(self, rows, activation):
+        hidden, rng = self.HIDDEN, named_rng(6, "x")
+        fused, gates = ParamStore(), ParamStore()
+        # unit-scale weights, so that every gate leaves its linear region and
+        # the ReLU candidate is cut on some rows and units
+        fused.add("z.W", rng.normal(size=(4 * hidden, hidden + self.D_IN)))
+        fused.add("z.b", rng.normal(size=4 * hidden))
+        for gate, block in zip(GATES, self._blocks()):
+            gates.add(f"z.W{gate}", fused["z.W"][block])
+            gates.add(f"z.b{gate}", fused["z.b"][block])
+        h_prev, c_prev, dh, dc = rng.normal(size=(4, rows, hidden))
+        x = rng.normal(size=(rows, self.D_IN))
+
+        h, c, cache = lstm_step(fused, "z", h_prev, c_prev, x, activation)
+        h_ref, c_ref, cache_ref = four_gate_lstm_step(gates, "z", h_prev, c_prev, x, activation)
+        if activation == "relu":
+            assert 0 < np.sum(cache.g_pre > 0.0) < cache.g_pre.size
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
+        backward = lstm_step_backward(fused, "z", dh, dc, cache)
+        backward_ref = four_gate_lstm_step_backward(gates, "z", dh, dc, cache_ref)
+        for name, mine, theirs in zip(("dh_prev", "dc_prev", "dx_in"), backward, backward_ref):
+            np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12, err_msg=name)
+        for gate, block in zip(GATES, self._blocks()):
+            for slot in ("W", "b"):
+                theirs = gates.grad(f"z.{slot}{gate}")
+                assert np.abs(theirs).max() > 1e-3
+                np.testing.assert_allclose(fused.grad(f"z.{slot}")[block], theirs, rtol=0,
+                                           atol=1e-12, err_msg=f"{slot}{gate}")
 
 
 class TestMixture:
@@ -200,8 +255,7 @@ class TestDecode:
     def test_forced_stop_yields_empty_valid_path(self):
         store = make_store()
         # saturate the LSTM so h is far from zero, then point every unit at STOP
-        for gate in ("bc", "bo"):
-            store[f"gen.lstm.{gate}"][:] = 5.0
+        store["gen.lstm.b"][2 * CFG.rep_dim:] = 5.0  # candidate and output gates
         store["gen.out.W"][:] = 0.0
         store["gen.out.W"][CFG.stop_id] = 5.0
         path = decode_path(store, CFG, TABLE, np.zeros(CFG.rep_dim))
@@ -211,11 +265,10 @@ class TestDecode:
 
     def test_max_len_one_truncates(self):
         store = make_store()
-        store["gen.lstm.bc"][:] = 5.0
-        store["gen.lstm.bo"][:] = 5.0
+        store["gen.lstm.b"][2 * CFG.rep_dim:] = 5.0  # candidate and output gates
         store["gen.out.W"][:] = 0.0
         store["gen.out.W"][2] = 5.0
-        path = decode_path(store, CFG, TABLE, np.zeros(CFG.rep_dim), max_len=1)
+        path = decode_path(store, replace(CFG, max_len=1), TABLE, np.zeros(CFG.rep_dim))
         assert path.codes == (2,)
         assert path.valid_len == 1
 
@@ -224,7 +277,7 @@ class TestDecode:
         for seed in range(15):
             store = make_store(seed=seed)
             x = rng.normal(size=CFG.rep_dim)
-            path = decode_path(store, CFG, TABLE, x, max_len=8)
+            path = decode_path(store, replace(CFG, max_len=8), TABLE, x)
             valid = path.valid_codes
             assert len(valid) == len(set(valid))
             assert CFG.stop_id not in valid
@@ -237,7 +290,7 @@ class TestDecode:
     def test_distributions_are_unmasked(self):
         store = make_store(seed=3)
         x = named_rng(6, "x").normal(size=CFG.rep_dim)
-        path = decode_path(store, CFG, TABLE, x, max_len=4)
+        path = decode_path(store, replace(CFG, max_len=4), TABLE, x)
         for dist in path.distributions:
             assert abs(dist.probs.sum() - 1.0) < 1e-9
             assert np.all(dist.probs > 0.0)
@@ -247,7 +300,7 @@ class TestStackSteps:
     def test_steps_with_differing_settings_rejected(self):
         store = make_store()
         x = named_rng(6, "x").normal(size=CFG.rep_dim)
-        _, traces = decode_path_traced(store, CFG, TABLE, x, max_len=1)
+        _, traces = decode_path_traced(store, replace(CFG, max_len=1), TABLE, x)
         tanh = replace(traces[0], lstm=replace(traces[0].lstm, activation="tanh"))
         with pytest.raises(ValueError, match="activation"):
             stack_steps([traces, [tanh]])

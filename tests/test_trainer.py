@@ -157,8 +157,7 @@ class TestTrain:
         report, model = train(bundle, cfg)
         best = max(m["jaccard"] for m in report.val_metrics)
         assert report.best_jaccard == best
-        records = decode_predictions(model, bundle.split_docs("validation"), bundle.table,
-                                     cfg.max_len)
+        records = decode_predictions(model, bundle.split_docs("validation"), bundle.table)
         from ehrpath.metrics import jaccard
         assert jaccard(records) == pytest.approx(best, abs=1e-12)
 
@@ -190,7 +189,7 @@ class TestBatchEquivalence:
         batch = self._batch(bundle)
 
         store.zero_grads()
-        fwd = _aligned_forward(model, batch, bundle.table, cfg.max_len, named_rng(3, "dropout"))
+        fwd = _aligned_forward(model, batch, bundle.table, named_rng(3, "dropout"))
         backward(model, fwd, range(6))
         batch_grads = {n: store.grad(n).copy() for n in store.names()}
 
@@ -199,7 +198,7 @@ class TestBatchEquivalence:
         single_grads = {n: np.zeros_like(g) for n, g in batch_grads.items()}
         for b, doc in enumerate(batch):
             store.zero_grads()
-            singles.append(_aligned_forward(model, [doc], bundle.table, cfg.max_len, rng))
+            singles.append(_aligned_forward(model, [doc], bundle.table, rng))
             backward(model, singles[-1], [b])
             for n in store.names():
                 single_grads[n] += store.grad(n)
@@ -228,8 +227,7 @@ class TestBatchEquivalence:
         clamped and that step sends no gradient."""
         cfg = self.CFG
         model = build_model(bundle, cfg)
-        fwd = _aligned_forward(model, self._batch(bundle), bundle.table, cfg.max_len,
-                               named_rng(3, "dropout"))
+        fwd = _aligned_forward(model, self._batch(bundle), bundle.table, named_rng(3, "dropout"))
         probs = sorted(d.probs[t] for dists, targets in zip(fwd.dists, fwd.targets)
                        for d, t in zip(dists, targets) if t is not None)
         monkeypatch.setattr(generator, "PROB_FLOOR", (probs[0] + probs[1]) / 2)
@@ -250,8 +248,8 @@ class TestBatchEquivalence:
         def backward(model, fwd, doc_ids):
             pg_traces, pg_targets = [], []
             for x, b in zip(fwd.x, doc_ids):
-                path, traces = decode_path_traced(model.gen_store, model.gen_cfg, bundle.table,
-                                                  x, max_len=2 + b % 3)
+                gen_cfg = dataclasses.replace(model.gen_cfg, max_len=2 + b % 3)
+                path, traces = decode_path_traced(model.gen_store, gen_cfg, bundle.table, x)
                 pg_traces.append(traces[:path.valid_len])
                 pg_targets.append([(code, 0.3 - 0.2 * b + 0.1 * k)
                                    for k, code in enumerate(path.valid_codes)])
