@@ -310,6 +310,9 @@ class CorpusBundle:
     splits: dict[str, list[int]] = field(default_factory=dict)
 
     def split_docs(self, name: str) -> list[EhrDocument]:
+        """The documents of one split, which must hold at least one."""
+        if not self.splits[name]:
+            raise DataError(f"the {name} split is empty")
         return [self.documents[i] for i in self.splits[name]]
 
 

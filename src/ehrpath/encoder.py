@@ -1,10 +1,11 @@
-"""Multi-channel text-CNN document encoder.
+"""Multi-channel text-CNN document encoder over a batch of documents.
 
 Embeds token ids, runs one ReLU convolution bank per kernel size, max-pools
-each feature map to a scalar, and concatenates the pooled values (kernel
-sizes ascending, filters ascending) into one fixed-size vector. Inverted
-dropout on that vector at train time. Backward routes gradients through the
-recorded argmax positions and ReLU masks.
+each feature map over the document's own windows, and concatenates the
+pooled values (kernel sizes ascending, filters ascending) into one vector
+per document, with inverted dropout at train time. Per chunk of packed token
+rows and kernel, one GEMM against the filter's stacked offset blocks; the
+backward goes through a selection matrix over the distinct winning windows.
 """
 
 from __future__ import annotations
@@ -51,84 +52,103 @@ def init_encoder_params(store: ParamStore, cfg: EncoderConfig,
 def embed_tokens(tokens, store: ParamStore, cfg: EncoderConfig) -> np.ndarray:
     """Token ids (n,) -> embedding rows (n, d_embed)."""
     ids = np.asarray(tokens, dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError("cannot embed an empty document")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id outside dictionary of size {cfg.vocab_size}")
     return store["enc.embed"][ids]
 
 
+# packed token rows encoded together: a desk batch or a few long notes, few
+# enough that a chunk's responses stay in cache
+ROW_BUDGET = 1024
+
+
 @dataclass
 class EncodeCache:
-    padded_ids: np.ndarray
-    windows: dict[int, np.ndarray]   # kernel -> (positions, k*d) flattened windows
-    pooled_raw: dict[int, np.ndarray]  # kernel -> pooled values before dropout
-    argmax: dict[int, np.ndarray]      # kernel -> argmax position per filter
-    dropout_mask: np.ndarray | None
+    padded_ids: np.ndarray         # (rows,) every document's padded token ids, end to end
+    chunks: list[tuple[int, int]]  # documents [first, last) encoded together
+    starts: np.ndarray             # (B, rep_dim) packed row of each winning window
+    gate: np.ndarray               # (B, rep_dim) dropout mask where the ReLU is open, else 0
+
+
+def encode_batch(token_lists, store: ParamStore, cfg: EncoderConfig, train_mode: bool = False,
+                 dropout_rng: np.random.Generator | None = None
+                 ) -> tuple[np.ndarray, EncodeCache]:
+    """B documents' token ids -> representations (B, rep_dim) plus backward
+    cache. Documents shorter than the largest kernel are right-padded with
+    the zero-embedding pad token. Train mode draws one (B, rep_dim) dropout
+    mask from dropout_rng; eval mode is deterministic."""
+    k_max, nf = max(cfg.kernel_sizes), cfg.n_filters
+    docs = [list(tokens) + [PAD_TOKEN] * (k_max - len(tokens)) for tokens in token_lists]
+    bounds = np.cumsum([0] + [len(ids) for ids in docs])
+    padded = np.array([t for ids in docs for t in ids], dtype=np.int64)
+    firsts = [0]  # chunks: runs of documents within ROW_BUDGET rows, or one longer one
+    for b in range(1, len(docs)):
+        if bounds[b + 1] - bounds[firsts[-1]] > ROW_BUDGET:
+            firsts.append(b)
+    chunks = [(a, b) for a, b in zip(firsts, firsts[1:] + [len(docs)]) if b > a]
+    pooled = np.empty((len(docs), cfg.rep_dim))
+    starts = np.empty((len(docs), cfg.rep_dim), dtype=np.int64)
+    for first, last in chunks:
+        E = embed_tokens(padded[bounds[first]:bounds[last]], store, cfg)
+        doc_rows = bounds[first:last + 1] - bounds[first]
+        for j, k in enumerate(cfg.kernel_sizes):
+            W = store[f"enc.conv{k}.W"].reshape(nf, k, -1).transpose(1, 0, 2)
+            responses = E @ W.reshape(k * nf, -1).T  # [r, off * nf + f]: row r, block off
+            n_win = len(E) - k + 1
+            fmap = np.full((n_win + 1, nf), -1.0)  # the last row stands for no window
+            fmap[:-1] = store[f"enc.conv{k}.b"]
+            for off in range(k):
+                fmap[:-1] += responses[off:off + n_win, off * nf:(off + 1) * nf]
+            np.maximum(fmap[:-1], 0.0, out=fmap[:-1])
+            counts = np.diff(doc_rows) - k + 1  # each document's own windows, then no-window
+            pos = np.arange(counts.max())
+            rows = np.where(pos < counts[:, None], doc_rows[:-1, None] + pos, n_win)
+            best = doc_rows[:-1, None] + fmap[rows].argmax(axis=1)
+            pooled[first:last, j * nf:(j + 1) * nf] = fmap[best, np.arange(nf)]
+            starts[first:last, j * nf:(j + 1) * nf] = best + bounds[first]
+
+    # gradient passes where the winning window's ReLU was open (pooled value > 0)
+    gate = (pooled > 0.0).astype(float)
+    if train_mode and cfg.dropout > 0.0:
+        if dropout_rng is None:
+            raise ValueError("train-mode encoding needs a dropout rng")
+        mask = (dropout_rng.random(pooled.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+        return pooled * mask, EncodeCache(padded, chunks, starts, gate * mask)
+    return pooled, EncodeCache(padded, chunks, starts, gate)
+
+
+def encode_batch_backward(dX: np.ndarray, cache: EncodeCache, store: ParamStore,
+                          cfg: EncoderConfig) -> None:
+    """Accumulate encoder gradients for an upstream dX (B, rep_dim)."""
+    coef = dX * cache.gate
+    nf, d = cfg.n_filters, cfg.d_embed
+    dE = np.zeros((len(cache.padded_ids), d))  # gradient of every packed token row
+    for first, last in cache.chunks:
+        for j, k in enumerate(cfg.kernel_sizes):
+            c = coef[first:last, j * nf:(j + 1) * nf]
+            store.grad(f"enc.conv{k}.b")[:] += c.sum(axis=0)
+            doc, f = np.nonzero(c)
+            wins, inv = np.unique(cache.starts[first + doc, j * nf + f], return_inverse=True)
+            select = np.zeros((len(wins), nf))  # one row per distinct winning window
+            select[inv, f] = c[doc, f]
+            windows = store["enc.embed"][cache.padded_ids[wins[:, None] + np.arange(k)]]
+            store.grad(f"enc.conv{k}.W")[:] += select.T @ windows.reshape(len(wins), k * d)
+            dwin = select @ store[f"enc.conv{k}.W"]
+            for off in range(k):
+                dE[wins + off] += dwin[:, off * d:(off + 1) * d]
+    demb = store.grad("enc.embed")
+    add_rows(demb, cache.padded_ids, dE)
+    demb[PAD_TOKEN] = 0.0  # pad embedding is pinned at zero
 
 
 def encode_ehr(tokens, store: ParamStore, cfg: EncoderConfig, train_mode: bool = False,
                dropout_rng: np.random.Generator | None = None) -> tuple[np.ndarray, EncodeCache]:
-    """Document token ids -> representation (rep_dim,) plus backward cache.
-
-    Documents shorter than the largest kernel are right-padded with the
-    zero-embedding pad token. In train mode the representation gets an
-    inverted-dropout mask from dropout_rng; eval mode is deterministic.
-    """
-    ids = list(tokens)
-    k_max = max(cfg.kernel_sizes)
-    if len(ids) < k_max:
-        ids = ids + [PAD_TOKEN] * (k_max - len(ids))
-    padded = np.asarray(ids, dtype=np.int64)
-    X = embed_tokens(padded, store, cfg)
-    n, d = X.shape
-
-    windows: dict[int, np.ndarray] = {}
-    pooled: dict[int, np.ndarray] = {}
-    argmax: dict[int, np.ndarray] = {}
-    parts = []
-    for k in cfg.kernel_sizes:
-        win = np.lib.stride_tricks.sliding_window_view(X, (k, d))[:, 0].reshape(n - k + 1, k * d)
-        fmap = np.maximum(win @ store[f"enc.conv{k}.W"].T + store[f"enc.conv{k}.b"], 0.0)
-        idx = np.argmax(fmap, axis=0)
-        vals = fmap[idx, np.arange(cfg.n_filters)]
-        windows[k] = win
-        pooled[k] = vals
-        argmax[k] = idx
-        parts.append(vals)
-    x = np.concatenate(parts)
-
-    mask = None
-    if train_mode and cfg.dropout > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train-mode encoding needs a dropout rng")
-        mask = (dropout_rng.random(cfg.rep_dim) >= cfg.dropout) / (1.0 - cfg.dropout)
-        x = x * mask
-    return x, EncodeCache(padded, windows, pooled, argmax, mask)
+    """One document as a batch of one: representation (rep_dim,) plus cache."""
+    x, cache = encode_batch([tokens], store, cfg, train_mode, dropout_rng)
+    return x[0], cache
 
 
 def encode_backward(dx: np.ndarray, cache: EncodeCache, store: ParamStore,
                     cfg: EncoderConfig) -> None:
-    """Accumulate encoder gradients for an upstream dx (rep_dim,)."""
-    if cache.dropout_mask is not None:
-        dx = dx * cache.dropout_mask
-    n = cache.padded_ids.shape[0]
-    d = cfg.d_embed
-    dX = np.zeros((n, d))
-    offset = 0
-    for k in cfg.kernel_sizes:
-        ds = dx[offset:offset + cfg.n_filters]
-        offset += cfg.n_filters
-        # pooled value > 0 iff the winning window's pre-activation was positive
-        coef = ds * (cache.pooled_raw[k] > 0.0)
-        win = cache.windows[k]
-        idx = cache.argmax[k]
-        store.grad(f"enc.conv{k}.W")[:] += coef[:, None] * win[idx]
-        store.grad(f"enc.conv{k}.b")[:] += coef
-        dwin = np.zeros_like(win)
-        add_rows(dwin, idx, coef[:, None] * store[f"enc.conv{k}.W"])
-        for off in range(k):
-            dX[off:off + dwin.shape[0]] += dwin[:, off * d:(off + 1) * d]
-    demb = store.grad("enc.embed")
-    add_rows(demb, cache.padded_ids, dX)
-    demb[PAD_TOKEN] = 0.0  # pad embedding is pinned at zero
+    """Accumulate encoder gradients for one document's upstream dx (rep_dim,)."""
+    encode_batch_backward(dx[None], cache, store, cfg)

@@ -163,22 +163,29 @@ class AdamConfig:
 
 def adam_step(store: ParamStore, cfg: AdamConfig) -> ParamStore:
     """One bias-corrected Adam update over every slot; zeroes gradients and
-    increments the step counter. Raises on non-finite gradients."""
+    increments the step counter. Raises on non-finite gradients. The steps
+    of `lr * (m / bc1) / (sqrt(v / bc2) + eps)` run in that order in one
+    scratch buffer and the spent gradient, with no other temporary."""
     for name in store.names():
         if not np.all(np.isfinite(store.grad(name))):
             raise FloatingPointError(f"non-finite gradient in slot {name!r}")
     store.step += 1
     bc1 = 1.0 - cfg.beta1 ** store.step
     bc2 = 1.0 - cfg.beta2 ** store.step
+    scratch = np.empty(max((g.size for g in store._grads.values()), default=0))
     for name in store.names():
         g = store._grads[name]
         m = store._m[name]
         v = store._v[name]
+        buf = scratch[:g.size].reshape(g.shape)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(g, 1.0 - cfg.beta1, out=buf)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        store._params[name] -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        v += np.multiply(np.multiply(g, 1.0 - cfg.beta2, out=buf), g, out=buf)
+        np.multiply(np.divide(m, bc1, out=buf), cfg.learning_rate, out=buf)
+        np.sqrt(np.divide(v, bc2, out=g), out=g)
+        g += cfg.epsilon
+        store._params[name] -= np.divide(buf, g, out=buf)
         g.fill(0.0)
     return store
 

@@ -24,15 +24,16 @@ from .checkpoint import field_kinds, format_value, parse_value, save_checkpoint
 from .corpus import ComplicationTable, CorpusBundle, EhrDocument
 from .discriminator import (DiscriminatorConfig, LabeledPrefix, discriminator_loss,
                             init_discriminator_params, reward, split_prefixes)
-from .encoder import EncodeCache, EncoderConfig, encode_backward, encode_ehr, init_encoder_params
+from .encoder import (EncodeCache, EncoderConfig, encode_batch, encode_batch_backward,
+                      init_encoder_params)
 from .errors import ConfigError, DataError, TrainingError
 from .generator import (GeneratorConfig, MixtureDistribution, StepTrace, batch_backward,
                         decode_path, decode_path_traced, generator_step_loss,
                         init_generator_params, path_loss, run_batch, stack_steps)
-# unused here: benchmarks/tracing.py still swaps trainer.run_steps and
-# trainer.sequence_backward, though the lockstep engine no longer calls them
-# (the FOUND line on tracing.py in CHANGES.md); drop this import together
-# with those two swaps
+# unused here, but benchmarks/tracing.py still swaps these four attributes,
+# which the lockstep engine and the packed encoder no longer call (the FOUND
+# lines on tracing.py in CHANGES.md); drop them together with those swaps
+from .encoder import encode_backward, encode_ehr  # noqa: F401
 from .generator import run_steps, sequence_backward  # noqa: F401
 from .metrics import PredictionRecord, metric_table
 from .numerics import AdamConfig, ParamStore, adam_step, named_rng
@@ -148,10 +149,10 @@ def _check_alignable(docs: Sequence[EhrDocument], max_len: int) -> None:
 @dataclass
 class _BatchForward:
     """A batch's training forward: each document's representation (one row
-    of x) and encoder cache, the aligned teacher-forced lockstep steps, and
-    each document's per-step distributions and targets."""
+    of x) and the batch's encoder cache, the aligned teacher-forced lockstep
+    steps, and each document's per-step distributions and targets."""
     x: np.ndarray
-    enc_caches: list[EncodeCache]
+    enc_cache: EncodeCache
     steps: list[StepTrace]
     dists: list[list[MixtureDistribution]]
     targets: list[list[int | None]]
@@ -172,9 +173,8 @@ def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: Complica
     label, so every content step is supervised, and the surplus step right
     after them is supervised toward STOP."""
     store, gen_cfg = model.gen_store, model.gen_cfg
-    encoded = [encode_ehr(doc.tokens, store, model.enc_cfg, train_mode=True,
-                          dropout_rng=dropout_rng) for doc in batch]
-    x = np.stack([rep for rep, _ in encoded])
+    x, enc_cache = encode_batch([doc.tokens for doc in batch], store, model.enc_cfg,
+                                train_mode=True, dropout_rng=dropout_rng)
     golds = [sorted(doc.gold_codes) for doc in batch]
     inputs = [[gen_cfg.stop_id] + gold[:gen_cfg.max_len - 1] for gold in golds]
     steps = run_batch(store, gen_cfg, table, x, inputs)
@@ -188,7 +188,7 @@ def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: Complica
         greedy = [int(np.argmax(d.probs)) for d in label_dists]
         alignment = align_path(label_dists, greedy, doc.gold_codes)
         targets.append(step_targets(alignment, len(doc_dists), gen_cfg.stop_id))
-    return _BatchForward(x, [cache for _, cache in encoded], steps, dists, targets)
+    return _BatchForward(x, enc_cache, steps, dists, targets)
 
 
 def _decoder_backward(model: Model, fwd: _BatchForward, weight: float,
@@ -204,8 +204,7 @@ def _decoder_backward(model: Model, fwd: _BatchForward, weight: float,
                          for targets in fwd.targets])
     if pg_steps:
         dx += batch_backward(store, gen_cfg, pg_steps, pg_targets)
-    for row, cache in zip(dx, fwd.enc_caches):
-        encode_backward(row, cache, store, model.enc_cfg)
+    encode_batch_backward(dx, fwd.enc_cache, store, model.enc_cfg)
 
 
 def _supervised_batch(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
@@ -273,8 +272,8 @@ def decode_predictions(model: Model, docs: Sequence[EhrDocument],
     per-code confidence is the code's highest mixture probability over the
     decode steps."""
     records = []
-    for doc_id, doc in enumerate(docs):
-        x, _ = encode_ehr(doc.tokens, model.gen_store, model.enc_cfg, train_mode=False)
+    xs, _ = encode_batch([doc.tokens for doc in docs], model.gen_store, model.enc_cfg)
+    for doc_id, (doc, x) in enumerate(zip(docs, xs)):
         path = decode_path(model.gen_store, model.gen_cfg, table, x)
         best = np.max([d.probs[:model.gen_cfg.n_codes] for d in path.distributions], axis=0)
         scores = dict(enumerate(best.tolist()))

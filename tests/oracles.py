@@ -1,16 +1,19 @@
 """Loop-form reference implementations that the tests compare the package's
 vectorized code against."""
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from ehrpath.alignment import AlignmentMatrix, step_targets
+from ehrpath.corpus import PAD_TOKEN
 from ehrpath.discriminator import CLAMP, DiscriminatorConfig, LabeledPrefix
+from ehrpath.encoder import EncoderConfig, embed_tokens
 from ehrpath.generator import MixtureDistribution, generator_step_loss
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
-from ehrpath.numerics import ParamStore
+from ehrpath.numerics import AdamConfig, ParamStore, add_rows
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
@@ -39,6 +42,91 @@ def max_pool(feature_map: np.ndarray) -> tuple[float, int]:
         raise ValueError("max pool over empty feature map")
     idx = int(np.argmax(feature_map))
     return float(feature_map[idx]), idx
+
+
+# The encoder one document at a time, with each kernel's windows copied out
+# of the embedding rows: the reference for ehrpath.encoder's packed batch.
+
+@dataclass
+class DocumentEncodeCache:
+    padded_ids: np.ndarray
+    windows: dict[int, np.ndarray]   # kernel -> (positions, k*d) flattened windows
+    pooled_raw: dict[int, np.ndarray]  # kernel -> pooled values before dropout
+    argmax: dict[int, np.ndarray]      # kernel -> argmax position per filter
+    dropout_mask: np.ndarray | None
+
+
+def document_encode(tokens, store: ParamStore, cfg: EncoderConfig, train_mode: bool = False,
+                    dropout_rng: np.random.Generator | None = None
+                    ) -> tuple[np.ndarray, DocumentEncodeCache]:
+    """Document token ids -> representation (rep_dim,) plus backward cache."""
+    ids = list(tokens)
+    k_max = max(cfg.kernel_sizes)
+    if len(ids) < k_max:
+        ids = ids + [PAD_TOKEN] * (k_max - len(ids))
+    padded = np.asarray(ids, dtype=np.int64)
+    X = embed_tokens(padded, store, cfg)
+    n, d = X.shape
+
+    windows: dict[int, np.ndarray] = {}
+    pooled: dict[int, np.ndarray] = {}
+    argmax: dict[int, np.ndarray] = {}
+    parts = []
+    for k in cfg.kernel_sizes:
+        win = np.lib.stride_tricks.sliding_window_view(X, (k, d))[:, 0].reshape(n - k + 1, k * d)
+        fmap = np.maximum(win @ store[f"enc.conv{k}.W"].T + store[f"enc.conv{k}.b"], 0.0)
+        idx = np.argmax(fmap, axis=0)
+        vals = fmap[idx, np.arange(cfg.n_filters)]
+        windows[k] = win
+        pooled[k] = vals
+        argmax[k] = idx
+        parts.append(vals)
+    x = np.concatenate(parts)
+
+    mask = None
+    if train_mode and cfg.dropout > 0.0:
+        mask = (dropout_rng.random(cfg.rep_dim) >= cfg.dropout) / (1.0 - cfg.dropout)
+        x = x * mask
+    return x, DocumentEncodeCache(padded, windows, pooled, argmax, mask)
+
+
+def document_encode_backward(dx: np.ndarray, cache: DocumentEncodeCache, store: ParamStore,
+                             cfg: EncoderConfig) -> None:
+    """Accumulate encoder gradients for an upstream dx (rep_dim,)."""
+    if cache.dropout_mask is not None:
+        dx = dx * cache.dropout_mask
+    n = cache.padded_ids.shape[0]
+    d = cfg.d_embed
+    dX = np.zeros((n, d))
+    offset = 0
+    for k in cfg.kernel_sizes:
+        ds = dx[offset:offset + cfg.n_filters]
+        offset += cfg.n_filters
+        coef = ds * (cache.pooled_raw[k] > 0.0)
+        win = cache.windows[k]
+        idx = cache.argmax[k]
+        store.grad(f"enc.conv{k}.W")[:] += coef[:, None] * win[idx]
+        store.grad(f"enc.conv{k}.b")[:] += coef
+        dwin = np.zeros_like(win)
+        add_rows(dwin, idx, coef[:, None] * store[f"enc.conv{k}.W"])
+        for off in range(k):
+            dX[off:off + dwin.shape[0]] += dwin[:, off * d:(off + 1) * d]
+    demb = store.grad("enc.embed")
+    add_rows(demb, cache.padded_ids, dX)
+    demb[PAD_TOKEN] = 0.0
+
+
+def adam_update_with_temporaries(params: np.ndarray, grad: np.ndarray, m: np.ndarray,
+                                 v: np.ndarray, step: int, cfg: AdamConfig) -> None:
+    """One Adam update of one slot in place, as one expression with its
+    temporaries: the reference for numerics.adam_step's scratch buffer."""
+    bc1 = 1.0 - cfg.beta1 ** step
+    bc2 = 1.0 - cfg.beta2 ** step
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad * grad
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
 def pla_loss(distributions: Sequence[MixtureDistribution], alignment: AlignmentMatrix) -> float:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from ehrpath import trainer
 from ehrpath.checkpoint import load_checkpoint, save_checkpoint
 from ehrpath.cli import build_parser, main
 from ehrpath.corpus import CORPUS_FILE, CODES_FILE, SPLITS_FILE, TABLE_FILE, TOKENS_FILE
@@ -217,6 +218,19 @@ class TestEvalCommand:
                    "--out", str(out)])
         assert rc == 4
 
+    def test_empty_split_exits_3(self, tmp_path, capsys):
+        corpus, ckpt = self._train(tmp_path)
+        splits = json.loads((corpus / SPLITS_FILE).read_text())
+        splits["validation"] = []
+        (corpus / SPLITS_FILE).write_text(json.dumps(splits))
+        out = tmp_path / "eval"
+        out.mkdir()
+        rc = main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                   "--split", "validation", "--out", str(out)])
+        assert rc == 3
+        assert "the validation split is empty" in capsys.readouterr().err
+        assert not os.listdir(out)
+
     @pytest.mark.parametrize("slot, damage", [
         ("gen.lstm.b", lambda w: np.zeros(1)),
         ("gen.copy.W", None),
@@ -341,6 +355,20 @@ class TestCorpusCrossChecks:
         (corpus / SPLITS_FILE).write_text(json.dumps(splits))
         assert self._train(corpus, tmp_path) == 3
         assert "split 'train' and 'train'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_empty_split_exits_3_before_training(self, tmp_path, capsys, monkeypatch, split):
+        corpus = gen_corpus(tmp_path)
+        splits = json.loads((corpus / SPLITS_FILE).read_text())
+        splits[split] = []
+        (corpus / SPLITS_FILE).write_text(json.dumps(splits))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "_supervised_epoch", no_training)
+        assert self._train(corpus, tmp_path) == 3
+        assert f"the {split} split is empty" in capsys.readouterr().err
 
 
 class TestReportAndBuildTable:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ehrpath.encoder import (EncoderConfig, embed_tokens, encode_backward, encode_ehr,
-                             init_encoder_params)
+from ehrpath import encoder
+from ehrpath.encoder import (EncoderConfig, embed_tokens, encode_backward, encode_batch,
+                             encode_batch_backward, encode_ehr, init_encoder_params)
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
-from oracles import conv_feature_map, max_pool
+from oracles import conv_feature_map, document_encode, document_encode_backward, max_pool
 
 SMALL = EncoderConfig(vocab_size=30, d_embed=6, kernel_sizes=(2, 3), n_filters=4, dropout=0.5)
 
@@ -109,21 +110,20 @@ class TestEncode:
     def test_bank_matches_single_filter_contract(self):
         store = small_store()
         tokens = [3, 9, 1, 7]
-        _, cache = encode_ehr(tokens, store, SMALL)
+        x, cache = encode_ehr(tokens, store, SMALL)  # eval mode: x holds the pooled values
         X = embed_tokens(cache.padded_ids, store, SMALL)
         for j in range(SMALL.n_filters):
             filt = store["enc.conv2.W"][j].reshape(2, SMALL.d_embed)
             fmap = conv_feature_map(X, filt, float(store["enc.conv2.b"][j]), 2)
             val, _ = max_pool(fmap)
-            assert cache.pooled_raw[2][j] == pytest.approx(val)
+            assert x[j] == pytest.approx(val)  # kernel 2: the first block
 
     def test_duplicating_tokens_never_reduces_pooled_values(self):
         store = small_store()
         tokens = [3, 9, 1, 7, 2]
-        _, c1 = encode_ehr(tokens, store, SMALL)
-        _, c2 = encode_ehr(tokens + tokens, store, SMALL)
-        for k in SMALL.kernel_sizes:
-            assert np.all(c2.pooled_raw[k] >= c1.pooled_raw[k] - 1e-15)
+        x1, _ = encode_ehr(tokens, store, SMALL)  # eval mode: the pooled values
+        x2, _ = encode_ehr(tokens + tokens, store, SMALL)
+        assert np.all(x2 >= x1 - 1e-15)  # every kernel's block
 
     def test_dropout_mask_reproducible_and_unbiased(self):
         store = small_store()
@@ -199,3 +199,93 @@ class TestEncoderGradients:
         _, cache = encode_ehr([4], store, SMALL)  # padded with two pad rows
         encode_backward(np.ones(SMALL.rep_dim), cache, store, SMALL)
         assert np.all(store.grad("enc.embed")[0] == 0.0)
+
+
+class TestBatchMatchesDocumentOracle:
+    """The packed batch against the per-document encoder, to 1e-10 on the
+    representations, on a loss over them and on every encoder gradient."""
+
+    CFG = EncoderConfig(vocab_size=40, d_embed=6, kernel_sizes=(2, 3, 5), n_filters=5,
+                        dropout=0.4)
+
+    def check(self, lengths, train_mode=False, seed=0):
+        cfg = self.CFG
+        store = small_store(seed, cfg)
+        rng = np.random.default_rng(seed)
+        # unit-scale embeddings, so that most filters' ReLUs are open
+        store["enc.embed"][1:] = rng.normal(size=(cfg.vocab_size - 1, cfg.d_embed))
+        docs = [rng.integers(1, cfg.vocab_size, size=n).tolist() for n in lengths]
+        upstream = rng.normal(size=(len(docs), cfg.rep_dim))
+
+        X, cache = encode_batch(docs, store, cfg, train_mode, np.random.default_rng(9))
+        store.zero_grads()
+        encode_batch_backward(upstream, cache, store, cfg)
+        batch_grads = {n: store.grad(n).copy() for n in store.names()}
+
+        doc_rng = np.random.default_rng(9)  # one draw per document, in order
+        encoded = [document_encode(d, store, cfg, train_mode, doc_rng) for d in docs]
+        store.zero_grads()
+        for dx, (_, doc_cache) in zip(upstream, encoded):
+            document_encode_backward(dx, doc_cache, store, cfg)
+        oracle_X = np.stack([x for x, _ in encoded])
+
+        np.testing.assert_allclose(X, oracle_X, rtol=0, atol=1e-10)
+        assert float(np.sum(upstream * X)) == pytest.approx(float(np.sum(upstream * oracle_X)),
+                                                            rel=0, abs=1e-10)
+        for name in store.names():
+            np.testing.assert_allclose(batch_grads[name], store.grad(name), rtol=0, atol=1e-10,
+                                       err_msg=name)
+        return cache
+
+    def test_documents_shorter_than_largest_kernel(self):
+        self.check([1, 4, 2, 9, 3])
+
+    def test_document_of_exactly_largest_kernel(self):
+        self.check([5, 5, 7])
+
+    def test_batch_crossing_chunk_boundary(self, monkeypatch):
+        monkeypatch.setattr(encoder, "ROW_BUDGET", 16)
+        cache = self.check([6, 7, 5, 9, 8, 6, 12])
+        assert len(cache.chunks) > 1
+
+    def test_document_longer_than_row_budget(self, monkeypatch):
+        monkeypatch.setattr(encoder, "ROW_BUDGET", 16)
+        cache = self.check([6, 40, 7])
+        assert (1, 2) in cache.chunks  # the long one is alone
+
+    def test_dropout_masks_equal_per_document_draws(self, monkeypatch):
+        monkeypatch.setattr(encoder, "ROW_BUDGET", 16)
+        docs = [[1, 2, 3, 4, 5, 6], [7, 8, 9], list(range(10, 21)), [5, 4, 3, 2, 1, 9, 8, 7]]
+        store = small_store(3, self.CFG)
+        X_train, _ = encode_batch(docs, store, self.CFG, True, np.random.default_rng(9))
+        X_eval, _ = encode_batch(docs, store, self.CFG)
+        draws = np.random.default_rng(9)
+        per_doc = [(draws.random(self.CFG.rep_dim) >= 0.4) / 0.6 for _ in docs]
+        np.testing.assert_array_equal(X_train, X_eval * np.stack(per_doc))
+        self.check([6, 3, 11, 8], train_mode=True)
+
+    def test_empty_batch(self):
+        X, cache = encode_batch([], small_store(), SMALL)
+        assert X.shape == (0, SMALL.rep_dim) and cache.chunks == []
+
+    def test_finite_difference_three_documents_with_dropout(self):
+        cfg = EncoderConfig(vocab_size=25, d_embed=5, kernel_sizes=(2, 3), n_filters=3,
+                            dropout=0.3)
+        store = small_store(6, cfg)
+        # unit-scale embeddings, so that most filters' ReLUs are open
+        store["enc.embed"][1:] = named_rng(6, "embed").normal(size=(24, 5))
+        # no document is padded: the pad row's gradient is pinned at zero
+        docs = [[3, 7, 11, 2, 9], [14, 1, 17], [5, 8, 20, 8, 4, 13, 6]]
+        weights = named_rng(7, "probe").normal(size=(len(docs), cfg.rep_dim))
+
+        def f(s):
+            X, _ = encode_batch(docs, s, cfg, True, np.random.default_rng(11))
+            return float(np.sum(weights * X))
+
+        store.zero_grads()
+        _, cache = encode_batch(docs, store, cfg, True, np.random.default_rng(11))
+        encode_batch_backward(weights, cache, store, cfg)
+        analytic = {n: store.grad(n).copy() for n in store.names()}
+        err = finite_diff_check(f, store, analytic, eps=1e-6, num_samples=200,
+                                rng=np.random.default_rng(2))
+        assert err < 1e-4

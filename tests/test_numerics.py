@@ -5,7 +5,7 @@ import pytest
 
 from ehrpath.numerics import (AdamConfig, ParamStore, adam_step, add_rows, finite_diff_check,
                               named_rng)
-from oracles import softmax_stable
+from oracles import adam_update_with_temporaries, softmax_stable
 
 
 class TestSoftmax:
@@ -89,6 +89,28 @@ class TestAdam:
         store.grad("p")[:] = 1.0
         adam_step(store, AdamConfig())
         assert np.all(store.grad("p") == 0.0)
+
+    def test_bit_identical_to_the_expression_with_temporaries(self):
+        rng = np.random.default_rng(3)
+        store = ParamStore()
+        shapes = [(7, 5), (4,), (3, 9), (1,), (12, 2)]  # slots smaller than the scratch too
+        for i, shape in enumerate(shapes):
+            store.add(f"s{i}", rng.normal(size=shape))
+        ref = {n: [store[n].copy(), np.zeros(store[n].shape), np.zeros(store[n].shape)]
+               for n in store.names()}
+        cfg = AdamConfig(learning_rate=3e-3)
+        for step in range(1, 6):
+            for name in store.names():
+                g = rng.normal(size=store[name].shape) * 10.0 ** rng.uniform(-9, 3)
+                store.grad(name)[:] = g
+                p, m, v = ref[name]
+                adam_update_with_temporaries(p, g, m, v, step, cfg)
+            adam_step(store, cfg)
+            for name in store.names():
+                p, m, v = ref[name]
+                np.testing.assert_array_equal(store[name], p)
+                np.testing.assert_array_equal(store._m[name], m)
+                np.testing.assert_array_equal(store._v[name], v)
 
     def test_nan_gradient_names_slot(self):
         store = ParamStore()
