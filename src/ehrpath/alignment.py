@@ -37,11 +37,9 @@ def fix_correct_predictions(greedy_path: Sequence[int], gold: Iterable[int]) -> 
     each label claimed at most once, earliest step winning."""
     gold_set = set(gold)
     pins: dict[int, int] = {}
-    claimed: set[int] = set()
     for t, code in enumerate(greedy_path):
-        if code in gold_set and code not in claimed:
+        if code in gold_set and code not in pins.values():
             pins[t] = code
-            claimed.add(code)
     return pins
 
 

@@ -216,7 +216,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(prog="ehrpath",
                                      description="Path-decoding multi-label code predictor")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("gen-data", help="synthesize a corpus directory")
     p.add_argument("--config")
@@ -276,9 +275,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 
-    for name, action in sub.choices.items():
-        registry[name] = action
-    return parser, registry
+    return parser, dict(sub.choices)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -231,17 +231,10 @@ def filter_top_k(documents: Sequence[EhrDocument], k: int) -> list[EhrDocument]:
     frequency, ties to the lower id); drop documents left without labels."""
     if k < 1:
         raise ConfigError(f"top-k must be >= 1, got {k}")
-    freq = Counter()
-    for doc in documents:
-        freq.update(doc.gold_codes)
-    ranked = sorted(freq, key=lambda c: (-freq[c], c))
-    keep = set(ranked[:k])
-    out = []
-    for doc in documents:
-        restricted = doc.gold_codes & keep
-        if restricted:
-            out.append(EhrDocument(doc.tokens, frozenset(restricted)))
-    return out
+    freq = Counter(c for doc in documents for c in doc.gold_codes)
+    keep = set(sorted(freq, key=lambda c: (-freq[c], c))[:k])
+    return [EhrDocument(doc.tokens, doc.gold_codes & keep) for doc in documents
+            if doc.gold_codes & keep]
 
 
 def split_indices(n: int, seed: int, ratio: tuple[int, int, int] = (4, 1, 1)) -> dict[str, list[int]]:

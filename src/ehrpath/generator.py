@@ -11,11 +11,11 @@ greedy with repetition masking and terminates at STOP.
 
 Teacher-forced steps run a batch of documents in lockstep: step t feeds
 the documents that still have an input at t through one GEMM per weight
-matrix, and the copy candidates of all of them through one more. One
-document is a batch of one: `generator_step` (greedy decoding's step),
-`run_steps` and `sequence_backward` are the lockstep functions on it.
-As in `lstm`, the forward products use `ndarray.dot` for its lower fixed
-cost per call on one row.
+matrix, and the copy candidates of all of them through one more; one
+document is a batch of one (`generator_step`, `run_steps`,
+`sequence_backward`). Greedy decoding steps each document alone after its
+first step, which needs only the document vector (STOP in, zero state):
+callers batch it with `run_batch` and pass each path its row (`step_row`).
 
 All gradients are hand-derived; `batch_backward` runs the full backward
 pass through the mixture head, LSTM, fusion, and projections, returning
@@ -257,6 +257,22 @@ def _concat(records: Sequence):
     return type(records[0])(**parts)
 
 
+def step_row(step: StepTrace, b: int) -> StepTrace:
+    """Row b of a lockstep step as a one-row step, the inverse of _concat:
+    every per-row field is sliced to row b, and the mixture cache's
+    candidate rows to those that row b owns."""
+    r, lstm, mix = slice(b, b + 1), step.lstm, step.mix
+    own = _candidates([d.copy_ids for d in step.dists])[1] == b if len(mix.tanh_rows) else r
+    return StepTrace(
+        step.rows[r], step.prev_codes[r], step.emb_prev[r], step.code_vec[r], step.u[r],
+        step.fused[r],
+        LstmCache(lstm.z[r], lstm.f[r], lstm.i[r], lstm.g_pre[r], lstm.g[r], lstm.o[r],
+                  lstm.c_prev[r], lstm.c[r], lstm.tau[r], lstm.activation),
+        step.h[r], step.c[r], step.dists[r],
+        MixtureCache(mix.exp_gen[r], mix.exp_copy[r], mix.z[r], mix.emb_rows[own],
+                     mix.proj_rows[own], mix.tanh_rows[own]))
+
+
 def stack_steps(doc_steps: Sequence[Sequence[StepTrace]]) -> list[StepTrace]:
     """Lockstep steps from the one-document steps of several documents,
     such as greedy decodes: step t stacks the t-th step of every document
@@ -283,18 +299,22 @@ class DecodedPath:
 
 
 def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
-                       x: np.ndarray) -> tuple[DecodedPath, list[StepTrace]]:
+                       x: np.ndarray, first: StepTrace | None = None,
+                       ) -> tuple[DecodedPath, list[StepTrace]]:
     """Greedy decode with repetition masking: already-emitted codes and UNK
     are renormalized to zero before the argmax (ties break to the lowest
-    id); stops at STOP or cfg.max_len. Stored distributions are unmasked."""
+    id); stops at STOP or cfg.max_len. Stored distributions are unmasked.
+    The first step depends on x alone (STOP in, zero state): `first`, one
+    document's row of it taken for a batch (step_row), stands in for it."""
     h = np.zeros(cfg.rep_dim)
     c = np.zeros(cfg.rep_dim)
     prev = cfg.stop_id
     codes: list[int] = []
     traces: list[StepTrace] = []
     banned = {cfg.unk_id}
-    for _ in range(cfg.max_len):
-        trace = generator_step(store, cfg, table, x, prev, h, c)
+    for t in range(cfg.max_len):
+        trace = (first if t == 0 and first is not None
+                 else generator_step(store, cfg, table, x, prev, h, c))
         masked = trace.dist.probs.copy()
         masked[list(banned)] = 0.0
         masked /= masked.sum()
@@ -311,8 +331,8 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
 
 
 def decode_path(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
-                x: np.ndarray) -> DecodedPath:
-    path, _ = decode_path_traced(store, cfg, table, x)
+                x: np.ndarray, first: StepTrace | None = None) -> DecodedPath:
+    path, _ = decode_path_traced(store, cfg, table, x, first)
     return path
 
 

@@ -103,16 +103,11 @@ def _binary_auc(scores: np.ndarray, relevant: np.ndarray) -> float | None:
     n_neg = relevant.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
+    # a run of tied scores at sorted positions lo..hi-1 shares the average
+    # 1-based rank (lo + 1 + hi) / 2
+    ordered = np.sort(scores)
+    ranks = (np.searchsorted(ordered, scores, "left") + np.searchsorted(ordered, scores, "right")
+             + 1) / 2.0
     rank_sum = float(ranks[relevant].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

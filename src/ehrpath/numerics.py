@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+from scipy.sparse import csr_array
 
 # Uniform init half-width for every trainable weight; small enough to keep
 # sigmoids/tanh well inside their linear region at the default layer sizes.
@@ -136,13 +137,16 @@ class ParamStore:
 
 
 def add_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """target[ids[j]] += rows[j] for every j, rows sharing an id summed first
-    (in their order) with one stable sort and one np.add.reduceat, where
-    np.add.at would loop over the rows one element at a time."""
+    """target[ids[j]] += rows[j] for every j, rows sharing an id summed first,
+    one after another in their order: a stable sort groups them, and one
+    sparse product with a 0/1 matrix, one row per distinct id, sums each
+    group, where np.add.at would loop over the rows one element at a time."""
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    target[ids[starts]] += np.add.reduceat(rows[order], starts)
+    groups = csr_array((np.ones(ids.size), order, np.append(starts, ids.size)),
+                        shape=(starts.size, rows.shape[0]))
+    target[ids[starts]] += groups @ rows
 
 
 @dataclass(frozen=True)
@@ -161,32 +165,37 @@ class AdamConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
+# elements per Adam tile: its parameter, gradient, moments and scratch (640 KB) stay in L2
+ADAM_TILE = 16384
+
+
 def adam_step(store: ParamStore, cfg: AdamConfig) -> ParamStore:
     """One bias-corrected Adam update over every slot; zeroes gradients and
     increments the step counter. Raises on non-finite gradients. The steps
     of `lr * (m / bc1) / (sqrt(v / bc2) + eps)` run in that order in one
-    scratch buffer and the spent gradient, with no other temporary."""
+    scratch buffer and the spent gradient, with no other temporary, over
+    flat tiles of ADAM_TILE elements of each slot."""
     for name in store.names():
         if not np.all(np.isfinite(store.grad(name))):
             raise FloatingPointError(f"non-finite gradient in slot {name!r}")
     store.step += 1
     bc1 = 1.0 - cfg.beta1 ** store.step
     bc2 = 1.0 - cfg.beta2 ** store.step
-    scratch = np.empty(max((g.size for g in store._grads.values()), default=0))
+    scratch = np.empty(ADAM_TILE)
     for name in store.names():
-        g = store._grads[name]
-        m = store._m[name]
-        v = store._v[name]
-        buf = scratch[:g.size].reshape(g.shape)
-        m *= cfg.beta1
-        m += np.multiply(g, 1.0 - cfg.beta1, out=buf)
-        v *= cfg.beta2
-        v += np.multiply(np.multiply(g, 1.0 - cfg.beta2, out=buf), g, out=buf)
-        np.multiply(np.divide(m, bc1, out=buf), cfg.learning_rate, out=buf)
-        np.sqrt(np.divide(v, bc2, out=g), out=g)
-        g += cfg.epsilon
-        store._params[name] -= np.divide(buf, g, out=buf)
-        g.fill(0.0)
+        flat = [s[name].reshape(-1) for s in (store._params, store._grads, store._m, store._v)]
+        for lo in range(0, flat[0].size, ADAM_TILE):
+            p, g, m, v = [a[lo:lo + ADAM_TILE] for a in flat]
+            buf = scratch[:g.size]
+            m *= cfg.beta1
+            m += np.multiply(g, 1.0 - cfg.beta1, out=buf)
+            v *= cfg.beta2
+            v += np.multiply(np.multiply(g, 1.0 - cfg.beta2, out=buf), g, out=buf)
+            np.multiply(np.divide(m, bc1, out=buf), cfg.learning_rate, out=buf)
+            np.sqrt(np.divide(v, bc2, out=g), out=g)
+            g += cfg.epsilon
+            p -= np.divide(buf, g, out=buf)
+            g.fill(0.0)
     return store
 
 

@@ -29,7 +29,7 @@ from .encoder import (EncodeCache, EncoderConfig, encode_batch, encode_batch_bac
 from .errors import ConfigError, DataError, TrainingError
 from .generator import (GeneratorConfig, MixtureDistribution, StepTrace, batch_backward,
                         decode_path, decode_path_traced, generator_step_loss,
-                        init_generator_params, path_loss, run_batch, stack_steps)
+                        init_generator_params, path_loss, run_batch, stack_steps, step_row)
 # unused here, but benchmarks/tracing.py still swaps these four attributes,
 # which the lockstep engine and the packed encoder no longer call (the FOUND
 # lines on tracing.py in CHANGES.md); drop them together with those swaps
@@ -69,8 +69,17 @@ class TrainConfig:
         return ",".join(tags) if tags else "none"
 
     def validate(self) -> None:
-        if self.epochs < 0 or self.pretrain_epochs < 0 or self.batch_size < 1 or self.max_len < 1:
-            raise ConfigError("epochs/pretrain_epochs must be >= 0, batch_size/max_len >= 1")
+        """Each failed rule names its `train` flag; nan fails every rule."""
+        for names, rule, ok in (
+                (("epochs", "pretrain_epochs"), ">= 0", lambda v: v >= 0),
+                (("batch_size", "max_len", "d_embed", "d_code", "n_filters"), ">= 1",
+                 lambda v: v >= 1),
+                (("clip_norm",), "finite and > 0", lambda v: 0 < v < np.inf),
+                (("supervised_weight",), "finite and >= 0", lambda v: 0 <= v < np.inf)):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ConfigError(f"--{name.replace('_', '-')} must be {rule}, "
+                                      f"got {getattr(self, name)}")
         self.adam  # raises on bad optimizer settings
 
 
@@ -226,9 +235,12 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         return {"gen": _supervised_batch(model, batch, table, cfg, dropout_rng),
                 "pg": 0.0, "disc": 0.0}
 
-    # forward pass: representations, aligned lockstep pass, greedy decode per document
+    # forward pass: representations, aligned lockstep pass, greedy decode per
+    # document, whose first step is its row of the aligned pass's first step
     fwd = _aligned_forward(model, batch, table, dropout_rng)
-    decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x) for x in fwd.x]
+    decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x,
+                                  first=step_row(fwd.steps[0], b))
+               for b, x in enumerate(fwd.x)]
     paths = [path for path, _ in decodes]
 
     # scorer update: ground-truth prefixes positive, generated negative
@@ -266,19 +278,28 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
             "disc": disc_loss}
 
 
+# documents that decode_predictions encodes and first-steps at once: a first
+# step holds about 48 KB per document at published sizes, 480 MB for 10k
+DECODE_SLICE = 256
+
+
 def decode_predictions(model: Model, docs: Sequence[EhrDocument],
                        table: ComplicationTable | None) -> list[PredictionRecord]:
     """Eval-mode decode of every document into a prediction record. The
     per-code confidence is the code's highest mixture probability over the
-    decode steps."""
+    decode steps. Each slice of documents is encoded and takes its first
+    greedy step as one batch; the rest of each path is decoded per document."""
+    store, gen_cfg = model.gen_store, model.gen_cfg
     records = []
-    xs, _ = encode_batch([doc.tokens for doc in docs], model.gen_store, model.enc_cfg)
-    for doc_id, (doc, x) in enumerate(zip(docs, xs)):
-        path = decode_path(model.gen_store, model.gen_cfg, table, x)
-        best = np.max([d.probs[:model.gen_cfg.n_codes] for d in path.distributions], axis=0)
-        scores = dict(enumerate(best.tolist()))
-        records.append(PredictionRecord(doc_id, frozenset(path.valid_codes),
-                                        doc.gold_codes, scores))
+    for start in range(0, len(docs), DECODE_SLICE):
+        part = docs[start:start + DECODE_SLICE]
+        xs, _ = encode_batch([doc.tokens for doc in part], store, model.enc_cfg)
+        (first,) = run_batch(store, gen_cfg, table, xs, [[gen_cfg.stop_id]] * len(part))
+        for b, (doc, x) in enumerate(zip(part, xs)):
+            path = decode_path(store, gen_cfg, table, x, first=step_row(first, b))
+            best = np.max([d.probs[:gen_cfg.n_codes] for d in path.distributions], axis=0)
+            records.append(PredictionRecord(start + b, frozenset(path.valid_codes),
+                                            doc.gold_codes, dict(enumerate(best.tolist()))))
     return records
 
 

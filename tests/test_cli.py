@@ -147,6 +147,34 @@ class TestTrainCommand:
                    "--config", str(conf)])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--clip-norm", "nan"), ("--clip-norm", "-1"), ("--clip-norm", "0"), ("--clip-norm", "inf"),
+        ("--supervised-weight", "nan"), ("--supervised-weight", "-1"),
+        ("--supervised-weight", "inf"), ("--d-embed", "0"), ("--d-code", "0"),
+        ("--n-filters", "0")])
+    def test_out_of_range_value_exits_2_naming_flag_before_training(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        corpus = gen_corpus(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "build_model", no_training)
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out)] + TRAIN_FLAGS
+                  + [flag, value])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+
+    def test_zero_supervised_weight_is_accepted(self, tmp_path):
+        corpus = gen_corpus(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out)] + TRAIN_FLAGS
+                  + ["--supervised-weight", "0"])
+        assert rc == 0
+
 
 class TestEvalCommand:
     def _train(self, tmp_path):

@@ -1,14 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from ehrpath.corpus import ComplicationTable
-from ehrpath.generator import (GeneratorConfig, _fuse_forward, _mixture_forward,
+from ehrpath.generator import (GeneratorConfig, _concat, _fuse_forward, _mixture_forward,
                                _mixture_from_scores, decode_path, decode_path_traced,
-                               generator_step_loss, init_generator_params, path_loss, run_steps,
-                               sequence_backward, stack_steps)
+                               generator_step_loss, init_generator_params, path_loss, run_batch,
+                               run_steps, sequence_backward, stack_steps, step_row)
 from ehrpath.lstm import init_lstm_params, lstm_step, lstm_step_backward
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
 from oracles import (GATES, four_gate_lstm_step, four_gate_lstm_step_backward,
@@ -21,6 +21,16 @@ TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
 def make_store(seed=0, cfg=CFG):
     store = ParamStore()
     init_generator_params(store, cfg, named_rng(seed, "init"))
+    return store
+
+
+def unit_store(seed):
+    """Weights of unit scale: cell states far from zero, so that tanh(c)
+    differs from c, and greedy paths that the document vector decides."""
+    store = make_store()
+    rng = named_rng(seed, "unit")
+    for name in store.names():
+        store[name][...] = rng.normal(size=store[name].shape) * 0.5
     return store
 
 
@@ -287,6 +297,29 @@ class TestDecode:
             assert len(path.codes) <= 8
             assert len(path.distributions) == len(path.codes)
 
+    def test_batched_first_step_gives_the_same_paths(self):
+        # the first step of a batch (STOP in, zero state) handed to each
+        # document's decode, against decoding each document from scratch
+        cfg = replace(CFG, max_len=4)
+        store = unit_store(2)
+        xs = named_rng(13, "x").normal(size=(24, cfg.rep_dim))
+        (first,) = run_batch(store, cfg, TABLE, xs, [[cfg.stop_id]] * len(xs))
+        lengths = set()
+        for b, x in enumerate(xs):
+            mine, my_traces = decode_path_traced(store, cfg, TABLE, x, first=step_row(first, b))
+            theirs, their_traces = decode_path_traced(store, cfg, TABLE, x)
+            assert mine.codes == theirs.codes and mine.valid_len == theirs.valid_len
+            assert decode_path(store, cfg, TABLE, x, first=step_row(first, b)).codes == mine.codes
+            for d, e in zip(mine.distributions, theirs.distributions):
+                assert d.copy_ids == e.copy_ids
+                np.testing.assert_allclose(d.probs, e.probs, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(d.copy_mass, e.copy_mass, rtol=0, atol=1e-12)
+            for t, u in zip(my_traces, their_traces):
+                np.testing.assert_allclose(t.h, u.h, rtol=0, atol=1e-12)
+            lengths.add(len(mine.codes))
+        # paths that stop at step 1, that reach max_len, and between
+        assert lengths == {1, 2, 3, cfg.max_len}
+
     def test_distributions_are_unmasked(self):
         store = make_store(seed=3)
         x = named_rng(6, "x").normal(size=CFG.rep_dim)
@@ -294,6 +327,47 @@ class TestDecode:
         for dist in path.distributions:
             assert abs(dist.probs.sum() - 1.0) < 1e-9
             assert np.all(dist.probs > 0.0)
+
+
+def assert_same_record(mine, theirs):
+    """Field by field equality of two records of lockstep rows."""
+    assert type(mine) is type(theirs)
+    for f in fields(mine):
+        a, b = getattr(mine, f.name), getattr(theirs, f.name)
+        if is_dataclass(a):
+            assert_same_record(a, b)
+        elif isinstance(a, np.ndarray):
+            assert a.shape == b.shape, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+class TestStepRow:
+    def test_concat_of_every_row_gives_back_the_step(self):
+        store = unit_store(4)
+        xs = named_rng(5, "x").normal(size=(4, CFG.rep_dim))
+        # rows with several, one and no copy candidates at steps 1 and 2
+        steps = run_batch(store, CFG, TABLE, xs,
+                          [[CFG.stop_id, 1, 0], [CFG.stop_id, 2], [CFG.stop_id, 5, 3],
+                           [CFG.stop_id, 0]])
+        assert [len(s.rows) for s in steps] == [4, 4, 2]
+        assert steps[1].mix.tanh_rows.shape[0] == 4 and steps[2].mix.tanh_rows.shape[0] == 2
+        for step in steps:
+            rows = [step_row(step, b) for b in range(len(step.rows))]
+            assert all(len(r.rows) == 1 and len(r.dists) == 1 for r in rows)
+            assert_same_record(_concat(rows), step)
+
+    def test_candidate_rows_follow_their_owner(self):
+        store = unit_store(4)
+        xs = named_rng(5, "x").normal(size=(3, CFG.rep_dim))
+        step = run_batch(store, CFG, TABLE, xs, [[1], [5], [0]])[0]
+        # code 1 has partners 0 and 4, code 5 none, code 0 partner 1
+        for b, count in enumerate((2, 0, 1)):
+            row = step_row(step, b)
+            assert row.dist.copy_ids == step.dists[b].copy_ids
+            for name in ("emb_rows", "proj_rows", "tanh_rows"):
+                assert getattr(row.mix, name).shape[0] == count
 
 
 class TestStackSteps:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ehrpath.numerics import (AdamConfig, ParamStore, adam_step, add_rows, finite_diff_check,
-                              named_rng)
+from ehrpath.numerics import (ADAM_TILE, AdamConfig, ParamStore, adam_step, add_rows,
+                              finite_diff_check, named_rng)
 from oracles import adam_update_with_temporaries, softmax_stable
 
 
@@ -93,7 +93,9 @@ class TestAdam:
     def test_bit_identical_to_the_expression_with_temporaries(self):
         rng = np.random.default_rng(3)
         store = ParamStore()
-        shapes = [(7, 5), (4,), (3, 9), (1,), (12, 2)]  # slots smaller than the scratch too
+        # small slots, and one of two whole tiles plus a partial one, so the
+        # tile seams fall inside a row
+        shapes = [(7, 5), (4,), (5, (2 * ADAM_TILE + 3) // 5 + 1), (3, 9), (1,), (12, 2)]
         for i, shape in enumerate(shapes):
             store.add(f"s{i}", rng.normal(size=shape))
         ref = {n: [store[n].copy(), np.zeros(store[n].shape), np.zeros(store[n].shape)]
@@ -268,6 +270,24 @@ class TestAddRows:
         add_rows(got, ids, rows)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(got[[1, 2, 4, 6]], start[[1, 2, 4, 6]])  # untouched
+
+    def test_sums_each_ids_rows_one_after_another(self):
+        # bit for bit the sequential sum of each id's rows in their order,
+        # then one add into the target; magnitudes far apart make any other
+        # order round differently
+        rng = np.random.default_rng(5)
+        ids = rng.integers(0, 4, size=60)
+        rows = rng.normal(size=(60, 3)) * 10.0 ** rng.uniform(-3, 3, size=(60, 1))
+        start = rng.normal(size=(6, 3))
+        expected = start.copy()
+        for i in np.unique(ids):
+            total = rows[np.flatnonzero(ids == i)[0]].copy()
+            for j in np.flatnonzero(ids == i)[1:]:
+                total += rows[j]
+            expected[i] += total
+        got = start.copy()
+        add_rows(got, ids, rows)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestNamedRng:

@@ -7,7 +7,7 @@ from conftest import tiny_bundle
 from ehrpath.discriminator import LabeledPrefix, reward
 from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
-from ehrpath import generator
+from ehrpath import generator, trainer
 from ehrpath.generator import decode_path, decode_path_traced, stack_steps
 from ehrpath.numerics import named_rng
 from ehrpath.trainer import (TrainConfig, _aligned_forward, _decoder_backward, adversarial_round,
@@ -258,6 +258,26 @@ class TestBatchEquivalence:
 
         self._compare(bundle, backward)
         assert len(lengths - {0}) > 1
+
+
+class TestDecodePredictions:
+    def test_slices_give_the_records_of_single_documents(self, bundle):
+        # 300 documents span a slice boundary of the batched first step
+        assert trainer.DECODE_SLICE < 300 < 2 * trainer.DECODE_SLICE
+        model = build_model(bundle, TrainConfig(seed=17, **TINY))
+        rng = named_rng(17, "unit")
+        for name, p in model.gen_store.parameters():  # paths that depend on the document
+            p[...] = rng.normal(size=p.shape) * 0.5
+        docs = (bundle.documents * 5)[:300]
+        records = decode_predictions(model, docs, bundle.table)
+        singles = [decode_predictions(model, [doc], bundle.table)[0] for doc in docs]
+        assert [r.doc_id for r in records] == list(range(300))
+        assert len({r.predicted for r in records}) > 3
+        for mine, theirs in zip(records, singles):
+            assert (mine.predicted, mine.gold) == (theirs.predicted, theirs.gold)
+            assert mine.scores.keys() == theirs.scores.keys()
+            np.testing.assert_allclose(list(mine.scores.values()), list(theirs.scores.values()),
+                                       rtol=0, atol=1e-12)
 
 
 class TestCheckpointRoundtrip:
