@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .generator import PROB_FLOOR, MixtureDistribution
+from .generator import PROB_FLOOR
 
 
 @dataclass
@@ -79,15 +79,13 @@ def hungarian_assign(cost: np.ndarray, pinned: Mapping[int, int],
     return AlignmentMatrix(matrix, labels)
 
 
-def align_path(distributions: Sequence[MixtureDistribution], greedy_path: Sequence[int],
+def align_path(probs: np.ndarray, greedy_path: Sequence[int],
                gold: Iterable[int]) -> AlignmentMatrix:
-    """Build the full alignment for one document: pin correct greedy
-    predictions, then assign the remaining labels by -log probability."""
+    """Build the full alignment for one document from its per-step
+    probabilities (steps, n_total): pin correct greedy predictions, then
+    assign the remaining labels by -log probability."""
     labels = tuple(sorted(set(gold)))
-    cost = np.empty((len(distributions), len(labels)))
-    for t, dist in enumerate(distributions):
-        for j, code in enumerate(labels):
-            cost[t, j] = -np.log(max(float(dist.probs[code]), PROB_FLOOR))
+    cost = -np.log(np.maximum(probs[:, list(labels)], PROB_FLOOR))
     pins = fix_correct_predictions(greedy_path, labels)
     pinned_cols = {t: labels.index(code) for t, code in pins.items()}
     return hungarian_assign(cost, pinned_cols, labels)

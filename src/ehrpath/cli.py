@@ -23,17 +23,14 @@ from .corpus import (CorpusBundle, CorpusConfig, atomic_write, build_complicatio
 from .errors import CompatibilityError, ConfigError, DataError
 from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import format_metric_table, metric_table, read_predictions, write_predictions
-from .trainer import (TrainConfig, decode_predictions, model_from_checkpoint,
-                      save_model, train)
+from .trainer import (TRAIN_FLAG_NAMES, TrainConfig, decode_predictions,
+                      model_from_checkpoint, save_model, train)
 
 CHECKPOINT_NAME = "model.ckpt"
 REPORT_NAME = "report.json"
 PREDICTIONS_NAME = "predictions.jsonl"
 METRICS_NAME = "metrics.txt"
 
-# `train` flags not named after their TrainConfig field; None keeps a field
-# off the command line
-TRAIN_FLAG_NAMES = {"learning_rate": "lr", "kernel_sizes": None}
 TRAIN_FLAG_CHOICES = {"candidate_activation": CANDIDATE_ACTIVATIONS}
 
 
@@ -181,7 +178,7 @@ def cmd_eval(args) -> int:
     _require_dir(args.out, "output")
     bundle = load_corpus_dir(args.corpus)
     if args.from_predictions:
-        records = read_predictions(args.from_predictions)
+        records = read_predictions(args.from_predictions, bundle)
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --from-predictions")
@@ -189,7 +186,9 @@ def cmd_eval(args) -> int:
         model = model_from_checkpoint(stored, slots)
         _compat_check(stored, args.corpus)
         docs = bundle.split_docs(args.split)
-        records = decode_predictions(model, docs, bundle.table)
+        # records are numbered by corpus line, as prediction files are read
+        records = [dataclasses.replace(rec, doc_id=i) for rec, i in
+                   zip(decode_predictions(model, docs, bundle.table), bundle.splits[args.split])]
         write_predictions(os.path.join(args.out, PREDICTIONS_NAME), records)
     values = metric_table(records, bundle.table, range(bundle.codes.num_real))
     text = format_metric_table(values)
@@ -202,7 +201,7 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     _require_dir(args.corpus, "corpus")
     bundle = load_corpus_dir(args.corpus)
-    records = read_predictions(args.predictions)
+    records = read_predictions(args.predictions, bundle)
     text = format_metric_table(metric_table(records, bundle.table,
                                             range(bundle.codes.num_real)))
     if args.out:

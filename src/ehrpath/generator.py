@@ -104,40 +104,37 @@ def _candidates(copy_ids: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.nda
     return np.array(ids, dtype=np.int64), np.array(owner, dtype=np.int64)
 
 
-def _mixture_from_scores(gen_scores: np.ndarray, copy_scores: np.ndarray,
-                         copy_ids: Sequence[tuple[int, ...]],
-                         ) -> tuple[list[MixtureDistribution], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _mixture_from_scores(gen_scores: np.ndarray, copy_scores: np.ndarray, ids: np.ndarray,
+                         owner: np.ndarray) -> tuple[np.ndarray, ...]:
     """Combine the two score families of each row under one shared-shift
-    normalizer: gen_scores (R, n_total), copy_scores (M,) for the rows' copy
-    candidates copy_ids (distinct within a row), concatenated. Also returns
-    the shifted exps, the copy ones placed at their ids, and their per-row
-    sums, which the backward reuses."""
+    normalizer: gen_scores (R, n_total), copy_scores (M,) for the copy
+    candidates ids of rows owner (distinct within a row; see _candidates).
+    Returns the probabilities (R, n_total), and the shifted exps, the copy
+    ones placed at their ids, and their per-row sums, which the backward
+    reuses."""
     shift = gen_scores.max(axis=1, keepdims=True)
     exp_copy = np.zeros(gen_scores.shape)
     if copy_scores.size:
-        ids, owner = _candidates(copy_ids)
         np.maximum.at(shift[:, 0], owner, copy_scores)
         exp_copy[owner, ids] = np.exp(copy_scores - shift[owner, 0])
     exp_gen = np.exp(gen_scores - shift)
     z = exp_gen.sum(axis=1, keepdims=True) + exp_copy.sum(axis=1, keepdims=True)
-    copy_mass = exp_copy / z
-    probs = exp_gen / z + copy_mass
-    dists = [MixtureDistribution(*row) for row in zip(probs, copy_mass, copy_ids)]
-    return dists, (exp_gen, exp_copy, z[:, 0])
+    return exp_gen / z + exp_copy / z, exp_gen, exp_copy, z[:, 0]
 
 
 def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: ComplicationTable | None,
                      store: ParamStore, cfg: GeneratorConfig,
-                     ) -> tuple[list[MixtureDistribution], MixtureCache]:
-    """Next-code distribution of each row of h (R, rep) given its previous
-    code; the copy candidates of all rows go through one GEMM."""
+                     ) -> tuple[np.ndarray, list[tuple[int, ...]], MixtureCache]:
+    """Next-code probabilities (R, n_total) of each row of h (R, rep) given
+    its previous code, and each row's copy candidates; the candidates of all
+    rows go through one GEMM."""
     if min(prev_codes) < 0 or max(prev_codes) >= cfg.n_total:
         raise ValueError(f"previous codes {prev_codes} outside vocabulary of {cfg.n_total}")
     copy_ids: list[tuple[int, ...]] = [()] * len(prev_codes)
     if table is not None and not cfg.no_copy:
         copy_ids = [table.partners(p) for p in prev_codes]
-    if any(copy_ids):
-        ids, owner = _candidates(copy_ids)
+    ids, owner = _candidates(copy_ids)
+    if ids.size:
         emb_rows = store["gen.code_embed"].take(ids, axis=0)
         proj_rows = emb_rows.dot(store["gen.code_proj"].T)
         tanh_rows = np.tanh(proj_rows.dot(store["gen.copy.W"]))
@@ -146,16 +143,17 @@ def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: Complicati
         emb_rows = np.empty((0, cfg.d_code))
         proj_rows = tanh_rows = np.empty((0, cfg.rep_dim))
         copy_scores = np.empty(0)
-    dists, (exp_gen, exp_copy, z) = _mixture_from_scores(h.dot(store["gen.out.W"].T), copy_scores,
-                                                         copy_ids)
-    return dists, MixtureCache(exp_gen, exp_copy, z, emb_rows, proj_rows, tanh_rows)
+    probs, exp_gen, exp_copy, z = _mixture_from_scores(h.dot(store["gen.out.W"].T), copy_scores,
+                                                       ids, owner)
+    return probs, copy_ids, MixtureCache(exp_gen, exp_copy, z, emb_rows, proj_rows, tanh_rows)
 
 
-def generator_step_loss(dist: MixtureDistribution, target: int) -> float:
-    """Negative log probability of the target id, floored at 1e-12."""
-    if not 0 <= target < dist.probs.shape[0]:
-        raise ValueError(f"target {target} outside distribution of {dist.probs.shape[0]}")
-    return float(-np.log(max(float(dist.probs[target]), PROB_FLOOR)))
+def generator_step_loss(probs: np.ndarray, target: int) -> float:
+    """Negative log probability of the target id under one row of
+    probabilities, floored at 1e-12."""
+    if not 0 <= target < probs.shape[0]:
+        raise ValueError(f"target {target} outside distribution of {probs.shape[0]}")
+    return float(-np.log(max(float(probs[target]), PROB_FLOOR)))
 
 
 @dataclass
@@ -172,14 +170,15 @@ class StepTrace:
     lstm: LstmCache
     h: np.ndarray
     c: np.ndarray
-    dists: list[MixtureDistribution]
+    probs: np.ndarray             # (R, n_total) next-code probabilities
+    copy_ids: list[tuple[int, ...]]  # each row's copy candidates
     mix: MixtureCache
 
     @property
     def dist(self) -> MixtureDistribution:
         """The distribution of a one-row step."""
-        (dist,) = self.dists
-        return dist
+        (probs,), (copy_ids,) = self.probs, self.copy_ids
+        return MixtureDistribution(probs, self.mix.exp_copy[0] / self.mix.z[0], copy_ids)
 
 
 def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
@@ -193,9 +192,9 @@ def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | No
     fused, u = _fuse_forward(x, code_vec, store)
     h, c, lstm_cache = lstm_step(store, "gen.lstm", h_prev, c_prev, fused * code_vec,
                                  cfg.candidate_activation)
-    dists, mix_cache = _mixture_forward(h, prev_codes, table, store, cfg)
-    return StepTrace(rows, prev_codes, emb_prev, code_vec, u, fused, lstm_cache, h, c, dists,
-                     mix_cache)
+    probs, copy_ids, mix_cache = _mixture_forward(h, prev_codes, table, store, cfg)
+    return StepTrace(rows, prev_codes, emb_prev, code_vec, u, fused, lstm_cache, h, c, probs,
+                     copy_ids, mix_cache)
 
 
 _ONE_ROW = np.zeros(1, dtype=np.int64)
@@ -262,13 +261,13 @@ def step_row(step: StepTrace, b: int) -> StepTrace:
     every per-row field is sliced to row b, and the mixture cache's
     candidate rows to those that row b owns."""
     r, lstm, mix = slice(b, b + 1), step.lstm, step.mix
-    own = _candidates([d.copy_ids for d in step.dists])[1] == b if len(mix.tanh_rows) else r
+    own = _candidates(step.copy_ids)[1] == b if len(mix.tanh_rows) else r
     return StepTrace(
         step.rows[r], step.prev_codes[r], step.emb_prev[r], step.code_vec[r], step.u[r],
         step.fused[r],
         LstmCache(lstm.z[r], lstm.f[r], lstm.i[r], lstm.g_pre[r], lstm.g[r], lstm.o[r],
                   lstm.c_prev[r], lstm.c[r], lstm.tau[r], lstm.activation),
-        step.h[r], step.c[r], step.dists[r],
+        step.h[r], step.c[r], step.probs[r], step.copy_ids[r],
         MixtureCache(mix.exp_gen[r], mix.exp_copy[r], mix.z[r], mix.emb_rows[own],
                      mix.proj_rows[own], mix.tanh_rows[own]))
 
@@ -315,7 +314,7 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
     for t in range(cfg.max_len):
         trace = (first if t == 0 and first is not None
                  else generator_step(store, cfg, table, x, prev, h, c))
-        masked = trace.dist.probs.copy()
+        masked = trace.probs[0].copy()
         masked[list(banned)] = 0.0
         masked /= masked.sum()
         choice = int(np.argmax(masked))
@@ -344,7 +343,7 @@ def path_loss(traces: Sequence[StepTrace],
     for trace, tw in zip(traces, step_targets):
         if tw is not None:
             target, weight = tw
-            total += weight * generator_step_loss(trace.dist, target)
+            total += weight * generator_step_loss(trace.probs[0], target)
     return total
 
 
@@ -370,7 +369,7 @@ def _mixture_backward(store: ParamStore, step: StepTrace,
     store.add_outer("gen.out.W", dpsi_g, step.h)
     dh = dpsi_g @ store["gen.out.W"]
     if mix.tanh_rows.size:
-        ids, owner = _candidates([d.copy_ids for d in step.dists])
+        ids, owner = _candidates(step.copy_ids)
         dpsi_c = weight[:, None] * mix.exp_copy / mix.z[:, None]
         dpsi_c[rows, target] -= weight * mix.exp_copy[rows, target] / numer
         dpsi_c = dpsi_c[owner, ids]

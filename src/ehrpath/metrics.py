@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ComplicationTable, atomic_write
+from .corpus import ComplicationTable, CorpusBundle, atomic_write
 from .errors import DataError
 
 REPORT_KEYS = ("jaccard", "complication",
@@ -167,22 +167,56 @@ def write_predictions(path: str, records: Sequence[PredictionRecord]) -> None:
             }) + "\n")
 
 
-def read_predictions(path: str) -> list[PredictionRecord]:
-    records = []
+def _corpus_mismatch(rec: PredictionRecord, bundle: CorpusBundle, seen: set[int]) -> str | None:
+    """What makes one prediction record disagree with its corpus, if anything."""
+    n_docs, n_codes = len(bundle.documents), bundle.codes.num_real
+    bad_ids = sorted(c for c in rec.predicted | rec.gold | rec.scores.keys()
+                     if not 0 <= c < n_codes)
+    if bad_ids:
+        return f"code ids {bad_ids} are not among the {n_codes} real codes"
+    bad_scores = [s for s in rec.scores.values() if not 0.0 <= s <= 1.0]
+    if bad_scores:
+        return f"scores {bad_scores} are not probabilities in [0, 1]"
+    if not 0 <= rec.doc_id < n_docs:
+        return f"doc {rec.doc_id} is not one of the corpus's {n_docs} documents"
+    if rec.doc_id in seen:
+        return f"doc {rec.doc_id} is predicted twice"
+    seen.add(rec.doc_id)
+    gold = bundle.documents[rec.doc_id].gold_codes
+    if rec.gold != gold:
+        return f"gold {sorted(rec.gold)} differs from doc {rec.doc_id}'s codes {sorted(gold)}"
+    return None
+
+
+def read_predictions(path: str, bundle: CorpusBundle | None = None) -> list[PredictionRecord]:
+    """The records of a prediction file. Given the corpus the file was made
+    from, each record must name a distinct corpus document, carry that
+    document's gold codes, and hold real code ids and scores in [0, 1]; the
+    first record that does not is a DataError naming its line."""
     try:
         with open(path) as fh:
-            for ln, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                records.append(PredictionRecord(
-                    int(rec["doc"]),
-                    frozenset(int(c) for c in rec["pred"]),
-                    frozenset(int(c) for c in rec["gold"]),
-                    {int(c): float(s) for c, s in rec.get("scores", {}).items()},
-                ))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise DataError(f"bad prediction file {path}: {exc}") from exc
+            lines = fh.readlines()
+    except OSError as exc:
+        raise DataError(f"cannot read prediction file {path}: {exc}") from exc
+    records: list[PredictionRecord] = []
+    seen: set[int] = set()
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            record = PredictionRecord(
+                int(rec["doc"]),
+                frozenset(int(c) for c in rec["pred"]),
+                frozenset(int(c) for c in rec["gold"]),
+                {int(c): float(s) for c, s in rec.get("scores", {}).items()},
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"bad prediction file {path}, line {ln}: {exc}") from exc
+        problem = bundle is not None and _corpus_mismatch(record, bundle, seen)
+        if problem:
+            raise DataError(f"prediction file {path}, line {ln}: {problem}")
+        records.append(record)
     if not records:
         raise DataError(f"prediction file {path} is empty")
     return records

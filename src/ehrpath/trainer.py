@@ -27,7 +27,7 @@ from .discriminator import (DiscriminatorConfig, LabeledPrefix, discriminator_lo
 from .encoder import (EncodeCache, EncoderConfig, encode_batch, encode_batch_backward,
                       init_encoder_params)
 from .errors import ConfigError, DataError, TrainingError
-from .generator import (GeneratorConfig, MixtureDistribution, StepTrace, batch_backward,
+from .generator import (GeneratorConfig, StepTrace, batch_backward,
                         decode_path, decode_path_traced, generator_step_loss,
                         init_generator_params, path_loss, run_batch, stack_steps, step_row)
 # unused here, but benchmarks/tracing.py still swaps these four attributes,
@@ -37,6 +37,11 @@ from .encoder import encode_backward, encode_ehr  # noqa: F401
 from .generator import run_steps, sequence_backward  # noqa: F401
 from .metrics import PredictionRecord, metric_table
 from .numerics import AdamConfig, ParamStore, adam_step, named_rng
+
+
+# `train` flags not named after their TrainConfig field; None keeps a field
+# off the command line
+TRAIN_FLAG_NAMES = {"learning_rate": "lr", "kernel_sizes": None}
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,13 @@ class TrainConfig:
                 (("epochs", "pretrain_epochs"), ">= 0", lambda v: v >= 0),
                 (("batch_size", "max_len", "d_embed", "d_code", "n_filters"), ">= 1",
                  lambda v: v >= 1),
-                (("clip_norm",), "finite and > 0", lambda v: 0 < v < np.inf),
-                (("supervised_weight",), "finite and >= 0", lambda v: 0 <= v < np.inf)):
+                (("learning_rate", "clip_norm"), "finite and > 0", lambda v: 0 < v < np.inf),
+                (("supervised_weight",), "finite and >= 0", lambda v: 0 <= v < np.inf),
+                (("dropout",), "in [0, 1)", lambda v: 0 <= v < 1)):
             for name in names:
                 if not ok(getattr(self, name)):
-                    raise ConfigError(f"--{name.replace('_', '-')} must be {rule}, "
-                                      f"got {getattr(self, name)}")
-        self.adam  # raises on bad optimizer settings
+                    flag = TRAIN_FLAG_NAMES.get(name, name).replace("_", "-")
+                    raise ConfigError(f"--{flag} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -159,17 +164,18 @@ def _check_alignable(docs: Sequence[EhrDocument], max_len: int) -> None:
 class _BatchForward:
     """A batch's training forward: each document's representation (one row
     of x) and the batch's encoder cache, the aligned teacher-forced lockstep
-    steps, and each document's per-step distributions and targets."""
+    steps, each document's per-step probabilities (B, T, n_total), zero
+    past its last step, and its per-step targets."""
     x: np.ndarray
     enc_cache: EncodeCache
     steps: list[StepTrace]
-    dists: list[list[MixtureDistribution]]
+    probs: np.ndarray
     targets: list[list[int | None]]
 
     def losses(self) -> list[float]:
         """Each document's aligned loss: -log p(target) summed over its steps."""
-        return [sum(generator_step_loss(d, t) for d, t in zip(dists, targets) if t is not None)
-                for dists, targets in zip(self.dists, self.targets)]
+        return [sum(generator_step_loss(p, t) for p, t in zip(probs, targets) if t is not None)
+                for probs, targets in zip(self.probs, self.targets)]
 
 
 def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
@@ -187,17 +193,15 @@ def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: Complica
     golds = [sorted(doc.gold_codes) for doc in batch]
     inputs = [[gen_cfg.stop_id] + gold[:gen_cfg.max_len - 1] for gold in golds]
     steps = run_batch(store, gen_cfg, table, x, inputs)
-    dists: list[list[MixtureDistribution]] = [[] for _ in batch]
-    for step in steps:
-        for b, dist in zip(step.rows, step.dists):
-            dists[b].append(dist)
+    probs = np.zeros((len(batch), len(steps), gen_cfg.n_total))
+    for t, step in enumerate(steps):
+        probs[step.rows, t] = step.probs
     targets = []
-    for doc, gold, doc_dists in zip(batch, golds, dists):
-        label_dists = doc_dists[:len(gold)]
-        greedy = [int(np.argmax(d.probs)) for d in label_dists]
-        alignment = align_path(label_dists, greedy, doc.gold_codes)
-        targets.append(step_targets(alignment, len(doc_dists), gen_cfg.stop_id))
-    return _BatchForward(x, enc_cache, steps, dists, targets)
+    for doc, gold, doc_inputs, doc_probs in zip(batch, golds, inputs, probs):
+        label_probs = doc_probs[:len(gold)]
+        alignment = align_path(label_probs, label_probs.argmax(axis=1).tolist(), doc.gold_codes)
+        targets.append(step_targets(alignment, len(doc_inputs), gen_cfg.stop_id))
+    return _BatchForward(x, enc_cache, steps, probs, targets)
 
 
 def _decoder_backward(model: Model, fwd: _BatchForward, weight: float,

@@ -11,7 +11,8 @@ from ehrpath.alignment import AlignmentMatrix, step_targets
 from ehrpath.corpus import PAD_TOKEN
 from ehrpath.discriminator import CLAMP, DiscriminatorConfig, LabeledPrefix
 from ehrpath.encoder import EncoderConfig, embed_tokens
-from ehrpath.generator import MixtureDistribution, generator_step_loss
+from ehrpath.generator import (MixtureDistribution, _candidates, _mixture_forward,
+                               _mixture_from_scores, generator_step_loss)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
 from ehrpath.numerics import AdamConfig, ParamStore, add_rows
 
@@ -129,13 +130,35 @@ def adam_update_with_temporaries(params: np.ndarray, grad: np.ndarray, m: np.nda
     params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
-def pla_loss(distributions: Sequence[MixtureDistribution], alignment: AlignmentMatrix) -> float:
+def pla_loss(probs: Sequence[np.ndarray], alignment: AlignmentMatrix) -> float:
     """Sum of -log p over assigned (step, label) pairs plus -log p(STOP) at
-    the first unassigned step; probabilities floored at 1e-12."""
-    stop_id = distributions[0].probs.shape[0] - 2
-    targets = step_targets(alignment, len(distributions), stop_id)
-    return sum(generator_step_loss(dist, tgt)
-               for dist, tgt in zip(distributions, targets) if tgt is not None)
+    the first unassigned step, given one probability row per step;
+    probabilities floored at 1e-12."""
+    stop_id = len(probs[0]) - 2
+    targets = step_targets(alignment, len(probs), stop_id)
+    return sum(generator_step_loss(row, tgt) for row, tgt in zip(probs, targets)
+               if tgt is not None)
+
+
+def _one_row(probs, copy_ids, exp_copy, z) -> MixtureDistribution:
+    """A one-row mixture head output as the distribution record that
+    StepTrace.dist builds."""
+    (row,), (ids,) = probs, copy_ids
+    return MixtureDistribution(row, exp_copy[0] / z[0], ids)
+
+
+def mixture_forward_row(h, prev_code, table, store, cfg) -> MixtureDistribution:
+    """_mixture_forward on one hidden state (rep,) and its previous code."""
+    probs, copy_ids, mix = _mixture_forward(h[None], [prev_code], table, store, cfg)
+    return _one_row(probs, copy_ids, mix.exp_copy, mix.z)
+
+
+def mixture_scores_row(gen_scores, copy_scores, copy_ids) -> MixtureDistribution:
+    """_mixture_from_scores on one row of scores (1, n_total), its copy
+    scores and copy_ids, the row's one tuple of candidates in a list."""
+    probs, _, exp_copy, z = _mixture_from_scores(gen_scores, copy_scores,
+                                                 *_candidates(copy_ids))
+    return _one_row(probs, copy_ids, exp_copy, z)
 
 
 # The LSTM cell with one weight and one bias slot per gate,

@@ -17,14 +17,15 @@ from ehrpath.corpus import (ComplicationTable, CorpusBundle, CorpusConfig,
 from ehrpath.discriminator import (DiscriminatorConfig, LabeledPrefix, discriminator_loss,
                                    init_discriminator_params, split_prefixes)
 from ehrpath.encoder import EncoderConfig, encode_backward, encode_ehr, init_encoder_params
-from ehrpath.generator import (GeneratorConfig, _mixture_forward, _mixture_from_scores,
-                               init_generator_params, path_loss, run_steps, sequence_backward)
+from ehrpath.generator import (GeneratorConfig, init_generator_params, path_loss, run_steps,
+                               sequence_backward)
 from ehrpath.metrics import (PredictionRecord, auc, complication_ratio, jaccard,
                              metric_table, micro_macro_prf)
 from ehrpath.numerics import (AdamConfig, ParamStore, adam_step, finite_diff_check,
                               named_rng)
 from ehrpath.trainer import (TrainConfig, adversarial_round, build_model,
                              decode_predictions, pretrain_generator, train)
+from oracles import mixture_forward_row, mixture_scores_row
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -170,14 +171,14 @@ def test_criterion_2_mixture_validity():
             table = ComplicationTable({tuple(sorted((a, p))): 5.0 for p in partners}, 2.0, 1)
         prev = a if rng.random() < 0.5 else int(rng.integers(0, cfg.n_total))
         h = rng.normal(scale=2.0, size=cfg.rep_dim)
-        (dist,), _ = _mixture_forward(h[None], [prev], table, store, cfg)
+        dist = mixture_forward_row(h, prev, table, store, cfg)
         worst = max(worst, abs(float(dist.probs.sum()) - 1.0))
         outside = np.ones(cfg.n_total, dtype=bool)
         if dist.copy_ids:
             outside[list(dist.copy_ids)] = False
         assert np.all(dist.copy_mass[outside] == 0.0)
 
-    (counting,), _ = _mixture_from_scores(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
+    counting = mixture_scores_row(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
     exact = (counting.probs[1] == 1.0 / 7.0 and counting.probs[0] == 2.0 / 7.0
              and counting.probs[2] == 2.0 / 7.0)
     ok = worst <= 1e-9 and exact

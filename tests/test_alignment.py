@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from ehrpath import alignment as alignment_module
 from ehrpath.alignment import (AlignmentMatrix, align_path, fix_correct_predictions,
                                hungarian_assign, step_targets)
-from ehrpath.generator import MixtureDistribution
+from ehrpath.generator import PROB_FLOOR
 from oracles import pla_loss
 
 
 def dist_from_probs(probs):
-    p = np.asarray(probs, dtype=np.float64)
-    return MixtureDistribution(p, np.zeros_like(p), ())
+    return np.asarray(probs, dtype=np.float64)
 
 
 def brute_force_assignment(cost, pinned):
@@ -145,10 +145,10 @@ class TestPlaLoss:
         for _ in range(4):
             p = rng.dirichlet(np.ones(7))  # 5 real codes + stop + unk
             dists.append(dist_from_probs(p))
-        cost = np.array([[-np.log(d.probs[c]) for c in labels] for d in dists[:3]])
+        cost = np.array([[-np.log(d[c]) for c in labels] for d in dists[:3]])
         alignment = hungarian_assign(cost, {}, labels)
         assert assignment_cost(alignment.matrix, cost) == brute_force_assignment(cost, {})
-        expected = assignment_cost(alignment.matrix, cost) - np.log(dists[3].probs[5])
+        expected = assignment_cost(alignment.matrix, cost) - np.log(dists[3][5])
         assert pla_loss(dists, alignment) == pytest.approx(expected, abs=1e-12)
 
     def test_loss_non_increasing_when_assigned_probability_rises(self):
@@ -167,18 +167,42 @@ class TestPlaLoss:
 
 
 class TestAlignPath:
-    def test_pins_survive_into_alignment(self):
+    # exact zeros and probabilities below the floor on both gold labels, 1 and 3
+    FLOORED = np.array([[0.0, 0.6, 1e-13, 0.0, 0.4, 0.0],
+                        [0.3, 0.0, 0.7, 5e-13, 0.0, 0.0],
+                        [0.0, 1e-20, 0.0, 0.0, 0.0, 1.0]])
+
+    def test_pins_survive_into_alignment(self, monkeypatch):
         rng = np.random.default_rng(25)
-        dists = [dist_from_probs(rng.dirichlet(np.ones(6))) for _ in range(3)]
-        greedy = [int(np.argmax(d.probs)) for d in dists]
-        gold = {greedy[0], 3} if greedy[0] != 3 else {3, 1}
-        alignment = align_path(dists, greedy, gold)
-        pins = fix_correct_predictions(greedy, gold)
-        for t, code in pins.items():
-            j = alignment.labels.index(code)
-            assert alignment.matrix[t, j] == 1
+        drawn = np.array([dist_from_probs(rng.dirichlet(np.ones(6))) for _ in range(3)])
+        costs = []
+
+        def recording(cost, pinned, labels=None):
+            costs.append(cost)
+            return hungarian_assign(cost, pinned, labels)
+
+        monkeypatch.setattr(alignment_module, "hungarian_assign", recording)
+        for dists in (drawn, self.FLOORED):
+            greedy = [int(np.argmax(d)) for d in dists]
+            gold = {greedy[0], 3} if greedy[0] != 3 else {3, 1}
+            costs.clear()
+            alignment = align_path(dists, greedy, gold)
+            pins = fix_correct_predictions(greedy, gold)
+            for t, code in pins.items():
+                j = alignment.labels.index(code)
+                assert alignment.matrix[t, j] == 1
+            # the cost is one gather, bit for bit the per-entry floored -log,
+            # and the per-entry cost gives the same assignment
+            labels = alignment.labels
+            per_entry = np.array([[-np.log(max(float(d[c]), PROB_FLOOR)) for c in labels]
+                                  for d in dists])
+            (cost,) = costs
+            assert cost.shape == per_entry.shape and cost.tobytes() == per_entry.tobytes()
+            pinned = {t: labels.index(code) for t, code in pins.items()}
+            np.testing.assert_array_equal(hungarian_assign(per_entry, pinned, labels).matrix,
+                                          alignment.matrix)
 
     def test_labels_sorted_ascending(self):
-        dists = [dist_from_probs(np.full(6, 1 / 6)) for _ in range(2)]
+        dists = np.array([dist_from_probs(np.full(6, 1 / 6)) for _ in range(2)])
         alignment = align_path(dists, [0, 0], {3, 1})
         assert alignment.labels == (1, 3)

@@ -1,16 +1,24 @@
 """The benchmark times the package by swapping the module attributes its
 entry points call (benchmarks/tracing.py). A renamed attribute crashes every
 benchmark run, and a decode that bypasses the swapped attribute goes
-uncounted; these tests catch both."""
+uncounted; these tests catch both, and check the counters that the
+benchmark's per-layer figures divide by."""
 
+import ast
+import dataclasses
+import glob
+import importlib
 import importlib.util
 import os
 
-from ehrpath import trainer
+import numpy as np
+
+from ehrpath import generator, trainer
 from ehrpath.numerics import named_rng
 from ehrpath.trainer import TrainConfig, adversarial_round, build_model, decode_predictions
 
-TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "tracing.py")
+BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
+TRACING = os.path.join(BENCHMARKS, "tracing.py")
 PROBED = ("decode_path", "decode_path_traced")  # what Recorder.path_probe swaps
 CFG = TrainConfig(seed=4, d_embed=10, d_code=8, n_filters=6, kernel_sizes=(2, 3), batch_size=8,
                   max_len=5, dropout=0.2)
@@ -29,6 +37,79 @@ def test_every_swapped_attribute_exists():
                if not hasattr(owner, attr)]
     missing += [f"trainer.{attr}" for attr in PROBED if not hasattr(trainer, attr)]
     assert missing == []
+
+
+def package_reads(path):
+    """(module, attribute) for each attribute of an ehrpath module that a
+    source file reads, through names bound by `import ehrpath` or `from
+    ehrpath[.x] import y`, and each imported name that does not exist."""
+    tree = ast.parse(open(path).read(), path)
+    bound, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: importlib.import_module(a.name)
+                          for a in node.names if a.name == "ehrpath"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ehrpath":
+            owner = importlib.import_module(node.module)
+            for a in node.names:
+                try:
+                    bound[a.asname or a.name] = importlib.import_module(f"{node.module}.{a.name}")
+                except ModuleNotFoundError:  # not a submodule: a name in the module
+                    if hasattr(owner, a.name):
+                        bound[a.asname or a.name] = getattr(owner, a.name)
+                    else:
+                        missing.append(f"{node.module}.{a.name}")
+    reads = [(bound[node.value.id], node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in bound]
+    return reads, missing
+
+
+def test_every_package_attribute_the_benchmark_reads_exists():
+    # a deleted or renamed function that only a benchmark calls crashes
+    # every benchmark run, and nothing else in the suite would notice
+    files = sorted(glob.glob(os.path.join(BENCHMARKS, "*.py")))
+    assert len(files) >= 3
+    seen, missing = set(), []
+    for path in files:
+        reads, absent = package_reads(path)
+        missing += absent
+        for owner, attr in reads:
+            seen.add(f"{owner.__name__}.{attr}")
+            if not hasattr(owner, attr):
+                missing.append(f"{owner.__name__}.{attr}")
+    assert {"ehrpath.trainer.adversarial_round", "ehrpath.trainer.decode_predictions"} <= seen
+    assert missing == []
+
+
+def test_copy_counter_counts_one_row_steps_with_partners(bundle):
+    tracing = load_tracing()
+    model = build_model(bundle, CFG)
+    cfg = model.gen_cfg
+    x = named_rng(2, "x").normal(size=cfg.rep_dim)
+    h = np.zeros(cfg.rep_dim)
+    paired = next(c for c in range(cfg.n_codes) if bundle.table.partners(c))
+    rec = tracing.Recorder(bundle.codes.num_real)
+    with rec.spans_on():
+        for phase, prev in (("paired", paired), ("unpaired", cfg.stop_id)):
+            rec.phase = phase
+            generator.generator_step(model.gen_store, cfg, bundle.table, x, prev, h, h)
+    assert rec.get("paired", "gen_steps") == rec.get("unpaired", "gen_steps") == 1
+    assert rec.get("paired", "copy_active_steps") == 1
+    assert rec.get("unpaired", "copy_active_steps") == 0
+
+
+def test_supervised_round_counts_aligned_labels(bundle):
+    tracing = load_tracing()
+    cfg = dataclasses.replace(CFG, no_arl=True)
+    model = build_model(bundle, cfg)
+    rec = tracing.Recorder(bundle.codes.num_real)
+    with rec.spans_on():
+        rec.phase = "sup"
+        adversarial_round(model, bundle.split_docs("train")[:4], bundle.table, cfg,
+                          named_rng(1, "dropout"))
+    assert rec.get("sup", "aligned_labels") > 0
+    assert rec.spans[("sup", "align_path")][0] == 4
 
 
 def test_probe_and_spans_count_every_decoded_path(bundle):

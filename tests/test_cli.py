@@ -151,7 +151,8 @@ class TestTrainCommand:
         ("--clip-norm", "nan"), ("--clip-norm", "-1"), ("--clip-norm", "0"), ("--clip-norm", "inf"),
         ("--supervised-weight", "nan"), ("--supervised-weight", "-1"),
         ("--supervised-weight", "inf"), ("--d-embed", "0"), ("--d-code", "0"),
-        ("--n-filters", "0")])
+        ("--n-filters", "0"), ("--lr", "inf"), ("--lr", "nan"), ("--lr", "0"),
+        ("--dropout", "1"), ("--dropout", "nan")])
     def test_out_of_range_value_exits_2_naming_flag_before_training(
             self, tmp_path, capsys, monkeypatch, flag, value):
         corpus = gen_corpus(tmp_path)
@@ -199,6 +200,23 @@ class TestEvalCommand:
                         "recall_micro", "recall_macro", "f1_micro", "f1_macro",
                         "auc_micro", "auc_macro"]
         assert (out / "predictions.jsonl").exists()
+
+    def test_report_reads_back_eval_predictions(self, tmp_path, capsys):
+        # eval numbers its records by corpus line, which report checks
+        corpus, ckpt = self._train(tmp_path)
+        out = tmp_path / "eval"
+        out.mkdir()
+        assert main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        metrics = (out / "metrics.txt").read_text()
+        splits = json.loads((corpus / SPLITS_FILE).read_text())
+        written = [json.loads(line)["doc"]
+                   for line in (out / "predictions.jsonl").read_text().splitlines()]
+        assert written == splits["test"]
+        capsys.readouterr()
+        assert main(["report", "--corpus", str(corpus),
+                     "--predictions", str(out / "predictions.jsonl")]) == 0
+        assert capsys.readouterr().out == metrics
 
     def test_rerun_identical_report(self, tmp_path):
         corpus, ckpt = self._train(tmp_path)
@@ -413,6 +431,50 @@ class TestReportAndBuildTable:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("jaccard 1.000000")
+
+    # (record on line 2, after a good record of document 1, and the words of
+    # its error): gen-data's 6 real codes are ids 0-5 and STOP is 6; g holds
+    # the gold codes of documents 0 and 1
+    BAD_RECORDS = {
+        "pred_id_outside": (lambda g: {"doc": 0, "pred": [999, -3], "gold": g[0]}, "real codes"),
+        "pred_stop_id": (lambda g: {"doc": 0, "pred": [6], "gold": g[0]}, "real codes"),
+        "gold_id_outside": (lambda g: {"doc": 0, "pred": g[0], "gold": g[0] + [99]},
+                            "real codes"),
+        "score_key_outside": (lambda g: {"doc": 0, "pred": g[0], "gold": g[0],
+                                         "scores": {"999": 0.5}}, "real codes"),
+        "score_nan": (lambda g: {"doc": 0, "pred": g[0], "gold": g[0],
+                                 "scores": {str(g[0][0]): float("nan")}}, "probabilities"),
+        "score_above_one": (lambda g: {"doc": 0, "pred": g[0], "gold": g[0],
+                                       "scores": {str(g[0][0]): 7.5}}, "probabilities"),
+        "score_negative": (lambda g: {"doc": 0, "pred": g[0], "gold": g[0],
+                                      "scores": {str(g[0][0]): -0.1}}, "probabilities"),
+        "doc_outside": (lambda g: {"doc": 424242, "pred": g[0], "gold": g[0]}, "documents"),
+        "doc_negative": (lambda g: {"doc": -1, "pred": g[0], "gold": g[0]}, "documents"),
+        "doc_repeated": (lambda g: {"doc": 1, "pred": [], "gold": g[1]}, "twice"),
+        "gold_differs": (lambda g: {"doc": 0, "pred": g[0],
+                                    "gold": [c for c in range(6) if c not in g[0]]}, "differs"),
+    }
+
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    def test_prediction_record_off_the_corpus_exits_3_naming_its_line(
+            self, tmp_path, capsys, command, case):
+        corpus = gen_corpus(tmp_path)
+        lines = (corpus / CORPUS_FILE).read_text().strip().split("\n")
+        golds = [json.loads(line)["codes"] for line in lines[:2]]
+        record, words = self.BAD_RECORDS[case]
+        good = {"doc": 1, "pred": golds[1], "gold": golds[1]}
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps(good) + "\n" + json.dumps(record(golds)) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"report": ["report", "--predictions", str(preds)],
+                "eval": ["eval", "--from-predictions", str(preds), "--out", str(out)]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--corpus", str(corpus)]) == 3
+        captured = capsys.readouterr()
+        assert "line 2:" in captured.err and words in captured.err
+        assert captured.out == ""
 
     def test_build_table_rewrites_with_new_threshold(self, tmp_path):
         corpus = gen_corpus(tmp_path)

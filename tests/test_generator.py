@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from ehrpath.corpus import ComplicationTable
-from ehrpath.generator import (GeneratorConfig, _concat, _fuse_forward, _mixture_forward,
-                               _mixture_from_scores, decode_path, decode_path_traced,
-                               generator_step_loss, init_generator_params, path_loss, run_batch,
-                               run_steps, sequence_backward, stack_steps, step_row)
+from ehrpath.generator import (GeneratorConfig, _concat, _fuse_forward, decode_path,
+                               decode_path_traced, generator_step_loss, init_generator_params,
+                               path_loss, run_batch, run_steps, sequence_backward, stack_steps,
+                               step_row)
 from ehrpath.lstm import init_lstm_params, lstm_step, lstm_step_backward
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
 from oracles import (GATES, four_gate_lstm_step, four_gate_lstm_step_backward,
-                     init_four_gate_lstm_params, softmax_stable)
+                     init_four_gate_lstm_params, mixture_forward_row, mixture_scores_row,
+                     softmax_stable)
 
 CFG = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8)
 TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
@@ -186,7 +187,7 @@ class TestMixture:
     def test_empty_vocabulary_is_pure_generate_softmax(self):
         store = make_store()
         h = named_rng(4, "h").normal(size=CFG.rep_dim)
-        (dist,), _ = _mixture_forward(h[None], [5], TABLE, store, CFG)  # no partners
+        dist = mixture_forward_row(h, 5, TABLE, store, CFG)  # no partners
         np.testing.assert_allclose(dist.probs, softmax_stable(store["gen.out.W"] @ h),
                                    atol=1e-12)
         assert dist.copy_ids == ()
@@ -194,7 +195,7 @@ class TestMixture:
 
     def test_counting_case_exact(self):
         # 3 real codes + STOP + UNK = 5 generate ids, 2 copy ids, all scores zero
-        (dist,), _ = _mixture_from_scores(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
+        dist = mixture_scores_row(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
         assert dist.probs[1] == 1.0 / 7.0
         assert dist.probs[0] == 2.0 / 7.0
         assert dist.probs[2] == 2.0 / 7.0
@@ -217,7 +218,7 @@ class TestMixture:
                 if pairs:
                     table = ComplicationTable(pairs, 2.0, 1)
             h = rng.normal(size=cfg.rep_dim)
-            (dist,), _ = _mixture_forward(h[None], [prev], table, store, cfg)
+            dist = mixture_forward_row(h, prev, table, store, cfg)
             assert abs(dist.probs.sum() - 1.0) < 1e-9
             outside = np.ones(cfg.n_total, dtype=bool)
             if dist.copy_ids:
@@ -228,15 +229,15 @@ class TestMixture:
         rng = np.random.default_rng(12)
         gen = rng.normal(size=6)
         cop = rng.normal(size=2)
-        (a,), _ = _mixture_from_scores(gen[None], cop, [(1, 3)])
-        (b,), _ = _mixture_from_scores(gen[None] + 55.5, cop + 55.5, [(1, 3)])
+        a = mixture_scores_row(gen[None], cop, [(1, 3)])
+        b = mixture_scores_row(gen[None] + 55.5, cop + 55.5, [(1, 3)])
         np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
     def test_no_copy_flag_forces_pure_generate(self):
         cfg = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8, no_copy=True)
         store = make_store(cfg=cfg)
         h = named_rng(5, "h").normal(size=cfg.rep_dim)
-        (dist,), _ = _mixture_forward(h[None], [0], TABLE, store, cfg)  # has a partner
+        dist = mixture_forward_row(h, 0, TABLE, store, cfg)  # has a partner
         assert dist.copy_ids == ()
         np.testing.assert_allclose(dist.probs, softmax_stable(store["gen.out.W"] @ h),
                                    atol=1e-12)
@@ -244,21 +245,21 @@ class TestMixture:
 
 class TestStepLoss:
     def test_certain_target_zero_loss(self):
-        (dist,), _ = _mixture_from_scores(np.array([[100.0, 0.0, 0.0]]), np.zeros(0), [()])
-        assert generator_step_loss(dist, 0) == pytest.approx(0.0, abs=1e-9)
+        dist = mixture_scores_row(np.array([[100.0, 0.0, 0.0]]), np.zeros(0), [()])
+        assert generator_step_loss(dist.probs, 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_exp_minus_two(self):
         probs = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0)])
-        (dist,), _ = _mixture_from_scores(np.log(probs)[None], np.zeros(0), [()])
-        assert generator_step_loss(dist, 0) == pytest.approx(2.0, abs=1e-12)
+        dist = mixture_scores_row(np.log(probs)[None], np.zeros(0), [()])
+        assert generator_step_loss(dist.probs, 0) == pytest.approx(2.0, abs=1e-12)
 
     def test_uniform_seven_terms(self):
-        (dist,), _ = _mixture_from_scores(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
-        assert generator_step_loss(dist, 1) == pytest.approx(math.log(7.0), abs=1e-12)
+        dist = mixture_scores_row(np.zeros((1, 5)), np.zeros(2), [(0, 2)])
+        assert generator_step_loss(dist.probs, 1) == pytest.approx(math.log(7.0), abs=1e-12)
 
     def test_floor_prevents_infinity(self):
-        (dist,), _ = _mixture_from_scores(np.array([[1000.0, 0.0]]), np.zeros(0), [()])
-        assert generator_step_loss(dist, 1) <= -math.log(1e-12) + 1e-9
+        dist = mixture_scores_row(np.array([[1000.0, 0.0]]), np.zeros(0), [()])
+        assert generator_step_loss(dist.probs, 1) <= -math.log(1e-12) + 1e-9
 
 
 class TestDecode:
@@ -355,7 +356,7 @@ class TestStepRow:
         assert steps[1].mix.tanh_rows.shape[0] == 4 and steps[2].mix.tanh_rows.shape[0] == 2
         for step in steps:
             rows = [step_row(step, b) for b in range(len(step.rows))]
-            assert all(len(r.rows) == 1 and len(r.dists) == 1 for r in rows)
+            assert all(len(r.rows) == 1 and len(r.probs) == 1 for r in rows)
             assert_same_record(_concat(rows), step)
 
     def test_candidate_rows_follow_their_owner(self):
@@ -365,7 +366,7 @@ class TestStepRow:
         # code 1 has partners 0 and 4, code 5 none, code 0 partner 1
         for b, count in enumerate((2, 0, 1)):
             row = step_row(step, b)
-            assert row.dist.copy_ids == step.dists[b].copy_ids
+            assert row.dist.copy_ids == step.copy_ids[b]
             for name in ("emb_rows", "proj_rows", "tanh_rows"):
                 assert getattr(row.mix, name).shape[0] == count
 

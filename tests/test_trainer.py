@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -17,6 +18,17 @@ from ehrpath.checkpoint import load_checkpoint
 
 TINY = dict(d_embed=10, d_code=8, n_filters=6, kernel_sizes=(2, 3), batch_size=8,
             max_len=5, learning_rate=1e-3, dropout=0.2)
+
+
+def doc_steps(fwd):
+    """Each document's steps in a batch forward, as (probs, copy_ids)
+    records: its rows of the lockstep steps that hold it."""
+    return [[DocStep(fwd.probs[b, t], step.copy_ids[int(np.searchsorted(step.rows, b))])
+             for t, step in enumerate(fwd.steps) if b in step.rows]
+            for b in range(len(fwd.targets))]
+
+
+DocStep = collections.namedtuple("DocStep", "probs copy_ids")
 
 
 def stores_equal(a, b):
@@ -204,16 +216,17 @@ class TestBatchEquivalence:
                 single_grads[n] += store.grad(n)
 
         # mixed path lengths, and steps with and without copy candidates
-        assert [len(d) for d in fwd.dists] == [2, 4, 3, 2, 4, 3]
-        copy_rows = [bool(d.copy_ids) for dists in fwd.dists for d in dists]
+        assert [len(d) for d in doc_steps(fwd)] == [2, 4, 3, 2, 4, 3]
+        copy_rows = [bool(d.copy_ids) for dists in doc_steps(fwd) for d in dists]
         assert any(copy_rows) and not all(copy_rows)
         assert np.linalg.norm(batch_grads["gen.copy.W"]) > 0.0
         assert sum(fwd.losses()) == pytest.approx(sum(sum(s.losses()) for s in singles),
                                                   rel=0, abs=1e-10)
         for b, single in enumerate(singles):
             assert single.targets[0] == fwd.targets[b]
-            assert len(single.dists[0]) == len(fwd.dists[b])
-            for mine, theirs in zip(fwd.dists[b], single.dists[0]):
+            (single_dists,) = doc_steps(single)
+            assert len(single_dists) == len(doc_steps(fwd)[b])
+            for mine, theirs in zip(doc_steps(fwd)[b], single_dists):
                 assert mine.copy_ids == theirs.copy_ids
                 np.testing.assert_allclose(mine.probs, theirs.probs, rtol=0, atol=1e-10)
         for n in store.names():
@@ -228,7 +241,7 @@ class TestBatchEquivalence:
         cfg = self.CFG
         model = build_model(bundle, cfg)
         fwd = _aligned_forward(model, self._batch(bundle), bundle.table, named_rng(3, "dropout"))
-        probs = sorted(d.probs[t] for dists, targets in zip(fwd.dists, fwd.targets)
+        probs = sorted(d.probs[t] for dists, targets in zip(doc_steps(fwd), fwd.targets)
                        for d, t in zip(dists, targets) if t is not None)
         monkeypatch.setattr(generator, "PROB_FLOOR", (probs[0] + probs[1]) / 2)
 
@@ -236,7 +249,8 @@ class TestBatchEquivalence:
         self._clamp_one_target(bundle, monkeypatch)
         fwd = self._compare(bundle, lambda model, fwd, doc_ids: _decoder_backward(model, fwd, 1.0))
         clamped = [d.probs[t] < generator.PROB_FLOOR for dists, targets
-                   in zip(fwd.dists, fwd.targets) for d, t in zip(dists, targets) if t is not None]
+                   in zip(doc_steps(fwd), fwd.targets)
+                   for d, t in zip(dists, targets) if t is not None]
         assert sum(clamped) == 1
 
     def test_adversarial_decoder_update_equals_single_documents(self, bundle, monkeypatch):
