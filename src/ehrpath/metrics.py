@@ -188,15 +188,15 @@ def _corpus_mismatch(rec: PredictionRecord, bundle: CorpusBundle, seen: set[int]
     return None
 
 
-def read_predictions(path: str, bundle: CorpusBundle | None = None) -> list[PredictionRecord]:
-    """The records of a prediction file. Given the corpus the file was made
-    from, each record must name a distinct corpus document, carry that
-    document's gold codes, and hold real code ids and scores in [0, 1]; the
-    first record that does not is a DataError naming its line."""
+def read_predictions(path: str, bundle: CorpusBundle) -> list[PredictionRecord]:
+    """The records of a prediction file made from the corpus bundle. Each
+    record must name a distinct corpus document, carry that document's gold
+    codes, and hold real code ids and scores in [0, 1]; the first record that
+    does not is a DataError naming its line."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read prediction file {path}: {exc}") from exc
     records: list[PredictionRecord] = []
     seen: set[int] = set()
@@ -213,7 +213,7 @@ def read_predictions(path: str, bundle: CorpusBundle | None = None) -> list[Pred
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise DataError(f"bad prediction file {path}, line {ln}: {exc}") from exc
-        problem = bundle is not None and _corpus_mismatch(record, bundle, seen)
+        problem = _corpus_mismatch(record, bundle, seen)
         if problem:
             raise DataError(f"prediction file {path}, line {ln}: {problem}")
         records.append(record)

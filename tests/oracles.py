@@ -11,8 +11,8 @@ from ehrpath.alignment import AlignmentMatrix, step_targets
 from ehrpath.corpus import PAD_TOKEN
 from ehrpath.discriminator import CLAMP, DiscriminatorConfig, LabeledPrefix
 from ehrpath.encoder import EncoderConfig, embed_tokens
-from ehrpath.generator import (MixtureDistribution, _candidates, _mixture_forward,
-                               _mixture_from_scores, generator_step_loss)
+from ehrpath.generator import (MixtureCache, MixtureDistribution, StepTrace, _candidates,
+                               _mixture_forward, _mixture_from_scores, generator_step_loss)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
 from ehrpath.numerics import AdamConfig, ParamStore, add_rows
 
@@ -140,25 +140,20 @@ def pla_loss(probs: Sequence[np.ndarray], alignment: AlignmentMatrix) -> float:
                if tgt is not None)
 
 
-def _one_row(probs, copy_ids, exp_copy, z) -> MixtureDistribution:
-    """A one-row mixture head output as the distribution record that
-    StepTrace.dist builds."""
-    (row,), (ids,) = probs, copy_ids
-    return MixtureDistribution(row, exp_copy[0] / z[0], ids)
-
-
 def mixture_forward_row(h, prev_code, table, store, cfg) -> MixtureDistribution:
-    """_mixture_forward on one hidden state (rep,) and its previous code."""
-    probs, copy_ids, mix = _mixture_forward(h[None], [prev_code], table, store, cfg)
-    return _one_row(probs, copy_ids, mix.exp_copy, mix.z)
+    """_mixture_forward on one hidden state (rep,) and its previous code, as
+    the record StepTrace.dist builds (the step's other fields unset)."""
+    return StepTrace(*[None] * 9, *_mixture_forward(h[None], [prev_code], table, store, cfg)).dist
 
 
 def mixture_scores_row(gen_scores, copy_scores, copy_ids) -> MixtureDistribution:
     """_mixture_from_scores on one row of scores (1, n_total), its copy
-    scores and copy_ids, the row's one tuple of candidates in a list."""
-    probs, _, exp_copy, z = _mixture_from_scores(gen_scores, copy_scores,
-                                                 *_candidates(copy_ids))
-    return _one_row(probs, copy_ids, exp_copy, z)
+    scores and copy_ids, the row's one tuple of candidates in a list, as the
+    record StepTrace.dist builds."""
+    probs, exp_gen, exp_copy, z = _mixture_from_scores(gen_scores, copy_scores,
+                                                       *_candidates(copy_ids))
+    mix = MixtureCache(exp_gen, exp_copy, z, None, None, None)
+    return StepTrace(*[None] * 9, probs, copy_ids, mix).dist
 
 
 # The LSTM cell with one weight and one bias slot per gate,

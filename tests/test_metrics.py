@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from ehrpath.corpus import ComplicationTable
+from ehrpath.corpus import (CodeDictionary, ComplicationTable, CorpusBundle, EhrDocument,
+                            TokenDictionary)
 from ehrpath.errors import DataError
 from ehrpath.metrics import (PredictionRecord, auc, complication_ratio, format_metric_table,
                              jaccard, metric_table, micro_macro_prf, read_predictions,
                              write_predictions, REPORT_KEYS)
 
 TABLE = ComplicationTable({(0, 1): 9.0, (2, 3): 5.0}, 2.0, 1)
+# Two documents with gold codes {2} and {0} over four real codes.
+BUNDLE = CorpusBundle([EhrDocument((1,), frozenset({2})), EhrDocument((1,), frozenset({0}))],
+                      CodeDictionary(["a", "b", "c", "d"]), TokenDictionary(["<pad>", "t"]),
+                      TABLE)
 
 
 def rec(doc_id, pred, gold, scores=None):
@@ -195,17 +200,18 @@ class TestPredictionIo:
         records = [rec(0, {1, 2}, {2}, {1: 0.5, 2: 0.25}), rec(1, {0}, {0}, {0: 1.0})]
         path = str(tmp_path / "preds.jsonl")
         write_predictions(path, records)
-        loaded = read_predictions(path)
+        loaded = read_predictions(path, BUNDLE)
         assert loaded == records
 
     def test_bad_file_raises_data_error(self, tmp_path):
         path = tmp_path / "preds.jsonl"
-        path.write_text("{broken\n")
-        with pytest.raises(DataError):
-            read_predictions(str(path))
+        for content in (b"{broken\n", b'{"doc": 0, "pred": [\xff]}\n'):  # bad JSON, not UTF-8
+            path.write_bytes(content)
+            with pytest.raises(DataError):
+                read_predictions(str(path), BUNDLE)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text("")
         with pytest.raises(DataError):
-            read_predictions(str(path))
+            read_predictions(str(path), BUNDLE)
