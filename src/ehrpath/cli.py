@@ -21,7 +21,6 @@ from .corpus import (CorpusBundle, CorpusConfig, atomic_write, build_complicatio
                      filter_top_k, generate_synthetic_corpus, load_corpus_dir, split_indices,
                      write_table)
 from .errors import CompatibilityError, ConfigError, DataError
-from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import format_metric_table, metric_table, read_predictions, write_predictions
 from .trainer import (TRAIN_FLAG_NAMES, TrainConfig, decode_predictions,
                       model_from_checkpoint, save_model, train)
@@ -30,8 +29,6 @@ CHECKPOINT_NAME = "model.ckpt"
 REPORT_NAME = "report.json"
 PREDICTIONS_NAME = "predictions.jsonl"
 METRICS_NAME = "metrics.txt"
-
-TRAIN_FLAG_CHOICES = {"candidate_activation": CANDIDATE_ACTIVATIONS}
 
 
 def _train_options() -> list[tuple[str, str, type]]:
@@ -254,8 +251,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         if kind is bool:
             p.add_argument(flag, action="store_true", default=getattr(defaults, name))
         else:
-            p.add_argument(flag, default=getattr(defaults, name),
-                           choices=TRAIN_FLAG_CHOICES.get(name))
+            p.add_argument(flag, default=getattr(defaults, name))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="decode a split and write predictions plus metrics")

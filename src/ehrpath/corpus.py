@@ -77,13 +77,6 @@ class CodeDictionary(CodeIds):
 
     num_real = n_codes
 
-    def label(self, code: int) -> str:
-        if code == self.stop_id:
-            return "<stop>"
-        if code == self.unk_id:
-            return "<unk>"
-        return self.labels[code]
-
 
 class TokenDictionary:
     """Token labels; id 0 is the reserved zero-embedding pad token."""
@@ -400,7 +393,7 @@ def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
                 owner[i] = name
     except DataError:
         raise
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"bad corpus directory {corpus_dir}: {exc}") from exc
     table = read_table(os.path.join(corpus_dir, TABLE_FILE))
     for a, b in table.pairs:

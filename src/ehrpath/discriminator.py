@@ -136,9 +136,12 @@ def discriminator_loss(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.nd
     add_rows(inject.reshape(-1, cfg.hidden), scored.path_of * n_steps + scored.last,
              np.outer(dlogit, store["disc.reward.W"][:cfg.hidden]))
     dh, dc = np.zeros((2, n_paths, cfg.hidden))
+    embed_ids, embed_rows = [], []
     for t in range(n_steps - 1, -1, -1):
         rows, codes, cache = scored.steps[t]
         dh[rows], dc[rows], dx = lstm_step_backward(store, "disc.lstm",
                                                     dh[rows] + inject[rows, t], dc[rows], cache)
-        add_rows(store.grad("disc.code_embed"), np.array(codes), dx)
+        embed_ids.extend(codes)
+        embed_rows.append(dx)
+    add_rows(store.grad("disc.code_embed"), np.array(embed_ids), np.vstack(embed_rows))
     return total * scale

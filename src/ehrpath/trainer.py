@@ -6,7 +6,9 @@ keep it, the remaining labels are Hungarian-assigned, and the step after
 the labels is supervised toward STOP. Adversarial rounds then alternate
 per batch: one scorer update on ground-truth-vs-generated prefixes, then
 one decoder update on the supervised loss plus a reward-weighted
-policy-gradient term with the batch-mean reward as baseline. Validation
+policy-gradient term with the batch-mean reward as baseline. A pretraining
+batch is an adversarial round with the scorer switched off (no_arl), so both
+phases run through `adversarial_round` and one epoch loop. Validation
 metrics are computed each epoch and the best-Jaccard parameters are
 retained.
 """
@@ -14,7 +16,7 @@ retained.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +37,7 @@ from .generator import (GeneratorConfig, StepTrace, batch_backward,
 # lines on tracing.py in CHANGES.md); drop them together with those swaps
 from .encoder import encode_backward, encode_ehr  # noqa: F401
 from .generator import run_steps, sequence_backward  # noqa: F401
+from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import PredictionRecord, metric_table
 from .numerics import AdamConfig, ParamStore, adam_step, named_rng
 
@@ -74,14 +77,17 @@ class TrainConfig:
         return ",".join(tags) if tags else "none"
 
     def validate(self) -> None:
-        """Each failed rule names its `train` flag; nan fails every rule."""
+        """Each failed rule names its `train` flag, whether the value came
+        from the flag or a --config file; nan fails every rule."""
         for names, rule, ok in (
                 (("epochs", "pretrain_epochs"), ">= 0", lambda v: v >= 0),
                 (("batch_size", "max_len", "d_embed", "d_code", "n_filters"), ">= 1",
                  lambda v: v >= 1),
                 (("learning_rate", "clip_norm"), "finite and > 0", lambda v: 0 < v < np.inf),
                 (("supervised_weight",), "finite and >= 0", lambda v: 0 <= v < np.inf),
-                (("dropout",), "in [0, 1)", lambda v: 0 <= v < 1)):
+                (("dropout",), "in [0, 1)", lambda v: 0 <= v < 1),
+                (("candidate_activation",), "one of " + "|".join(CANDIDATE_ACTIVATIONS),
+                 lambda v: v in CANDIDATE_ACTIVATIONS)):
             for name in names:
                 if not ok(getattr(self, name)):
                     flag = TRAIN_FLAG_NAMES.get(name, name).replace("_", "-")
@@ -153,13 +159,6 @@ def build_model(bundle: CorpusBundle, cfg: TrainConfig) -> Model:
     return _new_model(enc_cfg, gen_cfg, not cfg.no_arl, named_rng(cfg.seed, "init"))
 
 
-def _check_alignable(docs: Sequence[EhrDocument], max_len: int) -> None:
-    biggest = max(len(d.gold_codes) for d in docs)
-    if biggest > max_len:
-        raise ConfigError(f"a document carries {biggest} gold codes but max_len is {max_len}; "
-                          "raise max_len so every label can claim a step")
-
-
 @dataclass
 class _BatchForward:
     """A batch's training forward: each document's representation (one row
@@ -220,61 +219,53 @@ def _decoder_backward(model: Model, fwd: _BatchForward, weight: float,
     encode_batch_backward(dx, fwd.enc_cache, store, model.enc_cfg)
 
 
-def _supervised_batch(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
-                      cfg: TrainConfig, dropout_rng: np.random.Generator) -> float:
-    model.gen_store.zero_grads()
-    fwd = _aligned_forward(model, batch, table, dropout_rng)
-    _decoder_backward(model, fwd, 1.0)
-    model.gen_store.scale_grads(1.0 / len(batch))
-    model.gen_store.clip_grads(cfg.clip_norm)
-    adam_step(model.gen_store, cfg.adam)
-    return sum(fwd.losses()) / len(batch)
-
-
 def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
                       cfg: TrainConfig, dropout_rng: np.random.Generator) -> dict[str, float]:
-    """One alternating update on a batch. Under no_arl this degenerates to
-    the pure supervised update and the scorer is untouched."""
-    if cfg.no_arl or model.disc_store is None:
-        return {"gen": _supervised_batch(model, batch, table, cfg, dropout_rng),
-                "pg": 0.0, "disc": 0.0}
-
-    # forward pass: representations, aligned lockstep pass, greedy decode per
-    # document, whose first step is its row of the aligned pass's first step
+    """One update on a batch. Adversarial: a scorer update, then a decoder
+    update on the aligned loss at supervised_weight plus the reward-weighted
+    policy-gradient term. Under no_arl (or without a scorer) only the
+    decoder update on the aligned loss at weight 1, the scorer untouched."""
     fwd = _aligned_forward(model, batch, table, dropout_rng)
-    decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x,
-                                  first=step_row(fwd.steps[0], b))
-               for b, x in enumerate(fwd.x)]
-    paths = [path for path, _ in decodes]
+    weight, pg_steps, pg_targets, pg_total, disc_loss = 1.0, [], [], 0.0, 0.0
+    if not cfg.no_arl and model.disc_store is not None:
+        weight = cfg.supervised_weight
+        # greedy decode per document, whose first step is its row of the
+        # aligned pass's first step
+        decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x,
+                                      first=step_row(fwd.steps[0], b))
+                   for b, x in enumerate(fwd.x)]
+        paths = [path for path, _ in decodes]
 
-    # scorer update: ground-truth prefixes positive, generated negative
-    prefixes: list[LabeledPrefix] = []
-    xs = dict(enumerate(fwd.x))
-    for doc_id, (doc, path) in enumerate(zip(batch, paths)):
-        prefixes.extend(split_prefixes(sorted(doc.gold_codes), True, doc_id))
-        prefixes.extend(split_prefixes(path.valid_codes, False, doc_id))
-    disc_loss = 0.0
-    if prefixes:
-        model.disc_store.zero_grads()
-        disc_loss = discriminator_loss(prefixes, xs, model.disc_store, model.disc_cfg,
-                                       with_grads=True)
-        model.disc_store.clip_grads(cfg.clip_norm)
-        adam_step(model.disc_store, cfg.adam)
+        # scorer update: ground-truth prefixes positive, generated negative
+        prefixes: list[LabeledPrefix] = []
+        xs = dict(enumerate(fwd.x))
+        for doc_id, (doc, path) in enumerate(zip(batch, paths)):
+            prefixes.extend(split_prefixes(sorted(doc.gold_codes), True, doc_id))
+            prefixes.extend(split_prefixes(path.valid_codes, False, doc_id))
+        if prefixes:
+            model.disc_store.zero_grads()
+            disc_loss = discriminator_loss(prefixes, xs, model.disc_store, model.disc_cfg,
+                                           with_grads=True)
+            model.disc_store.clip_grads(cfg.clip_norm)
+            adam_step(model.disc_store, cfg.adam)
 
-    # rewards of the generated prefixes from the updated scorer, in path
-    # order; baseline is the batch mean
-    generated = [pf for pf in prefixes if not pf.positive]
-    rewards = reward(generated, xs, model.disc_store, model.disc_cfg) if generated else np.empty(0)
-    baseline = float(np.mean(rewards)) if generated else 0.0
-    per_doc_rewards = np.split(rewards, np.cumsum([path.valid_len for path in paths])[:-1])
+        # rewards of the generated prefixes from the updated scorer, in path
+        # order; baseline is the batch mean
+        generated = [pf for pf in prefixes if not pf.positive]
+        rewards = (reward(generated, xs, model.disc_store, model.disc_cfg) if generated
+                   else np.empty(0))
+        baseline = float(np.mean(rewards)) if generated else 0.0
+        per_doc_rewards = np.split(rewards, np.cumsum([path.valid_len for path in paths])[:-1])
+        pg_traces = [traces[:path.valid_len] for path, traces in decodes]
+        pg_targets = [[(path.codes[k], r - baseline) for k, r in enumerate(rs.tolist())]
+                      for path, rs in zip(paths, per_doc_rewards)]
+        pg_total = sum(path_loss(traces, targets)
+                       for traces, targets in zip(pg_traces, pg_targets))
+        pg_steps = stack_steps(pg_traces)
 
-    # decoder update: supervised aligned loss plus reward-weighted surrogate
+    # decoder update: aligned loss plus any reward-weighted surrogate
     model.gen_store.zero_grads()
-    pg_traces = [traces[:path.valid_len] for path, traces in decodes]
-    pg_targets = [[(path.codes[k], r - baseline) for k, r in enumerate(rs.tolist())]
-                  for path, rs in zip(paths, per_doc_rewards)]
-    pg_total = sum(path_loss(traces, targets) for traces, targets in zip(pg_traces, pg_targets))
-    _decoder_backward(model, fwd, cfg.supervised_weight, stack_steps(pg_traces), pg_targets)
+    _decoder_backward(model, fwd, weight, pg_steps, pg_targets)
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
     adam_step(model.gen_store, cfg.adam)
@@ -307,90 +298,70 @@ def decode_predictions(model: Model, docs: Sequence[EhrDocument],
     return records
 
 
-def _batches(docs: Sequence[EhrDocument], batch_size: int,
-             rng: np.random.Generator) -> list[list[EhrDocument]]:
-    order = rng.permutation(len(docs))
-    shuffled = [docs[int(i)] for i in order]
-    return [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
+def _start(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[
+        Model, list[EhrDocument], np.random.Generator, np.random.Generator]:
+    """Checks of the config and the train split, then the initial model, the
+    train documents, and the run's dropout and shuffle streams."""
+    cfg.validate()
+    train_docs = bundle.split_docs("train")
+    biggest = max(len(d.gold_codes) for d in train_docs)
+    if biggest > cfg.max_len:
+        raise ConfigError(f"a document carries {biggest} gold codes but max_len is "
+                          f"{cfg.max_len}; raise max_len so every label can claim a step")
+    return (build_model(bundle, cfg), train_docs, named_rng(cfg.seed, "dropout"),
+            named_rng(cfg.seed, "shuffle"))
 
 
-def _supervised_epoch(model: Model, docs: Sequence[EhrDocument], table: ComplicationTable,
-                      cfg: TrainConfig, dropout_rng: np.random.Generator,
-                      shuffle_rng: np.random.Generator, epoch: int) -> float:
-    """One shuffled pass of supervised batches; returns the mean batch loss."""
-    losses = [_supervised_batch(model, batch, table, cfg, dropout_rng)
-              for batch in _batches(docs, cfg.batch_size, shuffle_rng)]
-    mean_loss = float(np.mean(losses))
-    if not np.isfinite(mean_loss):
-        raise TrainingError(f"pretraining diverged at epoch {epoch}")
-    return mean_loss
+def _epoch(model: Model, docs: Sequence[EhrDocument], table: ComplicationTable,
+           cfg: TrainConfig, dropout_rng: np.random.Generator,
+           shuffle_rng: np.random.Generator, epoch: int) -> dict[str, float]:
+    """One shuffled pass of adversarial_round (the supervised update under
+    no_arl); returns each loss's mean over the batches."""
+    shuffled = [docs[int(i)] for i in shuffle_rng.permutation(len(docs))]
+    outs = [adversarial_round(model, shuffled[i:i + cfg.batch_size], table, cfg, dropout_rng)
+            for i in range(0, len(shuffled), cfg.batch_size)]
+    means = {k: float(np.mean([out[k] for out in outs])) for k in ("gen", "pg", "disc")}
+    if not np.isfinite(means["gen"]):
+        raise TrainingError(f"training diverged at epoch {epoch}")
+    return means
 
 
 def pretrain_generator(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[Model, list[float]]:
-    """Supervised pretraining only; returns the model and per-epoch losses."""
-    cfg.validate()
-    model = build_model(bundle, cfg)
-    train_docs = bundle.split_docs("train")
-    _check_alignable(train_docs, cfg.max_len)
-    dropout_rng = named_rng(cfg.seed, "dropout")
-    shuffle_rng = named_rng(cfg.seed, "shuffle")
-    losses = [_supervised_epoch(model, train_docs, bundle.table, cfg, dropout_rng, shuffle_rng,
-                                epoch) for epoch in range(cfg.pretrain_epochs)]
-    return model, losses
+    """Supervised pretraining only; returns the final model and per-epoch losses."""
+    model, train_docs, dropout_rng, shuffle_rng = _start(bundle, cfg)
+    sup_cfg = replace(cfg, no_arl=True)
+    return model, [_epoch(model, train_docs, bundle.table, sup_cfg, dropout_rng, shuffle_rng,
+                          epoch)["gen"] for epoch in range(cfg.pretrain_epochs)]
 
 
 def train(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[TrainReport, Model]:
-    """Full schedule: pretraining epochs, then adversarial epochs, with
-    validation metrics after every epoch; returns the report and the model
-    snapshot with the best validation Jaccard."""
-    cfg.validate()
+    """Full schedule: pretraining epochs (no_arl), then adversarial epochs,
+    with validation metrics after every epoch; returns the report and the
+    model snapshot with the best validation Jaccard."""
     start = time.monotonic()
-    model = build_model(bundle, cfg)
-    train_docs = bundle.split_docs("train")
+    model, train_docs, dropout_rng, shuffle_rng = _start(bundle, cfg)
     val_docs = bundle.split_docs("validation")
-    _check_alignable(train_docs, cfg.max_len)
-    dropout_rng = named_rng(cfg.seed, "dropout")
-    shuffle_rng = named_rng(cfg.seed, "shuffle")
     report = TrainReport(ablation=cfg.ablation)
     best: Model | None = None
-
-    def validate_epoch(epoch: int) -> None:
-        nonlocal best
-        records = decode_predictions(model, val_docs, bundle.table)
-        table = metric_table(records, bundle.table, range(bundle.codes.num_real))
-        report.val_metrics.append({k: v for k, v in table.items()})
-        if table["jaccard"] > report.best_jaccard:
-            report.best_jaccard = table["jaccard"]
-            report.best_epoch = epoch
+    phases = [replace(cfg, no_arl=True)] * cfg.pretrain_epochs + [cfg] * cfg.epochs
+    for epoch, phase in enumerate(phases):
+        losses = _epoch(model, train_docs, bundle.table, phase, dropout_rng, shuffle_rng, epoch)
+        if epoch < cfg.pretrain_epochs:
+            report.pretrain_losses.append(losses["gen"])
+        else:
+            report.gen_losses.append(losses["gen"])
+            report.pg_losses.append(losses["pg"])
+            report.disc_losses.append(losses["disc"])
+        val = metric_table(decode_predictions(model, val_docs, bundle.table), bundle.table,
+                           range(bundle.codes.num_real))
+        report.val_metrics.append(val)
+        if val["jaccard"] > report.best_jaccard:
+            report.best_jaccard, report.best_epoch = val["jaccard"], epoch
             best = model.snapshot()
 
-    epoch = 0
-    for _ in range(cfg.pretrain_epochs):
-        report.pretrain_losses.append(_supervised_epoch(model, train_docs, bundle.table, cfg,
-                                                        dropout_rng, shuffle_rng, epoch))
-        validate_epoch(epoch)
-        epoch += 1
-    for _ in range(cfg.epochs):
-        sums = {"gen": 0.0, "pg": 0.0, "disc": 0.0}
-        batches = _batches(train_docs, cfg.batch_size, shuffle_rng)
-        for batch in batches:
-            out = adversarial_round(model, batch, bundle.table, cfg, dropout_rng)
-            for k in sums:
-                sums[k] += out[k]
-        for k in sums:
-            sums[k] /= len(batches)
-        if not np.isfinite(sums["gen"]):
-            raise TrainingError(f"training diverged at epoch {epoch}")
-        report.gen_losses.append(sums["gen"])
-        report.pg_losses.append(sums["pg"])
-        report.disc_losses.append(sums["disc"])
-        validate_epoch(epoch)
-        epoch += 1
-
-    if best is None:  # zero epochs requested: fall back to the initial model
-        best = model.snapshot()
     report.wall_clock_s = time.monotonic() - start
-    return report, best
+    # zero epochs requested: fall back to the initial model
+    return report, best if best is not None else model.snapshot()
 
 
 # checkpoint keys that differ from the config field they store

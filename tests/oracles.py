@@ -14,7 +14,8 @@ from ehrpath.encoder import EncoderConfig, embed_tokens
 from ehrpath.generator import (MixtureCache, MixtureDistribution, StepTrace, _candidates,
                                _mixture_forward, _mixture_from_scores, generator_step_loss)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
-from ehrpath.numerics import AdamConfig, ParamStore, add_rows
+from ehrpath.numerics import AdamConfig, ParamStore, adam_step, add_rows
+from ehrpath.trainer import _aligned_forward, _decoder_backward
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
@@ -154,6 +155,19 @@ def mixture_scores_row(gen_scores, copy_scores, copy_ids) -> MixtureDistribution
                                                        *_candidates(copy_ids))
     mix = MixtureCache(exp_gen, exp_copy, z, None, None, None)
     return StepTrace(*[None] * 9, probs, copy_ids, mix).dist
+
+
+def supervised_batch(model, batch, table, cfg, dropout_rng) -> float:
+    """The supervised update on its own: zeroed gradients, the aligned loss
+    at weight 1, then scale, clip and Adam; returns the batch-mean loss. The
+    reference for adversarial_round under no_arl or a zero advantage."""
+    model.gen_store.zero_grads()
+    fwd = _aligned_forward(model, batch, table, dropout_rng)
+    _decoder_backward(model, fwd, 1.0)
+    model.gen_store.scale_grads(1.0 / len(batch))
+    model.gen_store.clip_grads(cfg.clip_norm)
+    adam_step(model.gen_store, cfg.adam)
+    return sum(fwd.losses()) / len(batch)
 
 
 # The LSTM cell with one weight and one bias slot per gate,

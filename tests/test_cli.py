@@ -152,7 +152,7 @@ class TestTrainCommand:
         ("--supervised-weight", "nan"), ("--supervised-weight", "-1"),
         ("--supervised-weight", "inf"), ("--d-embed", "0"), ("--d-code", "0"),
         ("--n-filters", "0"), ("--lr", "inf"), ("--lr", "nan"), ("--lr", "0"),
-        ("--dropout", "1"), ("--dropout", "nan")])
+        ("--dropout", "1"), ("--dropout", "nan"), ("--candidate-activation", "bogus")])
     def test_out_of_range_value_exits_2_naming_flag_before_training(
             self, tmp_path, capsys, monkeypatch, flag, value):
         corpus = gen_corpus(tmp_path)
@@ -167,6 +167,24 @@ class TestTrainCommand:
                   + [flag, value])
         assert rc == 2
         assert flag in capsys.readouterr().err
+
+    def test_config_file_value_exits_2_naming_flag_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        # a --config file value passes the same TrainConfig rule as its flag
+        corpus = gen_corpus(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        conf = tmp_path / "run.conf"
+        conf.write_text("candidate_activation=bogus\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "build_model", no_training)
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out), "--config", str(conf)]
+                  + TRAIN_FLAGS)
+        assert rc == 2
+        assert "--candidate-activation must be one of relu|tanh" in capsys.readouterr().err
 
     def test_zero_supervised_weight_is_accepted(self, tmp_path):
         corpus = gen_corpus(tmp_path)
@@ -412,7 +430,7 @@ class TestCorpusCrossChecks:
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(trainer, "_supervised_epoch", no_training)
+        monkeypatch.setattr(trainer, "_epoch", no_training)
         assert self._train(corpus, tmp_path) == 3
         assert f"the {split} split is empty" in capsys.readouterr().err
 
@@ -485,3 +503,16 @@ class TestReportAndBuildTable:
         after = (corpus / TABLE_FILE).read_text()
         assert before != after
         assert len(after.strip().split("\n")) == 1  # header only, no pair survives
+
+    # corpus files that parse as JSON but have the wrong shape: (file, text)
+    MISSHAPEN = {"splits-list": (SPLITS_FILE, "[1, 2]\n"),
+                 "split-not-list": (SPLITS_FILE, '{"train": 5, "test": [], "validation": []}\n'),
+                 "corpus-line-list": (CORPUS_FILE, "[1, 2]\n")}
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN))
+    def test_build_table_on_misshapen_corpus_file_exits_3(self, tmp_path, capsys, case):
+        corpus = gen_corpus(tmp_path)
+        name, text = self.MISSHAPEN[case]
+        (corpus / name).write_text(text)
+        assert main(["build-table", "--corpus", str(corpus)]) == 3
+        assert "bad corpus directory" in capsys.readouterr().err

@@ -61,7 +61,6 @@ class TestGeneration:
         _, codes, tokens = generate_synthetic_corpus(CorpusConfig(**BASE))
         assert codes.n_total == codes.num_real + 2
         assert codes.stop_id != codes.unk_id
-        assert codes.label(codes.stop_id) == "<stop>"
         assert tokens.labels[0] == "<pad>"
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_bundle
+from oracles import supervised_batch
 from ehrpath.discriminator import LabeledPrefix, reward
 from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
@@ -93,8 +94,7 @@ class TestAdversarialRound:
 
         # the no-arl round equals the plain supervised update
         m2 = model.snapshot()
-        from ehrpath.trainer import _supervised_batch
-        _supervised_batch(m2, batch, bundle.table, arl_off, named_rng(7, "dropout"))
+        supervised_batch(m2, batch, bundle.table, arl_off, named_rng(7, "dropout"))
         assert stores_equal(m1.gen_store, m2.gen_store)
 
     def test_zero_advantage_update_equals_supervised_update(self, bundle, monkeypatch):
@@ -111,9 +111,8 @@ class TestAdversarialRound:
         assert out["pg"] == pytest.approx(0.0, abs=1e-12)
 
         m2 = model.snapshot()
-        from ehrpath.trainer import _supervised_batch
-        _supervised_batch(m2, batch, bundle.table, dataclasses.replace(cfg, no_arl=True),
-                          named_rng(8, "dropout"))
+        supervised_batch(m2, batch, bundle.table, dataclasses.replace(cfg, no_arl=True),
+                         named_rng(8, "dropout"))
         assert stores_equal(m1.gen_store, m2.gen_store)
 
     def test_reward_known_value_on_zeroed_scorer(self, bundle):
@@ -163,6 +162,27 @@ class TestTrain:
         assert report.ablation == "no_copy,no_arl"
         assert model.disc_store is None
         assert report.disc_losses == [0.0]
+
+    def test_pretrain_losses_equal_pretrain_generator_bitwise(self, bundle):
+        cfg = TrainConfig(epochs=1, pretrain_epochs=3, seed=14, **TINY)
+        report, _ = train(bundle, cfg)
+        assert report.pretrain_losses == pretrain_generator(bundle, cfg)[1]
+
+    def test_every_batch_of_both_phases_runs_adversarial_round(self, bundle, monkeypatch):
+        # the benchmark times adversarial_round as the training update, so
+        # train must run every batch of both phases through it
+        calls = []
+
+        def counted(model, batch, table, cfg, dropout_rng):
+            calls.append((len(batch), cfg.no_arl))
+            return adversarial_round(model, batch, table, cfg, dropout_rng)
+
+        monkeypatch.setattr(trainer, "adversarial_round", counted)
+        cfg = TrainConfig(epochs=1, pretrain_epochs=1, seed=16, **TINY)
+        train(bundle, cfg)
+        n_train = len(bundle.split_docs("train"))
+        sizes = [min(cfg.batch_size, n_train - i) for i in range(0, n_train, cfg.batch_size)]
+        assert calls == [(n, True) for n in sizes] + [(n, False) for n in sizes]
 
     def test_best_jaccard_checkpoint_retained(self, bundle):
         cfg = TrainConfig(epochs=0, pretrain_epochs=3, seed=13, **TINY)
