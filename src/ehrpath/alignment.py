@@ -9,27 +9,12 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .generator import PROB_FLOOR
-
-
-@dataclass
-class AlignmentMatrix:
-    """Binary assignment of labels (columns, ascending code order) to time
-    steps (rows): every label claims exactly one step, every step at most
-    one label."""
-    matrix: np.ndarray
-    labels: tuple[int, ...]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """(step, code) for each assignment, in step order."""
-        rows, cols = np.nonzero(self.matrix)
-        return sorted((int(t), self.labels[int(j)]) for t, j in zip(rows, cols))
 
 
 def fix_correct_predictions(greedy_path: Sequence[int], gold: Iterable[int]) -> dict[int, int]:
@@ -43,9 +28,9 @@ def fix_correct_predictions(greedy_path: Sequence[int], gold: Iterable[int]) -> 
     return pins
 
 
-def hungarian_assign(cost: np.ndarray, pinned: Mapping[int, int],
-                     labels: tuple[int, ...] | None = None) -> AlignmentMatrix:
-    """Complete a partial assignment optimally.
+def hungarian_assign(cost: np.ndarray, pinned: Mapping[int, int]) -> dict[int, int]:
+    """Complete a partial assignment optimally: step -> column, every column
+    (label) claimed by exactly one step, every step by at most one column.
 
     cost is (steps, labels); pinned maps step -> column index and is kept
     verbatim. The unpinned steps x unclaimed columns sub-problem is solved
@@ -64,42 +49,34 @@ def hungarian_assign(cost: np.ndarray, pinned: Mapping[int, int],
         if not (0 <= t < n_steps and 0 <= j < n_labels):
             raise ValueError(f"pin ({t}, {j}) outside cost matrix {cost.shape}")
 
-    matrix = np.zeros((n_steps, n_labels), dtype=np.int8)
-    for t, j in pinned.items():
-        matrix[t, j] = 1
+    assigned = dict(pinned)
     free_rows = [t for t in range(n_steps) if t not in pinned]
     free_cols = [j for j in range(n_labels) if j not in set(pinned.values())]
-    if free_cols:
-        sub = cost[np.ix_(free_rows, free_cols)]
-        rr, cc = linear_sum_assignment(sub)
-        for r, c in zip(rr, cc):
-            matrix[free_rows[r], free_cols[c]] = 1
-    if labels is None:
-        labels = tuple(range(n_labels))
-    return AlignmentMatrix(matrix, labels)
+    rr, cc = linear_sum_assignment(cost[np.ix_(free_rows, free_cols)])
+    assigned.update((free_rows[r], free_cols[c]) for r, c in zip(rr, cc))
+    return assigned
 
 
 def align_path(probs: np.ndarray, greedy_path: Sequence[int],
-               gold: Iterable[int]) -> AlignmentMatrix:
-    """Build the full alignment for one document from its per-step
+               gold: Iterable[int]) -> dict[int, int]:
+    """The full alignment for one document, step -> code, from its per-step
     probabilities (steps, n_total): pin correct greedy predictions, then
     assign the remaining labels by -log probability."""
-    labels = tuple(sorted(set(gold)))
-    cost = -np.log(np.maximum(probs[:, list(labels)], PROB_FLOOR))
+    labels = sorted(set(gold))
+    cost = -np.log(np.maximum(probs[:, labels], PROB_FLOOR))
     pins = fix_correct_predictions(greedy_path, labels)
-    pinned_cols = {t: labels.index(code) for t, code in pins.items()}
-    return hungarian_assign(cost, pinned_cols, labels)
+    assigned = hungarian_assign(cost, {t: labels.index(code) for t, code in pins.items()})
+    return {t: labels[j] for t, j in assigned.items()}
 
 
-def step_targets(alignment: AlignmentMatrix, n_steps: int, stop_id: int) -> list[int | None]:
-    """Per-step supervision targets: the assigned code, STOP at the first
-    unassigned step, nothing afterwards."""
+def step_targets(alignment: Mapping[int, int], n_steps: int, stop_id: int) -> list[int | None]:
+    """Per-step supervision targets from a step -> code alignment: the
+    assigned code, STOP at the first unassigned step, nothing afterwards."""
     targets: list[int | None] = [None] * n_steps
-    for t, code in alignment.pairs():
+    for t, code in alignment.items():
         targets[t] = code
     for t in range(n_steps):
         if targets[t] is None:
             targets[t] = stop_id
             break
     return targets
-

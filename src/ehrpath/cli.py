@@ -17,9 +17,8 @@ import sys
 
 from . import corpus as corpus_io
 from .checkpoint import field_kinds, load_checkpoint, parse_value
-from .corpus import (CorpusBundle, CorpusConfig, atomic_write, build_complication_table,
-                     filter_top_k, generate_synthetic_corpus, load_corpus_dir, split_indices,
-                     write_table)
+from .corpus import (CorpusConfig, atomic_write, build_complication_table, load_corpus_dir,
+                     synthetic_bundle, write_table)
 from .errors import CompatibilityError, ConfigError, DataError
 from .metrics import format_metric_table, metric_table, read_predictions, write_predictions
 from .trainer import (TRAIN_FLAG_NAMES, TrainConfig, decode_predictions,
@@ -110,14 +109,10 @@ def cmd_gen_data(args) -> int:
         doc_len=(int(args.doc_len_min), int(args.doc_len_max)), seed=int(args.seed),
         code_skew=float(args.code_skew), extra_code_prob=float(args.extra_code_prob),
         signal_strength=float(args.signal_strength))
-    documents, codes, tokens = generate_synthetic_corpus(cfg)
-    documents = filter_top_k(documents, cfg.top_k)
-    splits = split_indices(len(documents), cfg.seed)
-    train_docs = [documents[i] for i in splits["train"]]
-    table = build_complication_table(train_docs, float(args.or_threshold), int(args.min_support))
-    bundle = CorpusBundle(documents, codes, tokens, table, splits)
+    bundle = synthetic_bundle(cfg, float(args.or_threshold), int(args.min_support))
     corpus_io.write_corpus_dir(args.out, bundle)
-    print(f"wrote {len(documents)} documents, {len(table)} complication pairs -> {args.out}")
+    print(f"wrote {len(bundle.documents)} documents, {len(bundle.table)} complication pairs "
+          f"-> {args.out}")
     return 0
 
 
@@ -147,8 +142,14 @@ def cmd_train(args) -> int:
     _require_dir(args.out, "output")
     bundle = load_corpus_dir(args.corpus)
     fingerprints = _fingerprints(args.corpus)
-    cfg = TrainConfig(**{name: parse_value(kind, getattr(args, dest))
-                         for name, dest, kind in _train_options()})
+    values = {}
+    for name, dest, kind in _train_options():
+        try:
+            values[name] = parse_value(kind, getattr(args, dest))
+        except ValueError as exc:
+            raise ConfigError(f"--{dest.replace('_', '-')}: cannot read {getattr(args, dest)!r} "
+                              f"as {kind.__name__}") from exc
+    cfg = TrainConfig(**values)
     report, model = train(bundle, cfg)
     ckpt = os.path.join(args.out, CHECKPOINT_NAME)
     save_model(ckpt, model, cfg.seed, fingerprints)

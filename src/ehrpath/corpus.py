@@ -302,6 +302,16 @@ class CorpusBundle:
         return [self.documents[i] for i in self.splits[name]]
 
 
+def synthetic_bundle(cfg: CorpusConfig, or_threshold: float, min_support: int) -> CorpusBundle:
+    """cfg's synthetic corpus, top-k filtered and split, with its train split's table."""
+    documents, codes, tokens = generate_synthetic_corpus(cfg)
+    documents = filter_top_k(documents, cfg.top_k)
+    splits = split_indices(len(documents), cfg.seed)
+    table = build_complication_table([documents[i] for i in splits["train"]],
+                                     or_threshold, min_support)
+    return CorpusBundle(documents, codes, tokens, table, splits)
+
+
 @contextlib.contextmanager
 def atomic_write(path: str, mode: str = "w"):
     """A file that replaces path, through os.replace, only once the block

@@ -4,16 +4,16 @@ Encodes a code prefix with its own LSTM (separate embedding table from the
 decoder), concatenates the final hidden state with the document
 representation, and maps through one sigmoid linear layer to a reward in
 (0, 1). Trained with binary cross-entropy: ground-truth prefixes positive,
-generated prefixes negative. Paths are expanded into all their prefixes of
-valid codes to enlarge the sample count. The prefixes of a batch share one
-lockstep LSTM pass over the longest paths among them, each prefix reading
-its state at its own last step, and one reverse-time sweep back.
+generated prefixes negative. Every prefix of a path is scored, which
+enlarges the sample count. The paths of a batch share one lockstep LSTM
+pass over the longest among them, each prefix reading its state at its own
+last step, and one reverse-time sweep back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -42,29 +42,12 @@ def init_discriminator_params(store: ParamStore, cfg: DiscriminatorConfig,
     store.add_uniform("disc.reward.b", (1,), rng)
 
 
-@dataclass(frozen=True)
-class LabeledPrefix:
-    codes: tuple[int, ...]
-    positive: bool
-    doc_id: int
-
-    def __post_init__(self) -> None:
-        if len(self.codes) == 0:
-            raise ValueError("empty prefix")
-
-
-def split_prefixes(path: Sequence[int], positive: bool, doc_id: int) -> list[LabeledPrefix]:
-    """Expand a path of t valid codes (no STOP) into its t prefixes."""
-    codes = tuple(path)
-    return [LabeledPrefix(codes[:k], positive, doc_id) for k in range(1, len(codes) + 1)]
-
-
 @dataclass
 class PathPass:
-    """The scorer over a batch of prefixes: steps[t] holds (rows, codes,
-    LSTM cache) of the paths longer than t; prefix j ends on path row
-    path_of[j] at step last[j], and feats[j] is [its final hidden state,
-    its document vector]."""
+    """The scorer over every prefix of a batch of paths, path by path and
+    shortest first: steps[t] holds (rows, codes, LSTM cache) of the maximal
+    paths longer than t; prefix j ends on maximal row path_of[j] at step
+    last[j], and feats[j] is [its final hidden state, its document row]."""
     steps: list[tuple[np.ndarray, list[int], LstmCache]]
     path_of: np.ndarray
     last: np.ndarray
@@ -72,55 +55,61 @@ class PathPass:
     logits: np.ndarray
 
 
-def score_prefixes(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.ndarray],
-                   store: ParamStore, cfg: DiscriminatorConfig) -> PathPass:
-    """Every prefix run from zero state, by one lockstep pass over the
-    distinct code tuples that extend no other, in order of first
-    appearance, then one product with the reward layer."""
-    distinct = list(dict.fromkeys(pf.codes for pf in prefixes))
+def score_paths(paths: Sequence[tuple[int, ...]], x: np.ndarray, store: ParamStore,
+                cfg: DiscriminatorConfig) -> PathPass:
+    """Every prefix of every path run from zero state, by one lockstep pass
+    over the distinct paths that extend no other, in order of first
+    appearance (a path that another extends reads the longest one that
+    does), then one product with the reward layer. x holds one document row
+    per path."""
+    distinct = list(dict.fromkeys(p for p in paths if p))
     if any(not 0 <= c < cfg.n_total for p in distinct for c in p):
-        raise ValueError(f"prefixes contain ids outside vocabulary of {cfg.n_total}")
-    inner = {p[:k] for p in distinct for k in range(1, len(p))}
-    paths = [p for p in distinct if p not in inner]
-    where = {path[:k + 1]: (row, k) for row, path in enumerate(paths) for k in range(len(path))}
-    path_of, last = np.array([where[pf.codes] for pf in prefixes]).reshape(-1, 2).T
-    lengths = np.array([len(p) for p in paths])
-    states = np.zeros((len(paths), lengths.max() + 1, cfg.hidden))  # step 0: zero state
-    c = np.zeros((len(paths), cfg.hidden))
+        raise ValueError(f"paths contain ids outside vocabulary of {cfg.n_total}")
+    longest = {p[:k]: p for p in sorted(distinct, key=len) for k in range(1, len(p))}
+    maximal = [p for p in distinct if p not in longest]
+    row = {p: r for r, p in enumerate(maximal)}
+    path_of = np.array([row[longest.get(p, p)] for p in paths for _ in p], dtype=int)
+    last = np.array([k for p in paths for k in range(len(p))], dtype=int)
+    max_lengths = np.array([len(p) for p in maximal], dtype=int)
+    n_steps = max_lengths.max(initial=0)
+    states = np.zeros((len(maximal), n_steps + 1, cfg.hidden))  # step 0: zero state
+    c = np.zeros((len(maximal), cfg.hidden))
     steps = []
-    for t in range(lengths.max()):
-        rows = np.flatnonzero(lengths > t)
-        codes = [paths[r][t] for r in rows]
+    for t in range(n_steps):
+        rows = np.flatnonzero(max_lengths > t)
+        codes = [maximal[r][t] for r in rows]
         states[rows, t + 1], c[rows], cache = lstm_step(
             store, "disc.lstm", states[rows, t], c[rows],
             store["disc.code_embed"].take(codes, axis=0), cfg.candidate_activation)
         steps.append((rows, codes, cache))
-    feats = np.hstack([states[path_of, last + 1], np.stack([xs[pf.doc_id] for pf in prefixes])])
+    feats = np.hstack([states[path_of, last + 1], np.repeat(x, [len(p) for p in paths], axis=0)])
     logits = feats.dot(store["disc.reward.W"]) + store["disc.reward.b"][0]
     return PathPass(steps, path_of, last, feats, logits)
 
 
-def reward(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.ndarray],
-           store: ParamStore, cfg: DiscriminatorConfig) -> np.ndarray:
-    """Sigmoid of the linear map over [path encoding, document vector], one
-    per prefix."""
-    return expit(score_prefixes(prefixes, xs, store, cfg).logits)
+def reward(paths: Sequence[tuple[int, ...]], x: np.ndarray, store: ParamStore,
+           cfg: DiscriminatorConfig) -> list[np.ndarray]:
+    """Sigmoid of the linear map over [prefix encoding, document row]: each
+    path's rewards, one per step."""
+    rewards = expit(score_paths(paths, x, store, cfg).logits)
+    return np.split(rewards, np.cumsum([len(p) for p in paths])[:-1])
 
 
-def discriminator_loss(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.ndarray],
-                       store: ParamStore, cfg: DiscriminatorConfig,
+def discriminator_loss(paths: Sequence[tuple[int, ...]], positive: Sequence[bool],
+                       x: np.ndarray, store: ParamStore, cfg: DiscriminatorConfig,
                        with_grads: bool = False) -> float:
-    """Mean binary cross-entropy over the batch, probabilities clamped to
-    [1e-12, 1 - 1e-12]. With with_grads, accumulates gradients for the
-    scorer parameters only; the document representation is treated as data.
+    """Mean binary cross-entropy over every prefix of every path, each with
+    its path's label, probabilities clamped to [1e-12, 1 - 1e-12]. With
+    with_grads, accumulates gradients for the scorer parameters only; the
+    document rows are treated as data.
     """
-    if len(prefixes) == 0:
+    if not any(paths):
         raise ValueError("empty discriminator batch")
-    scored = score_prefixes(prefixes, xs, store, cfg)
+    scored = score_paths(paths, x, store, cfg)
     p = expit(scored.logits)
-    positive = np.array([pf.positive for pf in prefixes])
+    positive = np.repeat(positive, [len(path) for path in paths])
     clamped = np.clip(p, CLAMP, 1.0 - CLAMP)
-    scale = 1.0 / len(prefixes)
+    scale = 1.0 / len(p)
     total = float(np.where(positive, -np.log(clamped), -np.log(1.0 - clamped)).sum())
     if not with_grads:
         return total * scale

@@ -24,8 +24,8 @@ import numpy as np
 from .alignment import align_path, step_targets
 from .checkpoint import field_kinds, format_value, parse_value, save_checkpoint
 from .corpus import ComplicationTable, CorpusBundle, EhrDocument
-from .discriminator import (DiscriminatorConfig, LabeledPrefix, discriminator_loss,
-                            init_discriminator_params, reward, split_prefixes)
+from .discriminator import (DiscriminatorConfig, discriminator_loss, init_discriminator_params,
+                            reward)
 from .encoder import (EncodeCache, EncoderConfig, encode_batch, encode_batch_backward,
                       init_encoder_params)
 from .errors import ConfigError, DataError, TrainingError
@@ -80,7 +80,7 @@ class TrainConfig:
         """Each failed rule names its `train` flag, whether the value came
         from the flag or a --config file; nan fails every rule."""
         for names, rule, ok in (
-                (("epochs", "pretrain_epochs"), ">= 0", lambda v: v >= 0),
+                (("epochs", "pretrain_epochs", "seed"), ">= 0", lambda v: v >= 0),
                 (("batch_size", "max_len", "d_embed", "d_code", "n_filters"), ">= 1",
                  lambda v: v >= 1),
                 (("learning_rate", "clip_norm"), "finite and > 0", lambda v: 0 < v < np.inf),
@@ -204,8 +204,8 @@ def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: Complica
 
 
 def _decoder_backward(model: Model, fwd: _BatchForward, weight: float,
-                      pg_steps: Sequence[StepTrace] = (),
-                      pg_targets: Sequence[Sequence[tuple[int, float]]] = ()) -> None:
+                      pg_steps: Sequence[StepTrace],
+                      pg_targets: Sequence[Sequence[tuple[int, float]]]) -> None:
     """Decoder+encoder gradient accumulation for the aligned loss at
     `weight`, plus, in adversarial rounds, the policy-gradient terms
     pg_targets of the greedy steps pg_steps (lockstep, like the aligned
@@ -234,31 +234,26 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x,
                                       first=step_row(fwd.steps[0], b))
                    for b, x in enumerate(fwd.x)]
-        paths = [path for path, _ in decodes]
+        generated = [tuple(path.valid_codes) for path, _ in decodes]
 
-        # scorer update: ground-truth prefixes positive, generated negative
-        prefixes: list[LabeledPrefix] = []
-        xs = dict(enumerate(fwd.x))
-        for doc_id, (doc, path) in enumerate(zip(batch, paths)):
-            prefixes.extend(split_prefixes(sorted(doc.gold_codes), True, doc_id))
-            prefixes.extend(split_prefixes(path.valid_codes, False, doc_id))
-        if prefixes:
-            model.disc_store.zero_grads()
-            disc_loss = discriminator_loss(prefixes, xs, model.disc_store, model.disc_cfg,
-                                           with_grads=True)
-            model.disc_store.clip_grads(cfg.clip_norm)
-            adam_step(model.disc_store, cfg.adam)
+        # scorer update: each document's gold path positive, then its
+        # generated path negative, every prefix of each scored
+        scored = [p for doc, gen in zip(batch, generated)
+                  for p in (tuple(sorted(doc.gold_codes)), gen)]
+        model.disc_store.zero_grads()
+        disc_loss = discriminator_loss(scored, [True, False] * len(batch),
+                                       np.repeat(fwd.x, 2, axis=0), model.disc_store,
+                                       model.disc_cfg, with_grads=True)
+        model.disc_store.clip_grads(cfg.clip_norm)
+        adam_step(model.disc_store, cfg.adam)
 
-        # rewards of the generated prefixes from the updated scorer, in path
-        # order; baseline is the batch mean
-        generated = [pf for pf in prefixes if not pf.positive]
-        rewards = (reward(generated, xs, model.disc_store, model.disc_cfg) if generated
-                   else np.empty(0))
-        baseline = float(np.mean(rewards)) if generated else 0.0
-        per_doc_rewards = np.split(rewards, np.cumsum([path.valid_len for path in paths])[:-1])
-        pg_traces = [traces[:path.valid_len] for path, traces in decodes]
-        pg_targets = [[(path.codes[k], r - baseline) for k, r in enumerate(rs.tolist())]
-                      for path, rs in zip(paths, per_doc_rewards)]
+        # rewards of the generated prefixes from the updated scorer; the
+        # baseline is their batch mean
+        rewards = reward(generated, fwd.x, model.disc_store, model.disc_cfg)
+        baseline = float(np.mean(np.concatenate(rewards))) if any(generated) else 0.0
+        pg_traces = [traces[:len(gen)] for gen, (_, traces) in zip(generated, decodes)]
+        pg_targets = [[(code, r - baseline) for code, r in zip(gen, rs.tolist())]
+                      for gen, rs in zip(generated, rewards)]
         pg_total = sum(path_loss(traces, targets)
                        for traces, targets in zip(pg_traces, pg_targets))
         pg_steps = stack_steps(pg_traces)

@@ -1,7 +1,6 @@
 import pytest
 
-from ehrpath.corpus import (CorpusBundle, CorpusConfig, build_complication_table,
-                            filter_top_k, generate_synthetic_corpus, split_indices)
+from ehrpath.corpus import CorpusConfig, synthetic_bundle
 
 
 def tiny_bundle(seed=5, num_docs=60, num_codes=6, planted=((0, 1, 0.9),)):
@@ -10,12 +9,7 @@ def tiny_bundle(seed=5, num_docs=60, num_codes=6, planted=((0, 1, 0.9),)):
                        top_k=num_codes, planted_pairs=planted, doc_len=(6, 12),
                        seed=seed, code_skew=0.3, extra_code_prob=0.3,
                        signal_strength=0.9)
-    docs, codes, tokens = generate_synthetic_corpus(cfg)
-    docs = filter_top_k(docs, cfg.top_k)
-    splits = split_indices(len(docs), cfg.seed)
-    table = build_complication_table([docs[i] for i in splits["train"]],
-                                     or_threshold=2.0, min_support=3)
-    return CorpusBundle(docs, codes, tokens, table, splits)
+    return synthetic_bundle(cfg, or_threshold=2.0, min_support=3)
 
 
 @pytest.fixture

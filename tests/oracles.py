@@ -7,9 +7,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import expit
 
-from ehrpath.alignment import AlignmentMatrix, step_targets
+from ehrpath.alignment import step_targets
 from ehrpath.corpus import PAD_TOKEN
-from ehrpath.discriminator import CLAMP, DiscriminatorConfig, LabeledPrefix
+from ehrpath.discriminator import CLAMP, DiscriminatorConfig
 from ehrpath.encoder import EncoderConfig, embed_tokens
 from ehrpath.generator import (MixtureCache, MixtureDistribution, StepTrace, _candidates,
                                _mixture_forward, _mixture_from_scores, generator_step_loss)
@@ -131,8 +131,8 @@ def adam_update_with_temporaries(params: np.ndarray, grad: np.ndarray, m: np.nda
     params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
-def pla_loss(probs: Sequence[np.ndarray], alignment: AlignmentMatrix) -> float:
-    """Sum of -log p over assigned (step, label) pairs plus -log p(STOP) at
+def pla_loss(probs: Sequence[np.ndarray], alignment: Mapping[int, int]) -> float:
+    """Sum of -log p over assigned step -> label pairs plus -log p(STOP) at
     the first unassigned step, given one probability row per step;
     probabilities floored at 1e-12."""
     stop_id = len(probs[0]) - 2
@@ -163,7 +163,7 @@ def supervised_batch(model, batch, table, cfg, dropout_rng) -> float:
     reference for adversarial_round under no_arl or a zero advantage."""
     model.gen_store.zero_grads()
     fwd = _aligned_forward(model, batch, table, dropout_rng)
-    _decoder_backward(model, fwd, 1.0)
+    _decoder_backward(model, fwd, 1.0, [], [])
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
     adam_step(model.gen_store, cfg.adam)
@@ -267,31 +267,33 @@ def reward(prefix: Sequence[int], x: np.ndarray, store: ParamStore,
     return float(expit(logit))
 
 
-def discriminator_loss(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.ndarray],
+def discriminator_loss(paths: Sequence[Sequence[int]], positive: Sequence[bool], x: np.ndarray,
                        store: ParamStore, cfg: DiscriminatorConfig,
                        with_grads: bool = False) -> float:
-    """Mean binary cross-entropy over the batch, probabilities clamped to
+    """Mean binary cross-entropy over every prefix of every path, each with
+    its path's label and document row, probabilities clamped to
     [1e-12, 1 - 1e-12]. With with_grads, accumulates gradients for the
-    scorer parameters only; the document representation is treated as data.
+    scorer parameters only; the document rows are treated as data.
     """
+    prefixes = [(tuple(path[:k]), label, row) for path, label, row in zip(paths, positive, x)
+                for k in range(1, len(path) + 1)]
     if len(prefixes) == 0:
         raise ValueError("empty discriminator batch")
     total = 0.0
     scale = 1.0 / len(prefixes)
     w = store["disc.reward.W"]
-    for pf in prefixes:
-        x = xs[pf.doc_id]
-        h, caches = encode_path(pf.codes, store, cfg)
-        feats = np.concatenate([h, x])
+    for codes, label, row in prefixes:
+        h, caches = encode_path(codes, store, cfg)
+        feats = np.concatenate([h, row])
         p = float(expit(float(w @ feats + store["disc.reward.b"][0])))
         clamped = min(max(p, CLAMP), 1.0 - CLAMP)
-        total += -np.log(clamped) if pf.positive else -np.log(1.0 - clamped)
+        total += -np.log(clamped) if label else -np.log(1.0 - clamped)
         if not with_grads:
             continue
         # d(-log p)/dlogit = p - 1 for positives, p for negatives; zero when
         # the clamp is active (the loss is locally constant there)
         if CLAMP <= p <= 1.0 - CLAMP:
-            dlogit = scale * (p - 1.0 if pf.positive else p)
+            dlogit = scale * (p - 1.0 if label else p)
         else:
             dlogit = 0.0
         store.grad("disc.reward.W")[:] += dlogit * feats
@@ -300,5 +302,5 @@ def discriminator_loss(prefixes: Sequence[LabeledPrefix], xs: Mapping[int, np.nd
         dc = np.zeros((1, cfg.hidden))
         for k in range(len(caches) - 1, -1, -1):
             dh, dc, dx_in = lstm_step_backward(store, "disc.lstm", dh, dc, caches[k])
-            store.grad("disc.code_embed")[pf.codes[k]] += dx_in[0]
+            store.grad("disc.code_embed")[codes[k]] += dx_in[0]
     return total * scale

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from ehrpath.alignment import hungarian_assign
-from ehrpath.corpus import (ComplicationTable, CorpusBundle, CorpusConfig,
-                            build_complication_table, filter_top_k,
-                            generate_synthetic_corpus, split_indices)
-from ehrpath.discriminator import (DiscriminatorConfig, LabeledPrefix, discriminator_loss,
-                                   init_discriminator_params, split_prefixes)
+from ehrpath.corpus import ComplicationTable, CorpusBundle, CorpusConfig, synthetic_bundle
+from ehrpath.discriminator import (DiscriminatorConfig, discriminator_loss,
+                                   init_discriminator_params)
 from ehrpath.encoder import EncoderConfig, encode_backward, encode_ehr, init_encoder_params
 from ehrpath.generator import (GeneratorConfig, init_generator_params, path_loss, run_steps,
                                sequence_backward)
@@ -45,12 +43,7 @@ def desk_corpus(seed: int) -> CorpusBundle:
                        planted_pairs=tuple((2 * i, 2 * i + 1, 0.9) for i in range(5)),
                        doc_len=(12, 30), seed=seed, code_skew=0.3,
                        extra_code_prob=0.3, signal_strength=0.85)
-    docs, codes, tokens = generate_synthetic_corpus(cfg)
-    docs = filter_top_k(docs, cfg.top_k)
-    splits = split_indices(len(docs), cfg.seed)
-    table = build_complication_table([docs[i] for i in splits["train"]],
-                                     or_threshold=2.0, min_support=5)
-    return CorpusBundle(docs, codes, tokens, table, splits)
+    return synthetic_bundle(cfg, or_threshold=2.0, min_support=5)
 
 
 def desk_train_config(seed: int, **overrides) -> TrainConfig:
@@ -134,15 +127,14 @@ def test_criterion_1_gradient_correctness():
     disc_cfg = DiscriminatorConfig(n_codes=6, d_code=100, hidden=300, rep_dim=300)
     disc = ParamStore()
     init_discriminator_params(disc, disc_cfg, rng)
-    xs = {0: x, 1: x2}
-    batch = [LabeledPrefix((0, 1), True, 0), LabeledPrefix((2,), True, 1),
-             LabeledPrefix((5, 4), False, 0), LabeledPrefix((3,), False, 1)]
+    batch, positive = [(0, 1), (2,), (5, 4), (3,)], [True, True, False, False]
+    rows = np.stack([x, x2, x, x2])
 
     def disc_fn(s):
-        return discriminator_loss(batch, xs, s, disc_cfg)
+        return discriminator_loss(batch, positive, rows, s, disc_cfg)
 
     disc.zero_grads()
-    discriminator_loss(batch, xs, disc, disc_cfg, with_grads=True)
+    discriminator_loss(batch, positive, rows, disc, disc_cfg, with_grads=True)
     analytic3 = {n: disc.grad(n).copy() for n in disc.names()}
     err_disc = finite_diff_check(disc_fn, disc, analytic3, eps=1e-5, num_samples=120,
                                  rng=np.random.default_rng(2))
@@ -198,8 +190,7 @@ def test_criterion_3_assignment_optimality():
         else:
             cost = rng.uniform(0.0, 10.0, size=(n_steps, n_labels))
         out = hungarian_assign(cost, {})
-        rows, cols = np.nonzero(out.matrix)
-        got = math.fsum(cost[t, j] for t, j in sorted(zip(rows.tolist(), cols.tolist())))
+        got = math.fsum(cost[t, j] for t, j in sorted(out.items()))
         best = None
         for perm in itertools.permutations(range(n_steps), n_labels):
             total = math.fsum(cost[t, j] for j, t in enumerate(perm))
@@ -337,22 +328,21 @@ def test_criterion_7_adversarial_sanity():
 
     # frozen decoder: fixed prefix dataset from its greedy decodes
     docs = bundle.split_docs("train")[:64]
-    prefixes = []
-    xs = {}
-    for doc_id, doc in enumerate(docs):
+    paths, rows = [], []
+    for doc in docs:
         x, _ = encode_ehr(doc.tokens, model.gen_store, model.enc_cfg)
-        xs[doc_id] = x
         from ehrpath.generator import decode_path
         path = decode_path(model.gen_store, model.gen_cfg, bundle.table, x)
-        prefixes.extend(split_prefixes(sorted(doc.gold_codes), True, doc_id))
-        prefixes.extend(split_prefixes(path.valid_codes, False, doc_id))
+        paths.extend([tuple(sorted(doc.gold_codes)), tuple(path.valid_codes)])
+        rows.extend([x, x])
+    positive, rows = [True, False] * len(docs), np.stack(rows)
     disc_cfg = model.disc_cfg
     disc = model.disc_store
     adam = AdamConfig(learning_rate=1e-3)  # dedicated scorer run, 200 updates
     losses = []
     for _ in range(200):
         disc.zero_grads()
-        losses.append(discriminator_loss(prefixes, xs, disc, disc_cfg, with_grads=True))
+        losses.append(discriminator_loss(paths, positive, rows, disc, disc_cfg, with_grads=True))
         adam_step(disc, adam)
     fell_below = next((i for i, v in enumerate(losses) if v < math.log(2.0)), None)
     converged = losses[-1] < math.log(2.0) and losses[-1] < losses[0]

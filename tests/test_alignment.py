@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ehrpath import alignment as alignment_module
-from ehrpath.alignment import (AlignmentMatrix, align_path, fix_correct_predictions,
-                               hungarian_assign, step_targets)
+from ehrpath.alignment import align_path, fix_correct_predictions, hungarian_assign, step_targets
 from ehrpath.generator import PROB_FLOOR
 from oracles import pla_loss
 
@@ -29,6 +28,14 @@ def brute_force_assignment(cost, pinned):
         if best is None or total < best:
             best = total
     return math.fsum(base) if best is None else best
+
+
+def as_matrix(assigned, shape):
+    """The 0/1 (steps, labels) matrix of a step -> column assignment."""
+    matrix = np.zeros(shape, dtype=np.int8)
+    for t, j in assigned.items():
+        matrix[t, j] = 1
+    return matrix
 
 
 def assignment_cost(matrix, cost):
@@ -54,12 +61,12 @@ class TestFixCorrectPredictions:
 class TestHungarian:
     def test_single_cell(self):
         out = hungarian_assign(np.array([[2.5]]), {})
-        np.testing.assert_array_equal(out.matrix, [[1]])
+        np.testing.assert_array_equal(as_matrix(out, (1, 1)), [[1]])
 
     def test_two_by_two_diagonal(self):
         out = hungarian_assign(np.array([[1.0, 2.0], [3.0, 1.0]]), {})
-        np.testing.assert_array_equal(out.matrix, np.eye(2, dtype=np.int8))
-        assert assignment_cost(out.matrix, np.array([[1.0, 2.0], [3.0, 1.0]])) == 2.0
+        np.testing.assert_array_equal(as_matrix(out, (2, 2)), np.eye(2, dtype=np.int8))
+        assert assignment_cost(as_matrix(out, (2, 2)), np.array([[1.0, 2.0], [3.0, 1.0]])) == 2.0
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(17)
@@ -68,7 +75,8 @@ class TestHungarian:
             n_labels = int(rng.integers(1, n_steps + 1))
             cost = rng.uniform(0.0, 10.0, size=(n_steps, n_labels))
             out = hungarian_assign(cost, {})
-            assert assignment_cost(out.matrix, cost) == brute_force_assignment(cost, {})
+            assert (assignment_cost(as_matrix(out, cost.shape), cost)
+                    == brute_force_assignment(cost, {}))
 
     def test_pins_always_kept_and_completion_optimal(self):
         rng = np.random.default_rng(18)
@@ -80,8 +88,8 @@ class TestHungarian:
             pin_col = int(rng.integers(0, n_labels))
             pinned = {pin_step: pin_col}
             out = hungarian_assign(cost, pinned)
-            assert out.matrix[pin_step, pin_col] == 1
-            assert assignment_cost(out.matrix, cost) == pytest.approx(
+            assert out[pin_step] == pin_col
+            assert assignment_cost(as_matrix(out, cost.shape), cost) == pytest.approx(
                 brute_force_assignment(cost, pinned), abs=1e-12)
 
     def test_integer_costs_tie_exactness(self):
@@ -90,7 +98,8 @@ class TestHungarian:
             n = int(rng.integers(2, 6))
             cost = rng.integers(0, 4, size=(n, n)).astype(float)
             out = hungarian_assign(cost, {})
-            assert assignment_cost(out.matrix, cost) == brute_force_assignment(cost, {})
+            assert (assignment_cost(as_matrix(out, cost.shape), cost)
+                    == brute_force_assignment(cost, {}))
 
     def test_more_labels_than_steps_rejected(self):
         with pytest.raises(ValueError, match="labels"):
@@ -99,9 +108,9 @@ class TestHungarian:
     def test_all_label_columns_claimed_once(self):
         rng = np.random.default_rng(20)
         cost = rng.uniform(size=(6, 4))
-        out = hungarian_assign(cost, {2: 1})
-        assert np.all(out.matrix.sum(axis=0) == 1)
-        assert np.all(out.matrix.sum(axis=1) <= 1)
+        matrix = as_matrix(hungarian_assign(cost, {2: 1}), cost.shape)
+        assert np.all(matrix.sum(axis=0) == 1)
+        assert np.all(matrix.sum(axis=1) <= 1)
 
     def test_duplicate_pin_column_rejected(self):
         with pytest.raises(ValueError):
@@ -110,16 +119,13 @@ class TestHungarian:
 
 class TestStepTargets:
     def test_stop_at_first_unassigned(self):
-        alignment = AlignmentMatrix(np.array([[1, 0], [0, 1]], dtype=np.int8), (4, 9))
-        assert step_targets(alignment, 3, stop_id=11) == [4, 9, 11]
+        assert step_targets({0: 4, 1: 9}, 3, stop_id=11) == [4, 9, 11]
 
     def test_no_stop_when_every_step_assigned(self):
-        alignment = AlignmentMatrix(np.array([[0, 1], [1, 0]], dtype=np.int8), (4, 9))
-        assert step_targets(alignment, 2, stop_id=11) == [9, 4]
+        assert step_targets({0: 9, 1: 4}, 2, stop_id=11) == [9, 4]
 
     def test_only_first_gap_supervised(self):
-        alignment = AlignmentMatrix(np.array([[1], [0], [0]], dtype=np.int8), (4,))
-        assert step_targets(alignment, 3, stop_id=11) == [4, 11, None]
+        assert step_targets({0: 4}, 3, stop_id=11) == [4, 11, None]
 
 
 class TestPlaLoss:
@@ -127,16 +133,14 @@ class TestPlaLoss:
         stop = 3  # 3 real codes, stop=3, unk=4
         d1 = dist_from_probs([1.0, 1e-30, 1e-30, 1e-30, 1e-30])
         d2 = dist_from_probs([1e-30, 1e-30, 1e-30, 1.0, 1e-30])
-        alignment = AlignmentMatrix(np.array([[1], [0]], dtype=np.int8), (0,))
-        assert pla_loss([d1, d2], alignment) == pytest.approx(0.0, abs=1e-9)
+        assert pla_loss([d1, d2], {0: 0}) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_label_e_minus_one_each(self):
         e1 = math.exp(-1.0)
         rest = (1.0 - e1) / 4.0
         d1 = dist_from_probs([e1, rest, rest, rest, rest])
         d2 = dist_from_probs([rest, rest, rest, e1, rest])
-        alignment = AlignmentMatrix(np.array([[1], [0]], dtype=np.int8), (0,))
-        assert pla_loss([d1, d2], alignment) == pytest.approx(2.0, abs=1e-12)
+        assert pla_loss([d1, d2], {0: 0}) == pytest.approx(2.0, abs=1e-12)
 
     def test_three_label_case_matches_oracle_assignment_and_direct_sum(self):
         rng = np.random.default_rng(23)
@@ -146,24 +150,25 @@ class TestPlaLoss:
             p = rng.dirichlet(np.ones(7))  # 5 real codes + stop + unk
             dists.append(dist_from_probs(p))
         cost = np.array([[-np.log(d[c]) for c in labels] for d in dists[:3]])
-        alignment = hungarian_assign(cost, {}, labels)
-        assert assignment_cost(alignment.matrix, cost) == brute_force_assignment(cost, {})
-        expected = assignment_cost(alignment.matrix, cost) - np.log(dists[3][5])
+        assigned = hungarian_assign(cost, {})
+        matrix = as_matrix(assigned, cost.shape)
+        assert assignment_cost(matrix, cost) == brute_force_assignment(cost, {})
+        expected = assignment_cost(matrix, cost) - np.log(dists[3][5])
+        alignment = {t: labels[j] for t, j in assigned.items()}
         assert pla_loss(dists, alignment) == pytest.approx(expected, abs=1e-12)
 
     def test_loss_non_increasing_when_assigned_probability_rises(self):
         labels = (1,)
         lo = dist_from_probs([0.2, 0.2, 0.2, 0.2, 0.2])
         hi = dist_from_probs([0.2, 0.4, 0.2, 0.1, 0.1])
-        alignment = AlignmentMatrix(np.array([[1]], dtype=np.int8), labels)
+        alignment = {0: labels[0]}
         assert pla_loss([hi], alignment) <= pla_loss([lo], alignment)
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
             p = rng.dirichlet(np.ones(6))
-            alignment = AlignmentMatrix(np.array([[1]], dtype=np.int8), (2,))
-            assert pla_loss([dist_from_probs(p)], alignment) >= 0.0
+            assert pla_loss([dist_from_probs(p)], {0: 2}) >= 0.0
 
 
 class TestAlignPath:
@@ -177,9 +182,9 @@ class TestAlignPath:
         drawn = np.array([dist_from_probs(rng.dirichlet(np.ones(6))) for _ in range(3)])
         costs = []
 
-        def recording(cost, pinned, labels=None):
+        def recording(cost, pinned):
             costs.append(cost)
-            return hungarian_assign(cost, pinned, labels)
+            return hungarian_assign(cost, pinned)
 
         monkeypatch.setattr(alignment_module, "hungarian_assign", recording)
         for dists in (drawn, self.FLOORED):
@@ -189,20 +194,20 @@ class TestAlignPath:
             alignment = align_path(dists, greedy, gold)
             pins = fix_correct_predictions(greedy, gold)
             for t, code in pins.items():
-                j = alignment.labels.index(code)
-                assert alignment.matrix[t, j] == 1
+                assert alignment[t] == code
             # the cost is one gather, bit for bit the per-entry floored -log,
             # and the per-entry cost gives the same assignment
-            labels = alignment.labels
+            labels = sorted(gold)
             per_entry = np.array([[-np.log(max(float(d[c]), PROB_FLOOR)) for c in labels]
                                   for d in dists])
             (cost,) = costs
             assert cost.shape == per_entry.shape and cost.tobytes() == per_entry.tobytes()
             pinned = {t: labels.index(code) for t, code in pins.items()}
-            np.testing.assert_array_equal(hungarian_assign(per_entry, pinned, labels).matrix,
-                                          alignment.matrix)
+            assert {t: labels[j] for t, j in hungarian_assign(per_entry, pinned).items()} \
+                == alignment
 
     def test_labels_sorted_ascending(self):
+        # equal costs everywhere: the assignment's tie-break sends the
+        # ascending labels to the steps in order
         dists = np.array([dist_from_probs(np.full(6, 1 / 6)) for _ in range(2)])
-        alignment = align_path(dists, [0, 0], {3, 1})
-        assert alignment.labels == (1, 3)
+        assert align_path(dists, [0, 0], {3, 1}) == {0: 1, 1: 3}

@@ -152,7 +152,8 @@ class TestTrainCommand:
         ("--supervised-weight", "nan"), ("--supervised-weight", "-1"),
         ("--supervised-weight", "inf"), ("--d-embed", "0"), ("--d-code", "0"),
         ("--n-filters", "0"), ("--lr", "inf"), ("--lr", "nan"), ("--lr", "0"),
-        ("--dropout", "1"), ("--dropout", "nan"), ("--candidate-activation", "bogus")])
+        ("--dropout", "1"), ("--dropout", "nan"), ("--candidate-activation", "bogus"),
+        ("--seed", "-1"), ("--epochs", "1.5"), ("--batch-size", "x")])
     def test_out_of_range_value_exits_2_naming_flag_before_training(
             self, tmp_path, capsys, monkeypatch, flag, value):
         corpus = gen_corpus(tmp_path)
@@ -168,14 +169,18 @@ class TestTrainCommand:
         assert rc == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ("candidate_activation=bogus", "--candidate-activation must be one of relu|tanh"),
+        ("clip_norm=big", "--clip-norm: cannot read 'big' as float")],
+        ids=["out-of-range", "malformed"])
     def test_config_file_value_exits_2_naming_flag_before_training(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, line, message):
         # a --config file value passes the same TrainConfig rule as its flag
         corpus = gen_corpus(tmp_path)
         out = tmp_path / "run"
         out.mkdir()
         conf = tmp_path / "run.conf"
-        conf.write_text("candidate_activation=bogus\n")
+        conf.write_text(line + "\n")
 
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
@@ -184,7 +189,7 @@ class TestTrainCommand:
         rc = main(["train", "--corpus", str(corpus), "--out", str(out), "--config", str(conf)]
                   + TRAIN_FLAGS)
         assert rc == 2
-        assert "--candidate-activation must be one of relu|tanh" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_zero_supervised_weight_is_accepted(self, tmp_path):
         corpus = gen_corpus(tmp_path)

@@ -5,9 +5,8 @@ import pytest
 from scipy.special import expit, logit
 
 import oracles
-from ehrpath.discriminator import (CLAMP, DiscriminatorConfig, LabeledPrefix,
-                                   discriminator_loss, init_discriminator_params, reward,
-                                   score_prefixes, split_prefixes)
+from ehrpath.discriminator import (CLAMP, DiscriminatorConfig, discriminator_loss,
+                                   init_discriminator_params, reward, score_paths)
 from ehrpath.lstm import lstm_step
 from ehrpath.numerics import AdamConfig, ParamStore, adam_step, finite_diff_check, named_rng
 
@@ -21,16 +20,16 @@ def make_store(seed=0, cfg=CFG):
 
 
 def encode_path(prefix, store, cfg):
-    """Final hidden state of one prefix: score_prefixes on a batch of one."""
-    scored = score_prefixes([LabeledPrefix(tuple(prefix), True, 0)], {0: np.zeros(cfg.rep_dim)},
-                            store, cfg)
-    return scored.feats[0, :cfg.hidden], None
+    """Final hidden state of one prefix: its last step in score_paths on a
+    batch of one path."""
+    scored = score_paths([tuple(prefix)], np.zeros((1, cfg.rep_dim)), store, cfg)
+    return scored.feats[-1, :cfg.hidden], None
 
 
 def reward_one(prefix, x, store, cfg):
-    """Reward of one prefix: the batched reward on a batch of one."""
-    (r,) = reward([LabeledPrefix(tuple(prefix), False, 0)], {0: x}, store, cfg)
-    return r
+    """Reward of one prefix: the last step's reward of a batch of one path."""
+    (rewards,) = reward([tuple(prefix)], x[None], store, cfg)
+    return rewards[-1]
 
 
 def one_row_step(store, h, c, x):
@@ -68,9 +67,9 @@ class TestEncodePath:
             hh, cc = one_row_step(store, hh, cc, store["disc.code_embed"][code])
         np.testing.assert_allclose(h, hh, atol=1e-14)
 
-    def test_empty_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            encode_path([], make_store(), CFG)
+    def test_empty_path_scores_no_prefix(self):
+        scored = score_paths([()], np.zeros((1, CFG.rep_dim)), make_store(), CFG)
+        assert scored.steps == [] and scored.feats.shape == (0, CFG.hidden + CFG.rep_dim)
 
 
 class TestReward:
@@ -109,17 +108,16 @@ class TestReward:
 
 class TestLockstepMatchesOracle:
     """One lockstep pass against the per-prefix oracle in tests/oracles.py."""
-    # maximal paths in order: (3,), (0, 2, 5, 1), (4, 1), (2, 3, 1), (5, 0)
-    PREFIXES = [LabeledPrefix((3,), True, 0),
-                LabeledPrefix((0,), True, 0),
-                LabeledPrefix((0, 2), True, 0),          # nested in (0, 2, 5, 1)
-                LabeledPrefix((0, 2, 5, 1), True, 0),
-                LabeledPrefix((4, 1), True, 0),          # positive for document 0,
-                LabeledPrefix((4, 1), False, 1),         # negative for document 1
-                LabeledPrefix((4,), False, 1),
-                LabeledPrefix((0, 2, 5), False, 1),
-                LabeledPrefix((2, 3, 1), False, 1),
-                LabeledPrefix((5, 0), False, 2)]         # clamped: document 2 saturates it
+    # maximal paths in order: (3,), (0, 2, 5, 1), (4, 1), (0, 3), (2, 3, 1), (5, 0)
+    PATHS = [(3,), (0, 2, 5, 1), (4, 1),    # positive for document 0
+             (4, 1),                        # the same path, negative for document 1
+             (0, 2, 5),                     # a prefix of (0, 2, 5, 1)
+             (),                            # an empty generated path
+             (0, 3),                        # shares (0,) with (0, 2, 5, 1)
+             (2, 3, 1),
+             (5, 0)]                        # clamped: document 2 saturates it
+    POSITIVE = [True] * 3 + [False] * 6
+    DOCS = [0] * 3 + [1] * 5 + [2]
 
     def _inputs(self):
         store = make_store(seed=17)
@@ -127,42 +125,71 @@ class TestLockstepMatchesOracle:
             store[name][:] *= 8.0  # out of the init's near-linear range
         rng = named_rng(18, "x")
         w_x = store["disc.reward.W"][CFG.hidden:]
-        xs = {0: rng.normal(size=CFG.rep_dim), 1: rng.normal(size=CFG.rep_dim),
-              2: 100.0 * w_x / (w_x @ w_x)}
-        return store, xs
+        doc_rows = np.stack([rng.normal(size=CFG.rep_dim), rng.normal(size=CFG.rep_dim),
+                             100.0 * w_x / (w_x @ w_x)])
+        return store, doc_rows[self.DOCS]
 
     def test_step_t_runs_the_paths_longer_than_t(self):
-        store, xs = self._inputs()
-        scored = score_prefixes(self.PREFIXES, xs, store, CFG)
-        assert [rows.tolist() for rows, _, _ in scored.steps] == [[0, 1, 2, 3, 4], [1, 2, 3, 4],
-                                                                 [1, 3], [1]]
+        store, x = self._inputs()
+        scored = score_paths(self.PATHS, x, store, CFG)
+        assert [rows.tolist() for rows, _, _ in scored.steps] == [[0, 1, 2, 3, 4, 5],
+                                                                 [1, 2, 3, 4, 5], [1, 4], [1]]
 
     def test_loss_rewards_and_gradients_match_oracle(self):
-        store, xs = self._inputs()
-        rewards = reward(self.PREFIXES, xs, store, CFG)
-        expected = [oracles.reward(pf.codes, xs[pf.doc_id], store, CFG) for pf in self.PREFIXES]
-        np.testing.assert_allclose(rewards, expected, rtol=0.0, atol=1e-10)
-        clamped = (rewards < CLAMP) | (rewards > 1.0 - CLAMP)
-        assert np.flatnonzero(clamped).tolist() == [len(self.PREFIXES) - 1]
+        store, x = self._inputs()
+        rewards = reward(self.PATHS, x, store, CFG)
+        assert [len(r) for r in rewards] == [len(p) for p in self.PATHS]
+        expected = [oracles.reward(path[:k + 1], row, store, CFG)
+                    for path, row in zip(self.PATHS, x) for k in range(len(path))]
+        flat = np.concatenate(rewards)
+        np.testing.assert_allclose(flat, expected, rtol=0.0, atol=1e-12)
+        clamped = (flat < CLAMP) | (flat > 1.0 - CLAMP)
+        assert np.flatnonzero(clamped).tolist() == [len(flat) - 2, len(flat) - 1]
 
         store.zero_grads()
-        loss = discriminator_loss(self.PREFIXES, xs, store, CFG, with_grads=True)
+        loss = discriminator_loss(self.PATHS, self.POSITIVE, x, store, CFG, with_grads=True)
         grads = {name: store.grad(name).copy() for name in store.names()}
         store.zero_grads()
         assert loss == pytest.approx(
-            oracles.discriminator_loss(self.PREFIXES, xs, store, CFG, with_grads=True),
-            rel=0.0, abs=1e-10)
+            oracles.discriminator_loss(self.PATHS, self.POSITIVE, x, store, CFG,
+                                       with_grads=True),
+            rel=0.0, abs=1e-12)
         for name in store.names():
             assert np.abs(grads[name]).max() > 1e-4, name
-            np.testing.assert_allclose(grads[name], store.grad(name), rtol=0.0, atol=1e-10,
+            np.testing.assert_allclose(grads[name], store.grad(name), rtol=0.0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_all_generated_paths_empty(self):
+        # each document's gold path, then an empty generated path: no
+        # rewards, and the loss of the gold paths alone
+        store, _ = self._inputs()
+        rng = named_rng(19, "x")
+        x = rng.normal(size=(2, CFG.rep_dim))
+        gold = [(0, 2, 5), (1, 4)]
+        rewards = reward([(), ()], x, store, CFG)
+        assert [r.shape for r in rewards] == [(0,), (0,)]
+
+        batch = [gold[0], (), gold[1], ()]
+        store.zero_grads()
+        loss = discriminator_loss(batch, [True, False] * 2, np.repeat(x, 2, axis=0), store, CFG,
+                                  with_grads=True)
+        grads = {name: store.grad(name).copy() for name in store.names()}
+        store.zero_grads()
+        assert loss == pytest.approx(
+            oracles.discriminator_loss(gold, [True, True], x, store, CFG, with_grads=True),
+            rel=0.0, abs=1e-12)
+        for name in store.names():
+            np.testing.assert_allclose(grads[name], store.grad(name), rtol=0.0, atol=1e-12,
                                        err_msg=name)
 
 
-class TestSplitPrefixes:
-    def test_five_codes_five_prefixes(self):
-        out = split_prefixes([0, 1, 2, 3, 4], False, 1)
-        assert len(out) == 5
-        assert out[-1].codes == (0, 1, 2, 3, 4)
+class TestEveryPrefix:
+    def test_five_codes_five_rewards(self):
+        store = make_store(seed=9)
+        x = named_rng(10, "x").normal(size=CFG.rep_dim)
+        (rewards,) = reward([(0, 1, 2, 3, 4)], x[None], store, CFG)
+        assert len(rewards) == 5
+        assert rewards[2] == reward_one([0, 1, 2], x, store, CFG)
 
 
 class TestLoss:
@@ -170,16 +197,15 @@ class TestLoss:
         store = make_store(seed=10)
         store["disc.reward.W"][:] = 0.0
         store["disc.reward.b"][:] = 0.0
-        batch = [LabeledPrefix((0,), True, 0), LabeledPrefix((1, 2), False, 0)]
-        loss = discriminator_loss(batch, {0: np.zeros(CFG.rep_dim)}, store, CFG)
+        loss = discriminator_loss([(0,), (1, 2)], [True, False], np.zeros((2, CFG.rep_dim)),
+                                  store, CFG)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_confident_correct_predictions_near_zero_loss(self):
         store = make_store(seed=11)
         store["disc.reward.W"][:] = 0.0
         store["disc.reward.b"][:] = 30.0
-        pos = [LabeledPrefix((0,), True, 0)]
-        assert discriminator_loss(pos, {0: np.zeros(CFG.rep_dim)}, store, CFG) < 1e-9
+        assert discriminator_loss([(0,)], [True], np.zeros((1, CFG.rep_dim)), store, CFG) < 1e-9
 
     def test_known_probabilities_hand_value(self):
         store = make_store(seed=12)
@@ -188,28 +214,28 @@ class TestLoss:
         store["disc.reward.W"][:] = 0.0
         store["disc.reward.W"][CFG.hidden] = 1.0  # read x[0] only
         store["disc.reward.b"][:] = 0.0
-        xs = {0: np.r_[logit(0.9), np.zeros(CFG.rep_dim - 1)],
-              1: np.r_[logit(0.2), np.zeros(CFG.rep_dim - 1)]}
-        batch = [LabeledPrefix((0,), True, 0), LabeledPrefix((1,), False, 1)]
-        loss = discriminator_loss(batch, xs, store, CFG)
+        x = np.stack([np.r_[logit(0.9), np.zeros(CFG.rep_dim - 1)],
+                      np.r_[logit(0.2), np.zeros(CFG.rep_dim - 1)]])
+        loss = discriminator_loss([(0,), (1,)], [True, False], x, store, CFG)
         assert loss == pytest.approx((-math.log(0.9) - math.log(0.8)) / 2.0, abs=1e-12)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            discriminator_loss([], {}, make_store(), CFG)
+        for paths in ([], [(), ()]):
+            with pytest.raises(ValueError):
+                discriminator_loss(paths, [False] * len(paths),
+                                   np.zeros((len(paths), CFG.rep_dim)), make_store(), CFG)
 
     def test_gradient_check(self):
         store = make_store(seed=13)
         rng = named_rng(14, "x")
-        xs = {0: rng.normal(size=CFG.rep_dim), 1: rng.normal(size=CFG.rep_dim)}
-        batch = [LabeledPrefix((0,), True, 0), LabeledPrefix((0, 2), True, 0),
-                 LabeledPrefix((4,), False, 1), LabeledPrefix((4, 1, 3), False, 1)]
+        x = rng.normal(size=(2, CFG.rep_dim))
+        batch, positive = [(0, 2), (4, 1, 3)], [True, False]
 
         def f(s):
-            return discriminator_loss(batch, xs, s, CFG)
+            return discriminator_loss(batch, positive, x, s, CFG)
 
         store.zero_grads()
-        discriminator_loss(batch, xs, store, CFG, with_grads=True)
+        discriminator_loss(batch, positive, x, store, CFG, with_grads=True)
         analytic = {n: store.grad(n).copy() for n in store.names()}
         err = finite_diff_check(f, store, analytic, eps=1e-5, num_samples=250,
                                 rng=np.random.default_rng(4))
@@ -222,18 +248,20 @@ class TestLoss:
         store = ParamStore()
         init_discriminator_params(store, cfg, named_rng(15, "init"))
         rng = named_rng(16, "data")
-        xs = {0: np.zeros(cfg.rep_dim)}
-        batch = []
+        batch, positive = [], []
         for a in range(0, 10, 2):
-            batch.append(LabeledPrefix((a, a + 1), True, 0))
+            batch.append((a, a + 1))
+            positive.append(True)
         while len(batch) < 10:
             a, b = int(rng.integers(0, 10)), int(rng.integers(0, 10))
             if a != b and abs(a - b) != 1:
-                batch.append(LabeledPrefix((a, b), False, 0))
+                batch.append((a, b))
+                positive.append(False)
+        x = np.zeros((len(batch), cfg.rep_dim))
         adam = AdamConfig(learning_rate=1e-2)
         losses = []
         for _ in range(200):
             store.zero_grads()
-            losses.append(discriminator_loss(batch, xs, store, cfg, with_grads=True))
+            losses.append(discriminator_loss(batch, positive, x, store, cfg, with_grads=True))
             adam_step(store, adam)
         assert losses[-1] < 0.3

@@ -6,11 +6,11 @@ import pytest
 
 from conftest import tiny_bundle
 from oracles import supervised_batch
-from ehrpath.discriminator import LabeledPrefix, reward
+from ehrpath.discriminator import discriminator_loss, reward
 from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath import generator, trainer
-from ehrpath.generator import decode_path, decode_path_traced, stack_steps
+from ehrpath.generator import DecodedPath, decode_path, decode_path_traced, stack_steps
 from ehrpath.numerics import named_rng
 from ehrpath.trainer import (TrainConfig, _aligned_forward, _decoder_backward, adversarial_round,
                              build_model, decode_predictions, model_config_kv,
@@ -105,10 +105,35 @@ class TestAdversarialRound:
 
         import ehrpath.trainer as trainer_mod
         monkeypatch.setattr(trainer_mod, "reward",
-                            lambda prefixes, *a, **k: np.full(len(prefixes), 0.5))
+                            lambda paths, *a, **k: [np.full(len(p), 0.5) for p in paths])
         m1 = model.snapshot()
         out = adversarial_round(m1, batch, bundle.table, cfg, named_rng(8, "dropout"))
         assert out["pg"] == pytest.approx(0.0, abs=1e-12)
+
+        m2 = model.snapshot()
+        supervised_batch(m2, batch, bundle.table, dataclasses.replace(cfg, no_arl=True),
+                         named_rng(8, "dropout"))
+        assert stores_equal(m1.gen_store, m2.gen_store)
+
+    def test_empty_greedy_paths_score_the_gold_paths_alone(self, bundle, monkeypatch):
+        # every greedy path stops at once: the scorer learns from the gold
+        # paths alone, the rewards are empty, and the decoder update is the
+        # supervised one
+        cfg, model = self._setup(bundle)
+        batch = bundle.split_docs("train")[:6]
+        monkeypatch.setattr(trainer, "decode_path_traced",
+                            lambda store, gen_cfg, table, x, first:
+                            (DecodedPath((gen_cfg.stop_id,), [], 0), [first]))
+        rewards = []
+        monkeypatch.setattr(trainer, "reward", lambda *a: rewards.append(reward(*a)) or rewards[-1])
+        x = _aligned_forward(model.snapshot(), batch, bundle.table, named_rng(8, "dropout")).x
+        gold_loss = discriminator_loss([tuple(sorted(doc.gold_codes)) for doc in batch],
+                                       [True] * len(batch), x, model.disc_store, model.disc_cfg)
+        m1 = model.snapshot()
+        out = adversarial_round(m1, batch, bundle.table, cfg, named_rng(8, "dropout"))
+        assert [r.shape for r in rewards[0]] == [(0,)] * len(batch)
+        assert out["pg"] == 0.0
+        assert out["disc"] == pytest.approx(gold_loss, rel=0.0, abs=1e-12)
 
         m2 = model.snapshot()
         supervised_batch(m2, batch, bundle.table, dataclasses.replace(cfg, no_arl=True),
@@ -120,7 +145,7 @@ class TestAdversarialRound:
         model.disc_store["disc.reward.W"][:] = 0.0
         model.disc_store["disc.reward.b"][:] = 0.0
         x = np.zeros(model.enc_cfg.rep_dim)
-        (r,) = reward([LabeledPrefix((0,), False, 0)], {0: x}, model.disc_store, model.disc_cfg)
+        ((r,),) = reward([(0,)], x[None], model.disc_store, model.disc_cfg)
         assert r == pytest.approx(0.5)
 
     def test_discriminator_loss_falls_on_frozen_generator(self, bundle):
@@ -267,7 +292,8 @@ class TestBatchEquivalence:
 
     def test_deferred_batch_equals_sum_of_single_documents(self, bundle, monkeypatch):
         self._clamp_one_target(bundle, monkeypatch)
-        fwd = self._compare(bundle, lambda model, fwd, doc_ids: _decoder_backward(model, fwd, 1.0))
+        fwd = self._compare(bundle,
+                            lambda model, fwd, doc_ids: _decoder_backward(model, fwd, 1.0, [], []))
         clamped = [d.probs[t] < generator.PROB_FLOOR for dists, targets
                    in zip(doc_steps(fwd), fwd.targets)
                    for d, t in zip(dists, targets) if t is not None]
