@@ -252,6 +252,10 @@ def build_complication_table(train_documents: Sequence[EhrDocument],
     """Odds ratio over the 2x2 document co-occurrence table for every code
     pair; a pair is kept iff OR >= or_threshold and it co-occurs in at least
     min_support documents. Zero cells get the +0.5 continuity correction."""
+    if not 1.0 <= or_threshold < np.inf:
+        raise ConfigError(f"--or-threshold must be finite and >= 1, got {or_threshold}")
+    if not min_support >= 0:
+        raise ConfigError(f"--min-support must be >= 0, got {min_support}")
     if len(train_documents) == 0:
         raise ConfigError("cannot build complication table from an empty split")
     n_codes = max(max(doc.gold_codes) for doc in train_documents) + 1

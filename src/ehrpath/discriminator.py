@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import CodeIds
-from .lstm import LstmCache, init_lstm_params, lstm_step, lstm_step_backward
-from .numerics import ParamStore, add_rows
+from .lstm import LstmCache, lstm_slots, lstm_step, lstm_step_backward
+from .numerics import ParamStore, Slots, add_rows, uniform_init
 
 CLAMP = 1e-12
 
@@ -34,12 +34,11 @@ class DiscriminatorConfig(CodeIds):
     candidate_activation: str = "relu"
 
 
-def init_discriminator_params(store: ParamStore, cfg: DiscriminatorConfig,
-                              rng: np.random.Generator | None) -> None:
-    store.add_uniform("disc.code_embed", (cfg.n_total, cfg.d_code), rng)
-    init_lstm_params(store, "disc.lstm", cfg.d_code, cfg.hidden, rng)
-    store.add_uniform("disc.reward.W", (cfg.hidden + cfg.rep_dim,), rng)
-    store.add_uniform("disc.reward.b", (1,), rng)
+def discriminator_slots(cfg: DiscriminatorConfig, rng: np.random.Generator | None) -> Slots:
+    return [("disc.code_embed", uniform_init((cfg.n_total, cfg.d_code), rng)),
+            *lstm_slots("disc.lstm", cfg.d_code, cfg.hidden, rng),
+            ("disc.reward.W", uniform_init((cfg.hidden + cfg.rep_dim,), rng)),
+            ("disc.reward.b", uniform_init((1,), rng))]
 
 
 @dataclass

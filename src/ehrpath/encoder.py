@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PAD_TOKEN
-from .numerics import ParamStore, add_rows
+from .numerics import ParamStore, Slots, add_rows, uniform_init
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,14 @@ class EncoderConfig:
             raise ValueError(f"bad kernel sizes {self.kernel_sizes}")
 
 
-def init_encoder_params(store: ParamStore, cfg: EncoderConfig,
-                        rng: np.random.Generator | None) -> None:
+def encoder_slots(cfg: EncoderConfig, rng: np.random.Generator | None) -> Slots:
     cfg.validate()
-    emb = store.add_uniform("enc.embed", (cfg.vocab_size, cfg.d_embed), rng)
+    emb = uniform_init((cfg.vocab_size, cfg.d_embed), rng)
     emb[PAD_TOKEN] = 0.0  # pad row stays zero; its gradient is discarded
-    for k in cfg.kernel_sizes:
-        store.add_uniform(f"enc.conv{k}.W", (cfg.n_filters, k * cfg.d_embed), rng)
-        store.add_uniform(f"enc.conv{k}.b", (cfg.n_filters,), rng)
+    return [("enc.embed", emb)] + [
+        slot for k in cfg.kernel_sizes
+        for slot in ((f"enc.conv{k}.W", uniform_init((cfg.n_filters, k * cfg.d_embed), rng)),
+                     (f"enc.conv{k}.b", uniform_init((cfg.n_filters,), rng)))]
 
 
 def embed_tokens(tokens, store: ParamStore, cfg: EncoderConfig) -> np.ndarray:

@@ -30,9 +30,9 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CodeIds, ComplicationTable
-from .lstm import (CANDIDATE_ACTIVATIONS, LstmCache, init_lstm_params, lstm_step,
+from .lstm import (CANDIDATE_ACTIVATIONS, LstmCache, lstm_slots, lstm_step,
                    lstm_step_backward)
-from .numerics import ParamStore, add_rows
+from .numerics import ParamStore, Slots, add_rows, uniform_init
 
 PROB_FLOOR = 1e-12
 
@@ -54,15 +54,14 @@ class GeneratorConfig(CodeIds):
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
 
-def init_generator_params(store: ParamStore, cfg: GeneratorConfig,
-                          rng: np.random.Generator | None) -> None:
+def generator_slots(cfg: GeneratorConfig, rng: np.random.Generator | None) -> Slots:
     cfg.validate()
-    store.add_uniform("gen.code_embed", (cfg.n_total, cfg.d_code), rng)
-    store.add_uniform("gen.code_proj", (cfg.rep_dim, cfg.d_code), rng)
-    store.add_uniform("gen.fuse.W", (cfg.rep_dim, 6 * cfg.rep_dim), rng)
-    init_lstm_params(store, "gen.lstm", cfg.rep_dim, cfg.rep_dim, rng)
-    store.add_uniform("gen.out.W", (cfg.n_total, cfg.rep_dim), rng)
-    store.add_uniform("gen.copy.W", (cfg.rep_dim, cfg.rep_dim), rng)
+    return [("gen.code_embed", uniform_init((cfg.n_total, cfg.d_code), rng)),
+            ("gen.code_proj", uniform_init((cfg.rep_dim, cfg.d_code), rng)),
+            ("gen.fuse.W", uniform_init((cfg.rep_dim, 6 * cfg.rep_dim), rng)),
+            *lstm_slots("gen.lstm", cfg.rep_dim, cfg.rep_dim, rng),
+            ("gen.out.W", uniform_init((cfg.n_total, cfg.rep_dim), rng)),
+            ("gen.copy.W", uniform_init((cfg.rep_dim, cfg.rep_dim), rng))]
 
 
 def _fuse_forward(x: np.ndarray, code_vec: np.ndarray, store: ParamStore) -> tuple[np.ndarray, np.ndarray]:

@@ -19,19 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .numerics import ParamStore, uniform_init
+from .numerics import ParamStore, Slots, uniform_init
 
 CANDIDATE_ACTIVATIONS = ("relu", "tanh")
 
 
-def init_lstm_params(store: ParamStore, prefix: str, input_dim: int, hidden: int,
-                     rng: np.random.Generator | None) -> None:
+def lstm_slots(prefix: str, input_dim: int, hidden: int, rng: np.random.Generator | None) -> Slots:
     # per gate, its weights and then its bias, in gate order: for every seed
     # the blocks hold the draws of one slot pair per gate
     gates = [(uniform_init((hidden, hidden + input_dim), rng), uniform_init((hidden,), rng))
              for _ in range(4)]
-    store.add(f"{prefix}.W", np.vstack([w for w, _ in gates]))
-    store.add(f"{prefix}.b", np.concatenate([b for _, b in gates]))
+    return [(f"{prefix}.W", np.vstack([w for w, _ in gates])),
+            (f"{prefix}.b", np.concatenate([b for _, b in gates]))]
 
 
 @dataclass

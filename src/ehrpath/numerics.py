@@ -8,6 +8,7 @@ used to validate every hand-derived backward pass in the test suite.
 from __future__ import annotations
 
 import zlib
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -17,6 +18,9 @@ from scipy.sparse import csr_array
 # Uniform init half-width for every trainable weight; small enough to keep
 # sigmoids/tanh well inside their linear region at the default layer sizes.
 INIT_SCALE = 0.08
+
+# a store's slots in order: (name, initial value)
+Slots = list[tuple[str, np.ndarray]]
 
 
 def named_rng(seed: int, stream: str) -> np.random.Generator:
@@ -40,38 +44,44 @@ def uniform_init(shape: tuple[int, ...], rng: np.random.Generator | None) -> np.
 
 class ParamStore:
     """Named float64 parameter slots, each paired with a gradient buffer and
-    Adam first/second moments. One store per trainable model side.
+    Adam first/second moments. One store per trainable model side. The slots
+    are fixed at construction and live in one (4, N) buffer: parameters,
+    gradients, Adam's m and v, one row each, every slot a view of its columns
+    in each row, so a whole-store operation is one numpy call on the buffer.
+    Pickling keeps the buffer, layout and step, and rebuilds the views.
     Weight gradients that are sums of outer products arrive as rows through
     add_outer; a slot's pending rows are folded in with one GEMM before
     anything reads its gradient, instead of one rank-1 pass per step."""
 
-    def __init__(self) -> None:
-        self._params: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+    def __init__(self, slots: Slots) -> None:
+        values: dict[str, np.ndarray] = {}
+        for name, value in slots:
+            if name in values:
+                raise ValueError(f"duplicate parameter slot {name!r}")
+            values[name] = np.asarray(value, dtype=np.float64)
+        size = sum(v.size for v in values.values())
+        self.__setstate__((np.zeros((4, size)), [(n, v.shape) for n, v in values.items()], 0))
+        for name, value in values.items():
+            self._params[name][...] = value
+
+    def __getstate__(self) -> tuple:
+        self._flush_all()
+        return self._buffer, self._layout, self.step
+
+    def __setstate__(self, state: tuple) -> None:
+        self._buffer, self._layout, self.step = state
         self._pending: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-        self.step = 0
-
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter slot {name!r}")
-        p = np.array(value, dtype=np.float64)
-        self._params[name] = p
-        self._grads[name] = np.zeros_like(p)
-        self._m[name] = np.zeros_like(p)
-        self._v[name] = np.zeros_like(p)
-        return p
-
-    def add_uniform(self, name: str, shape: tuple[int, ...],
-                    rng: np.random.Generator | None) -> np.ndarray:
-        return self.add(name, uniform_init(shape, rng))
+        views: list[dict[str, np.ndarray]] = [{}, {}, {}, {}]
+        lo = 0
+        for name, shape in self._layout:
+            hi = lo + int(np.prod(shape))
+            for row, view in zip(self._buffer, views):
+                view[name] = row[lo:hi].reshape(shape)
+            lo = hi
+        self._params, self._grads, self._m, self._v = views
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -98,13 +108,11 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         self._pending.clear()
-        for g in self._grads.values():
-            g.fill(0.0)
+        self._buffer[1].fill(0.0)
 
     def scale_grads(self, factor: float) -> None:
         self._flush_all()
-        for g in self._grads.values():
-            g *= factor
+        self._buffer[1] *= factor
 
     def grad_norm(self) -> float:
         self._flush_all()
@@ -122,15 +130,7 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         """Deep copy of parameters, gradients, moments, and step counter."""
-        self._flush_all()
-        out = ParamStore()
-        for name, p in self._params.items():
-            out._params[name] = p.copy()
-            out._grads[name] = self._grads[name].copy()
-            out._m[name] = self._m[name].copy()
-            out._v[name] = self._v[name].copy()
-        out.step = self.step
-        return out
+        return deepcopy(self)  # through __getstate__ and __setstate__
 
     def parameters(self) -> Iterable[tuple[str, np.ndarray]]:
         return self._params.items()
@@ -174,28 +174,28 @@ def adam_step(store: ParamStore, cfg: AdamConfig) -> ParamStore:
     increments the step counter. Raises on non-finite gradients. The steps
     of `lr * (m / bc1) / (sqrt(v / bc2) + eps)` run in that order in one
     scratch buffer and the spent gradient, with no other temporary, over
-    flat tiles of ADAM_TILE elements of each slot."""
-    for name in store.names():
-        if not np.all(np.isfinite(store.grad(name))):
-            raise FloatingPointError(f"non-finite gradient in slot {name!r}")
+    tiles of ADAM_TILE columns of the store's buffer; a tile may span slots,
+    as every step is elementwise."""
+    store._flush_all()
+    if not np.isfinite(store._buffer[1]).all():
+        bad = next(n for n, g in store._grads.items() if not np.isfinite(g).all())
+        raise FloatingPointError(f"non-finite gradient in slot {bad!r}")
     store.step += 1
     bc1 = 1.0 - cfg.beta1 ** store.step
     bc2 = 1.0 - cfg.beta2 ** store.step
     scratch = np.empty(ADAM_TILE)
-    for name in store.names():
-        flat = [s[name].reshape(-1) for s in (store._params, store._grads, store._m, store._v)]
-        for lo in range(0, flat[0].size, ADAM_TILE):
-            p, g, m, v = [a[lo:lo + ADAM_TILE] for a in flat]
-            buf = scratch[:g.size]
-            m *= cfg.beta1
-            m += np.multiply(g, 1.0 - cfg.beta1, out=buf)
-            v *= cfg.beta2
-            v += np.multiply(np.multiply(g, 1.0 - cfg.beta2, out=buf), g, out=buf)
-            np.multiply(np.divide(m, bc1, out=buf), cfg.learning_rate, out=buf)
-            np.sqrt(np.divide(v, bc2, out=g), out=g)
-            g += cfg.epsilon
-            p -= np.divide(buf, g, out=buf)
-            g.fill(0.0)
+    for lo in range(0, store._buffer.shape[1], ADAM_TILE):
+        p, g, m, v = store._buffer[:, lo:lo + ADAM_TILE]
+        buf = scratch[:g.size]
+        m *= cfg.beta1
+        m += np.multiply(g, 1.0 - cfg.beta1, out=buf)
+        v *= cfg.beta2
+        v += np.multiply(np.multiply(g, 1.0 - cfg.beta2, out=buf), g, out=buf)
+        np.multiply(np.divide(m, bc1, out=buf), cfg.learning_rate, out=buf)
+        np.sqrt(np.divide(v, bc2, out=g), out=g)
+        g += cfg.epsilon
+        p -= np.divide(buf, g, out=buf)
+        g.fill(0.0)
     return store
 
 

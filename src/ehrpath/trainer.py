@@ -24,14 +24,14 @@ import numpy as np
 from .alignment import align_path, step_targets
 from .checkpoint import field_kinds, format_value, parse_value, save_checkpoint
 from .corpus import ComplicationTable, CorpusBundle, EhrDocument
-from .discriminator import (DiscriminatorConfig, discriminator_loss, init_discriminator_params,
+from .discriminator import (DiscriminatorConfig, discriminator_loss, discriminator_slots,
                             reward)
 from .encoder import (EncodeCache, EncoderConfig, encode_batch, encode_batch_backward,
-                      init_encoder_params)
+                      encoder_slots)
 from .errors import ConfigError, DataError, TrainingError
 from .generator import (GeneratorConfig, StepTrace, batch_backward,
-                        decode_path, decode_path_traced, generator_step_loss,
-                        init_generator_params, path_loss, run_batch, stack_steps, step_row)
+                        decode_path, decode_path_traced, generator_slots,
+                        generator_step_loss, path_loss, run_batch, stack_steps, step_row)
 # unused here, but benchmarks/tracing.py still swaps these four attributes,
 # which the lockstep engine and the packed encoder no longer call (the FOUND
 # lines on tracing.py in CHANGES.md); drop them together with those swaps
@@ -133,16 +133,13 @@ def _new_model(enc_cfg: EncoderConfig, gen_cfg: GeneratorConfig, has_discriminat
     the one place that states the slot names and shapes and the scorer's
     config. The scorer is initialized after the decoder so ablations share
     decoder init."""
-    gen_store = ParamStore()
-    init_encoder_params(gen_store, enc_cfg, rng)
-    init_generator_params(gen_store, gen_cfg, rng)
-    model = Model(enc_cfg, gen_cfg, gen_store)
+    model = Model(enc_cfg, gen_cfg,
+                  ParamStore(encoder_slots(enc_cfg, rng) + generator_slots(gen_cfg, rng)))
     if has_discriminator:
         model.disc_cfg = DiscriminatorConfig(n_codes=gen_cfg.n_codes, d_code=gen_cfg.d_code,
                                              hidden=enc_cfg.rep_dim, rep_dim=enc_cfg.rep_dim,
                                              candidate_activation=gen_cfg.candidate_activation)
-        model.disc_store = ParamStore()
-        init_discriminator_params(model.disc_store, model.disc_cfg, rng)
+        model.disc_store = ParamStore(discriminator_slots(model.disc_cfg, rng))
     return model
 
 

@@ -14,7 +14,7 @@ from ehrpath.encoder import EncoderConfig, embed_tokens
 from ehrpath.generator import (MixtureCache, MixtureDistribution, StepTrace, _candidates,
                                _mixture_forward, _mixture_from_scores, generator_step_loss)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
-from ehrpath.numerics import AdamConfig, ParamStore, adam_step, add_rows
+from ehrpath.numerics import AdamConfig, ParamStore, Slots, adam_step, add_rows, uniform_init
 from ehrpath.trainer import _aligned_forward, _decoder_backward
 
 
@@ -177,11 +177,13 @@ def supervised_batch(model, batch, table, cfg, dropout_rng) -> float:
 GATES = ("f", "i", "c", "o")
 
 
-def init_four_gate_lstm_params(store: ParamStore, prefix: str, input_dim: int, hidden: int,
-                               rng: np.random.Generator | None) -> None:
+def four_gate_lstm_slots(prefix: str, input_dim: int, hidden: int,
+                         rng: np.random.Generator | None) -> Slots:
+    slots = []
     for gate in GATES:
-        store.add_uniform(f"{prefix}.W{gate}", (hidden, hidden + input_dim), rng)
-        store.add_uniform(f"{prefix}.b{gate}", (hidden,), rng)
+        slots.append((f"{prefix}.W{gate}", uniform_init((hidden, hidden + input_dim), rng)))
+        slots.append((f"{prefix}.b{gate}", uniform_init((hidden,), rng)))
+    return slots
 
 
 def four_gate_lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_prev: np.ndarray,

@@ -12,10 +12,9 @@ import pytest
 
 from ehrpath.alignment import hungarian_assign
 from ehrpath.corpus import ComplicationTable, CorpusBundle, CorpusConfig, synthetic_bundle
-from ehrpath.discriminator import (DiscriminatorConfig, discriminator_loss,
-                                   init_discriminator_params)
-from ehrpath.encoder import EncoderConfig, encode_backward, encode_ehr, init_encoder_params
-from ehrpath.generator import (GeneratorConfig, init_generator_params, path_loss, run_steps,
+from ehrpath.discriminator import DiscriminatorConfig, discriminator_loss, discriminator_slots
+from ehrpath.encoder import EncoderConfig, encode_backward, encode_ehr, encoder_slots
+from ehrpath.generator import (GeneratorConfig, generator_slots, path_loss, run_steps,
                                sequence_backward)
 from ehrpath.metrics import (PredictionRecord, auc, complication_ratio, jaccard,
                              metric_table, micro_macro_prf)
@@ -83,9 +82,7 @@ def test_criterion_1_gradient_correctness():
     rng = named_rng(101, "init")
     enc_cfg = EncoderConfig(vocab_size=40, d_embed=100, kernel_sizes=(3, 4, 5), n_filters=100)
     gen_cfg = GeneratorConfig(n_codes=6, d_code=100, rep_dim=enc_cfg.rep_dim)
-    store = ParamStore()
-    init_encoder_params(store, enc_cfg, rng)
-    init_generator_params(store, gen_cfg, rng)
+    store = ParamStore(encoder_slots(enc_cfg, rng) + generator_slots(gen_cfg, rng))
     table = ComplicationTable({(0, 1): 8.0, (2, 3): 6.0, (1, 4): 3.0}, 2.0, 1)
     tokens = [3, 17, 9, 22, 11]  # five-token instance
 
@@ -125,8 +122,7 @@ def test_criterion_1_gradient_correctness():
 
     # (c) scorer loss
     disc_cfg = DiscriminatorConfig(n_codes=6, d_code=100, hidden=300, rep_dim=300)
-    disc = ParamStore()
-    init_discriminator_params(disc, disc_cfg, rng)
+    disc = ParamStore(discriminator_slots(disc_cfg, rng))
     batch, positive = [(0, 1), (2,), (5, 4), (3,)], [True, True, False, False]
     rows = np.stack([x, x2, x, x2])
 
@@ -154,8 +150,7 @@ def test_criterion_2_mixture_validity():
     for _ in range(1000):
         n_codes = int(rng.integers(3, 9))
         cfg = GeneratorConfig(n_codes=n_codes, d_code=12, rep_dim=18)
-        store = ParamStore()
-        init_generator_params(store, cfg, rng)
+        store = ParamStore(generator_slots(cfg, rng))
         a = int(rng.integers(0, n_codes))
         partners = [c for c in range(n_codes) if c != a][:int(rng.integers(0, 3))]
         table = None
@@ -365,6 +360,7 @@ def test_criterion_8_determinism(tmp_path):
     """Identical seeds reproduce bit-identical corpora, checkpoints, and
     metric reports across two consecutive runs."""
     import hashlib
+    import json
     import os
 
     from ehrpath.cli import main
@@ -388,11 +384,15 @@ def test_criterion_8_determinism(tmp_path):
         digests = {}
         for base in (corpus, run, ev):
             for name in sorted(os.listdir(base)):
+                key = f"{base.name.rsplit('-', 1)[0]}/{name}"
                 if name == "report.json":
-                    continue  # contains wall-clock timing
+                    # parsed, less the wall-clock time and the run's own path
+                    with open(base / name) as fh:
+                        digests[key] = json.load(fh)
+                    del digests[key]["wall_clock_s"], digests[key]["checkpoint_path"]
+                    continue
                 with open(base / name, "rb") as fh:
-                    digests[f"{base.name.rsplit('-', 1)[0]}/{name}"] = \
-                        hashlib.sha256(fh.read()).hexdigest()
+                    digests[key] = hashlib.sha256(fh.read()).hexdigest()
         return digests
 
     first = one_run("a")

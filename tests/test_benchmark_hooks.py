@@ -9,7 +9,10 @@ import dataclasses
 import glob
 import importlib
 import importlib.util
+import io
 import os
+import pickle
+import sys
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from ehrpath.trainer import TrainConfig, adversarial_round, build_model, decode_
 
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 TRACING = os.path.join(BENCHMARKS, "tracing.py")
+HARNESS = os.path.join(BENCHMARKS, "harness.py")
 PROBED = ("decode_path", "decode_path_traced")  # what Recorder.path_probe swaps
 CFG = TrainConfig(seed=4, d_embed=10, d_code=8, n_filters=6, kernel_sizes=(2, 3), batch_size=8,
                   max_len=5, dropout=0.2)
@@ -27,6 +31,15 @@ CFG = TrainConfig(seed=4, d_embed=10, d_code=8, n_filters=6, kernel_sizes=(2, 3)
 def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_harness(monkeypatch):
+    monkeypatch.syspath_prepend(BENCHMARKS)  # harness.py imports tracing by name
+    spec = importlib.util.spec_from_file_location("bench_harness", HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
@@ -142,3 +155,29 @@ def test_traced_scorer_counts_prefixes_and_lstm_spans(bundle):
     assert rec.get("adv", "scored_prefixes") > 0
     assert rec.spans[("adv", "disc_step")][0] > 0
     assert rec.spans[("adv", "disc_step_backward")][0] > 0
+
+
+def test_model_trains_on_alike_after_the_warm_up_pickle(bundle, monkeypatch):
+    # the benchmark caches its warmed-up model with CachePickler and reads it
+    # back with plain pickle: every slot of a loaded store must again be a
+    # view of its buffer, so that whole-store operations reach the slots
+    harness = load_harness(monkeypatch)
+    batch = bundle.split_docs("train")[:4]
+    model = build_model(bundle, CFG)
+    adversarial_round(model, batch, bundle.table, CFG, named_rng(1, "dropout"))
+    cached = io.BytesIO()
+    harness.CachePickler(cached).dump(model)
+    copies = [pickle.loads(pickle.dumps(model)), pickle.loads(cached.getvalue())]
+    for copy in copies:
+        for store in (copy.gen_store, copy.disc_store):
+            for name in store.names():
+                assert np.shares_memory(store[name], store._buffer)
+                assert np.shares_memory(store.grad(name), store._buffer)
+    for m in [model] + copies:
+        adversarial_round(m, batch, bundle.table, CFG, named_rng(2, "dropout"))
+    expected = dict(model.parameters())
+    for copy in copies:
+        params = dict(copy.parameters())
+        assert params.keys() == expected.keys()
+        for name, p in expected.items():
+            np.testing.assert_array_equal(params[name], p)

@@ -64,6 +64,25 @@ class TestGenData:
                    "--min-support", "3", "--seed", "3"])
         assert rc == 0
 
+    @pytest.mark.parametrize("command", ["gen-data", "build-table"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--or-threshold", "nan"), ("--or-threshold", "inf"), ("--or-threshold", "-1"),
+        ("--or-threshold", "0.5"), ("--min-support", "-3")])
+    def test_table_setting_out_of_range_exits_2_naming_flag_before_writing(
+            self, tmp_path, capsys, command, flag, value):
+        if command == "gen-data":
+            out = tmp_path / "c"
+            out.mkdir()
+            argv = ["gen-data", "--out", str(out)] + GEN_FLAGS
+        else:
+            out = gen_corpus(tmp_path)
+            argv = ["build-table", "--corpus", str(out)]
+        before = digest_dir(out)
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert digest_dir(out) == before
+
 
 class TestTrainCommand:
     def test_smoke_writes_checkpoint_and_report(self, tmp_path):

@@ -6,7 +6,7 @@ from scipy.special import expit, logit
 
 import oracles
 from ehrpath.discriminator import (CLAMP, DiscriminatorConfig, discriminator_loss,
-                                   init_discriminator_params, reward, score_paths)
+                                   discriminator_slots, reward, score_paths)
 from ehrpath.lstm import lstm_step
 from ehrpath.numerics import AdamConfig, ParamStore, adam_step, finite_diff_check, named_rng
 
@@ -14,9 +14,7 @@ CFG = DiscriminatorConfig(n_codes=6, d_code=5, hidden=8, rep_dim=7)
 
 
 def make_store(seed=0, cfg=CFG):
-    store = ParamStore()
-    init_discriminator_params(store, cfg, named_rng(seed, "init"))
-    return store
+    return ParamStore(discriminator_slots(cfg, named_rng(seed, "init")))
 
 
 def encode_path(prefix, store, cfg):
@@ -245,8 +243,7 @@ class TestLoss:
         # positives are planted pairs, negatives are random non-pairs; with a
         # dedicated optimizer the scorer should reach < 0.3 within 200 updates
         cfg = DiscriminatorConfig(n_codes=10, d_code=6, hidden=10, rep_dim=6)
-        store = ParamStore()
-        init_discriminator_params(store, cfg, named_rng(15, "init"))
+        store = ParamStore(discriminator_slots(cfg, named_rng(15, "init")))
         rng = named_rng(16, "data")
         batch, positive = [], []
         for a in range(0, 10, 2):

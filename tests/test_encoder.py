@@ -3,7 +3,7 @@ import pytest
 
 from ehrpath import encoder
 from ehrpath.encoder import (EncoderConfig, embed_tokens, encode_backward, encode_batch,
-                             encode_batch_backward, encode_ehr, init_encoder_params)
+                             encode_batch_backward, encode_ehr, encoder_slots)
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
 from oracles import conv_feature_map, document_encode, document_encode_backward, max_pool
 
@@ -11,9 +11,7 @@ SMALL = EncoderConfig(vocab_size=30, d_embed=6, kernel_sizes=(2, 3), n_filters=4
 
 
 def small_store(seed=0, cfg=SMALL):
-    store = ParamStore()
-    init_encoder_params(store, cfg, named_rng(seed, "init"))
-    return store
+    return ParamStore(encoder_slots(cfg, named_rng(seed, "init")))
 
 
 class TestEmbed:
@@ -91,8 +89,7 @@ class TestEncode:
     def test_published_configuration_dimension_is_300(self):
         cfg = EncoderConfig(vocab_size=40)
         assert cfg.rep_dim == 300
-        store = ParamStore()
-        init_encoder_params(store, cfg, named_rng(0, "init"))
+        store = ParamStore(encoder_slots(cfg, named_rng(0, "init")))
         x, _ = encode_ehr([1, 2, 3, 4, 5, 6], store, cfg)
         assert x.shape == (300,)
 
@@ -154,8 +151,7 @@ class TestEncoderGradients:
     def test_finite_difference_check(self):
         cfg = EncoderConfig(vocab_size=25, d_embed=5, kernel_sizes=(2, 3), n_filters=3,
                             dropout=0.0)
-        store = ParamStore()
-        init_encoder_params(store, cfg, named_rng(2, "init"))
+        store = ParamStore(encoder_slots(cfg, named_rng(2, "init")))
         tokens = [3, 7, 11, 2, 9, 14]
         weights = named_rng(3, "probe").normal(size=cfg.rep_dim)
 
@@ -174,8 +170,7 @@ class TestEncoderGradients:
     def test_dropout_backward_consistent_with_fixed_mask(self):
         cfg = EncoderConfig(vocab_size=25, d_embed=5, kernel_sizes=(2,), n_filters=3,
                             dropout=0.5)
-        store = ParamStore()
-        init_encoder_params(store, cfg, named_rng(4, "init"))
+        store = ParamStore(encoder_slots(cfg, named_rng(4, "init")))
         tokens = [3, 7, 11]
         weights = named_rng(5, "probe").normal(size=cfg.rep_dim)
 

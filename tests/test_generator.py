@@ -6,13 +6,13 @@ import pytest
 
 from ehrpath.corpus import ComplicationTable
 from ehrpath.generator import (GeneratorConfig, _concat, _fuse_forward, decode_path,
-                               decode_path_traced, generator_step_loss, init_generator_params,
+                               decode_path_traced, generator_slots, generator_step_loss,
                                path_loss, run_batch, run_steps, sequence_backward, stack_steps,
                                step_row)
-from ehrpath.lstm import init_lstm_params, lstm_step, lstm_step_backward
+from ehrpath.lstm import lstm_slots, lstm_step, lstm_step_backward
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
 from oracles import (GATES, four_gate_lstm_step, four_gate_lstm_step_backward,
-                     init_four_gate_lstm_params, mixture_forward_row, mixture_scores_row,
+                     four_gate_lstm_slots, mixture_forward_row, mixture_scores_row,
                      softmax_stable)
 
 CFG = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8)
@@ -20,9 +20,7 @@ TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
 
 
 def make_store(seed=0, cfg=CFG):
-    store = ParamStore()
-    init_generator_params(store, cfg, named_rng(seed, "init"))
-    return store
+    return ParamStore(generator_slots(cfg, named_rng(seed, "init")))
 
 
 def unit_store(seed):
@@ -75,9 +73,8 @@ class TestFuse:
 
 class TestLstmStep:
     def test_all_zero_weights_closed_form(self):
-        store = ParamStore()
         hidden = 4
-        init_lstm_params(store, "z", 3, hidden, named_rng(0, "init"))
+        store = ParamStore(lstm_slots("z", 3, hidden, named_rng(0, "init")))
         for name in store.names():
             store[name][:] = 0.0
         c_prev = np.array([1.0, -2.0, 0.5, 0.0])
@@ -90,18 +87,16 @@ class TestLstmStep:
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev))
 
     def test_large_negative_forget_bias_saturates(self):
-        store = ParamStore()
-        init_lstm_params(store, "z", 3, 4, named_rng(1, "init"))
+        store = ParamStore(lstm_slots("z", 3, 4, named_rng(1, "init")))
         store["z.b"][:4] = -50.0  # the forget gate's block
         c_prev = np.full(4, 3.0)
         _, c, cache = lstm_step(store, "z", np.zeros((1, 4)), c_prev[None], np.ones((1, 3)))
         np.testing.assert_allclose(c, cache.i * cache.g, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
-        store = ParamStore()
         hidden, d_in = 4, 3
         rng = named_rng(2, "init")
-        init_lstm_params(store, "z", d_in, hidden, rng)
+        store = ParamStore(lstm_slots("z", d_in, hidden, rng))
         h_prev = rng.normal(size=hidden)
         c_prev = rng.normal(size=hidden)
         x = rng.normal(size=d_in)
@@ -125,8 +120,7 @@ class TestLstmStep:
             assert h[row] == pytest.approx(o * math.tanh(c_row), rel=1e-12)
 
     def test_tanh_candidate_flag(self):
-        store = ParamStore()
-        init_lstm_params(store, "z", 2, 3, named_rng(3, "init"))
+        store = ParamStore(lstm_slots("z", 2, 3, named_rng(3, "init")))
         store["z.b"][6:9] = -2.0  # the candidate's block
         _, _, cache = lstm_step(store, "z", np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 2)),
                                 activation="tanh")
@@ -142,9 +136,8 @@ class TestFusedLstmMatchesFourGateOracle:
         return [slice(k * self.HIDDEN, (k + 1) * self.HIDDEN) for k in range(4)]
 
     def test_init_stacks_the_four_gate_draws(self):
-        fused, gates = ParamStore(), ParamStore()
-        init_lstm_params(fused, "z", self.D_IN, self.HIDDEN, named_rng(5, "init"))
-        init_four_gate_lstm_params(gates, "z", self.D_IN, self.HIDDEN, named_rng(5, "init"))
+        fused = ParamStore(lstm_slots("z", self.D_IN, self.HIDDEN, named_rng(5, "init")))
+        gates = ParamStore(four_gate_lstm_slots("z", self.D_IN, self.HIDDEN, named_rng(5, "init")))
         assert fused.names() == ["z.W", "z.b"]
         for gate, block in zip(GATES, self._blocks()):
             np.testing.assert_array_equal(fused["z.W"][block], gates[f"z.W{gate}"])
@@ -154,14 +147,12 @@ class TestFusedLstmMatchesFourGateOracle:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_step_and_backward_match(self, rows, activation):
         hidden, rng = self.HIDDEN, named_rng(6, "x")
-        fused, gates = ParamStore(), ParamStore()
         # unit-scale weights, so that every gate leaves its linear region and
         # the ReLU candidate is cut on some rows and units
-        fused.add("z.W", rng.normal(size=(4 * hidden, hidden + self.D_IN)))
-        fused.add("z.b", rng.normal(size=4 * hidden))
-        for gate, block in zip(GATES, self._blocks()):
-            gates.add(f"z.W{gate}", fused["z.W"][block])
-            gates.add(f"z.b{gate}", fused["z.b"][block])
+        fused = ParamStore([("z.W", rng.normal(size=(4 * hidden, hidden + self.D_IN))),
+                            ("z.b", rng.normal(size=4 * hidden))])
+        gates = ParamStore([(f"z.{kind}{gate}", fused[f"z.{kind}"][block])
+                            for gate, block in zip(GATES, self._blocks()) for kind in "Wb"])
         h_prev, c_prev, dh, dc = rng.normal(size=(4, rows, hidden))
         x = rng.normal(size=(rows, self.D_IN))
 
@@ -205,8 +196,7 @@ class TestMixture:
         rng = np.random.default_rng(11)
         for _ in range(100):
             cfg = GeneratorConfig(n_codes=int(rng.integers(2, 8)), d_code=4, rep_dim=6)
-            store = ParamStore()
-            init_generator_params(store, cfg, rng)
+            store = ParamStore(generator_slots(cfg, rng))
             prev = int(rng.integers(0, cfg.n_total))
             partners = tuple(sorted(rng.choice(cfg.n_codes, size=rng.integers(0, 3),
                                                replace=False).tolist()))
@@ -403,8 +393,7 @@ class TestSequenceGradients:
 
     def test_weighted_targets_scale_gradients(self):
         cfg = GeneratorConfig(n_codes=4, d_code=3, rep_dim=5)
-        store = ParamStore()
-        init_generator_params(store, cfg, named_rng(9, "init"))
+        store = ParamStore(generator_slots(cfg, named_rng(9, "init")))
         x = named_rng(10, "x").normal(size=cfg.rep_dim)
         inputs = [cfg.stop_id, 1]
 
@@ -419,8 +408,7 @@ class TestSequenceGradients:
 
     def test_gradient_with_respect_to_representation(self):
         cfg = GeneratorConfig(n_codes=4, d_code=3, rep_dim=5)
-        store = ParamStore()
-        init_generator_params(store, cfg, named_rng(11, "init"))
+        store = ParamStore(generator_slots(cfg, named_rng(11, "init")))
         x = named_rng(12, "x").normal(size=cfg.rep_dim)
         inputs = [cfg.stop_id, 2]
         targets = [(2, 1.0), (cfg.stop_id, 1.0)]

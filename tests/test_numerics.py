@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ehrpath.numerics import (ADAM_TILE, AdamConfig, ParamStore, adam_step, add_rows,
-                              finite_diff_check, named_rng)
+                              finite_diff_check, named_rng, uniform_init)
 from oracles import adam_update_with_temporaries, softmax_stable
 
 
@@ -51,23 +51,20 @@ def scalar_adam_oracle(p0, grads, lr=0.1, b1=0.9, b2=0.999, eps=1e-8):
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        store = ParamStore()
-        store.add("w", np.array([1.0, -2.0, 3.0]))
+        store = ParamStore([("w", np.array([1.0, -2.0, 3.0]))])
         before = store["w"].copy()
         adam_step(store, AdamConfig(learning_rate=0.1))
         np.testing.assert_array_equal(store["w"], before)
         assert store.step == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
-        store = ParamStore()
-        store.add("p", np.array([0.0]))
+        store = ParamStore([("p", np.array([0.0]))])
         store.grad("p")[:] = 1.0
         adam_step(store, AdamConfig(learning_rate=0.1))
         assert store["p"][0] == pytest.approx(-0.1, abs=1e-7)
 
     def test_two_identical_gradients_match_scalar_oracle(self):
-        store = ParamStore()
-        store.add("p", np.array([0.0]))
+        store = ParamStore([("p", np.array([0.0]))])
         for _ in range(2):
             store.grad("p")[:] = 1.0
             adam_step(store, AdamConfig(learning_rate=0.1))
@@ -76,47 +73,49 @@ class TestAdam:
     def test_random_gradient_sequence_matches_oracle(self):
         rng = np.random.default_rng(3)
         grads = rng.normal(size=6)
-        store = ParamStore()
-        store.add("p", np.array([0.5]))
+        store = ParamStore([("p", np.array([0.5]))])
         for g in grads:
             store.grad("p")[:] = g
             adam_step(store, AdamConfig(learning_rate=0.01))
         assert store["p"][0] == pytest.approx(scalar_adam_oracle(0.5, grads, lr=0.01), abs=1e-12)
 
     def test_gradients_zeroed_after_step(self):
-        store = ParamStore()
-        store.add("p", np.array([0.0]))
+        store = ParamStore([("p", np.array([0.0]))])
         store.grad("p")[:] = 1.0
         adam_step(store, AdamConfig())
         assert np.all(store.grad("p") == 0.0)
 
     def test_bit_identical_to_the_expression_with_temporaries(self):
         rng = np.random.default_rng(3)
-        store = ParamStore()
-        # small slots, and one of two whole tiles plus a partial one, so the
-        # tile seams fall inside a row
-        shapes = [(7, 5), (4,), (5, (2 * ADAM_TILE + 3) // 5 + 1), (3, 9), (1,), (12, 2)]
-        for i, shape in enumerate(shapes):
-            store.add(f"s{i}", rng.normal(size=shape))
-        ref = {n: [store[n].copy(), np.zeros(store[n].shape), np.zeros(store[n].shape)]
-               for n in store.names()}
-        cfg = AdamConfig(learning_rate=3e-3)
-        for step in range(1, 6):
-            for name in store.names():
-                g = rng.normal(size=store[name].shape) * 10.0 ** rng.uniform(-9, 3)
-                store.grad(name)[:] = g
-                p, m, v = ref[name]
-                adam_update_with_temporaries(p, g, m, v, step, cfg)
-            adam_step(store, cfg)
-            for name in store.names():
-                p, m, v = ref[name]
-                np.testing.assert_array_equal(store[name], p)
-                np.testing.assert_array_equal(store._m[name], m)
-                np.testing.assert_array_equal(store._v[name], v)
+        layouts = [
+            # small slots, and one of two whole tiles plus a partial one, so
+            # the tile seams fall inside a row
+            [(7, 5), (4,), (5, (2 * ADAM_TILE + 3) // 5 + 1), (3, 9), (1,), (12, 2)],
+            # the first tile seam falls on a slot boundary, and the second on
+            # a one-element slot, which the last tile opens
+            [(7, 5), (ADAM_TILE - 35,), (4, ADAM_TILE // 4), (1,), (12, 2)],
+        ]
+        for shapes in layouts:
+            store = ParamStore([(f"s{i}", rng.normal(size=shape))
+                                for i, shape in enumerate(shapes)])
+            ref = {n: [store[n].copy(), np.zeros(store[n].shape), np.zeros(store[n].shape)]
+                   for n in store.names()}
+            cfg = AdamConfig(learning_rate=3e-3)
+            for step in range(1, 6):
+                for name in store.names():
+                    g = rng.normal(size=store[name].shape) * 10.0 ** rng.uniform(-9, 3)
+                    store.grad(name)[:] = g
+                    p, m, v = ref[name]
+                    adam_update_with_temporaries(p, g, m, v, step, cfg)
+                adam_step(store, cfg)
+                for name in store.names():
+                    p, m, v = ref[name]
+                    np.testing.assert_array_equal(store[name], p)
+                    np.testing.assert_array_equal(store._m[name], m)
+                    np.testing.assert_array_equal(store._v[name], v)
 
     def test_nan_gradient_names_slot(self):
-        store = ParamStore()
-        store.add("bad.slot", np.zeros(2))
+        store = ParamStore([("bad.slot", np.zeros(2))])
         store.grad("bad.slot")[0] = np.nan
         with pytest.raises(FloatingPointError, match="bad.slot"):
             adam_step(store, AdamConfig())
@@ -130,8 +129,7 @@ class TestAdam:
 
 class TestFiniteDiff:
     def test_quadratic_correct_gradient(self):
-        store = ParamStore()
-        store.add("p", np.array([3.0]))
+        store = ParamStore([("p", np.array([3.0]))])
 
         def f(s):
             return float(s["p"][0] ** 2)
@@ -140,8 +138,7 @@ class TestFiniteDiff:
         assert err < 1e-6
 
     def test_quadratic_wrong_gradient_reports_relative_error(self):
-        store = ParamStore()
-        store.add("p", np.array([3.0]))
+        store = ParamStore([("p", np.array([3.0]))])
 
         def f(s):
             return float(s["p"][0] ** 2)
@@ -151,39 +148,32 @@ class TestFiniteDiff:
         assert err == pytest.approx(1 / 6, abs=1e-3)
 
     def test_restores_parameters(self):
-        store = ParamStore()
-        store.add("p", np.array([3.0]))
+        store = ParamStore([("p", np.array([3.0]))])
         finite_diff_check(lambda s: float(s["p"][0] ** 2), store, {"p": np.array([6.0])})
         assert store["p"][0] == 3.0
 
 
 class TestParamStore:
     def test_duplicate_slot_rejected(self):
-        store = ParamStore()
-        store.add("w", np.zeros(2))
         with pytest.raises(ValueError):
-            store.add("w", np.zeros(2))
+            ParamStore([("w", np.zeros(2)), ("w", np.zeros(2))])
 
     def test_clip_grads_scales_to_max_norm(self):
-        store = ParamStore()
-        store.add("a", np.zeros(3))
-        store.add("b", np.zeros(4))
+        store = ParamStore([("a", np.zeros(3)), ("b", np.zeros(4))])
         store.grad("a")[:] = 3.0
         store.grad("b")[:] = 4.0
         store.clip_grads(1.0)
         assert store.grad_norm() == pytest.approx(1.0)
 
     def test_clip_noop_when_under_norm(self):
-        store = ParamStore()
-        store.add("a", np.zeros(2))
+        store = ParamStore([("a", np.zeros(2))])
         store.grad("a")[:] = 0.1
         before = store.grad("a").copy()
         store.clip_grads(5.0)
         np.testing.assert_array_equal(store.grad("a"), before)
 
     def test_copy_is_deep(self):
-        store = ParamStore()
-        store.add("w", np.ones(2))
+        store = ParamStore([("w", np.ones(2))])
         dup = store.copy()
         dup["w"][0] = 99.0
         assert store["w"][0] == 1.0
@@ -194,8 +184,7 @@ class TestDeferredOuter:
     RIGHT = np.array([0.5, 4.0])
 
     def _store(self):
-        store = ParamStore()
-        store.add("w", np.zeros((3, 2)))
+        store = ParamStore([("w", np.zeros((3, 2)))])
         store.add_outer("w", self.LEFT, self.RIGHT)
         return store
 
@@ -302,6 +291,5 @@ class TestNamedRng:
         assert not np.array_equal(a, b)
 
     def test_uniform_init_range(self):
-        store = ParamStore()
-        w = store.add_uniform("w", (50, 50), named_rng(0, "init"))
+        w = uniform_init((50, 50), named_rng(0, "init"))
         assert np.all(np.abs(w) <= 0.08)
