@@ -41,7 +41,7 @@ def hungarian_assign(cost: np.ndarray, pinned: Mapping[int, int]) -> dict[int, i
     if n_labels > n_steps:
         raise ValueError(f"{n_labels} labels cannot be aligned to {n_steps} steps; "
                          "decode length must cover the gold set")
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("assignment cost matrix must be finite")
     if len(set(pinned.values())) != len(pinned):
         raise ValueError("pinned assignment claims a column twice")
@@ -51,8 +51,8 @@ def hungarian_assign(cost: np.ndarray, pinned: Mapping[int, int]) -> dict[int, i
 
     assigned = dict(pinned)
     free_rows = [t for t in range(n_steps) if t not in pinned]
-    free_cols = [j for j in range(n_labels) if j not in set(pinned.values())]
-    rr, cc = linear_sum_assignment(cost[np.ix_(free_rows, free_cols)])
+    free_cols = [j for j in range(n_labels) if j not in pinned.values()]
+    rr, cc = linear_sum_assignment(cost[free_rows][:, free_cols])
     assigned.update((free_rows[r], free_cols[c]) for r, c in zip(rr, cc))
     return assigned
 

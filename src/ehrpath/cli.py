@@ -80,7 +80,26 @@ def _require_dir(path: str, role: str) -> None:
         raise ConfigError(f"{role} directory {path!r} does not exist")
 
 
-def _planted_pairs(raw: str | None, n_pairs, cooccur, num_codes: int):
+def _number_kinds(p: argparse.ArgumentParser, **unset: type) -> dict[str, type]:
+    """Each numeric flag of a subcommand and its kind, taken from its
+    default; unset names the kind of a flag that has no default."""
+    return {**{a.dest: type(a.default) for a in p._actions if type(a.default) in (int, float)},
+            **unset}
+
+
+def _read_flags(args) -> None:
+    """Convert in place each flag of args.kinds that holds a value; one that
+    does not parse is an error naming its flag."""
+    for dest, kind in getattr(args, "kinds", {}).items():
+        raw = getattr(args, dest)
+        try:
+            setattr(args, dest, raw if raw is None else parse_value(kind, raw))
+        except ValueError as exc:
+            raise ConfigError(f"--{dest.replace('_', '-')}: cannot read {raw!r} "
+                              f"as {kind.__name__}") from exc
+
+
+def _planted_pairs(raw: str | None, n_pairs: int, cooccur: float, num_codes: int):
     """Either an explicit 'a:b:p,...' list or the first n disjoint pairs
     (0,1), (2,3), ... at a shared co-occurrence probability."""
     if raw:
@@ -91,25 +110,23 @@ def _planted_pairs(raw: str | None, n_pairs, cooccur, num_codes: int):
                 raise ConfigError(f"bad planted pair {part!r}, expected a:b:p")
             pairs.append((int(bits[0]), int(bits[1]), float(bits[2])))
         return tuple(pairs)
-    n_pairs = int(n_pairs)
     if 2 * n_pairs > num_codes:
         raise ConfigError(f"{n_pairs} disjoint pairs need {2 * n_pairs} codes, have {num_codes}")
-    return tuple((2 * i, 2 * i + 1, float(cooccur)) for i in range(n_pairs))
+    return tuple((2 * i, 2 * i + 1, cooccur) for i in range(n_pairs))
 
 
 def cmd_gen_data(args) -> int:
     _require_dir(args.out, "output")
-    pairs = _planted_pairs(args.planted, args.planted_pairs, args.cooccur, int(args.codes))
+    pairs = _planted_pairs(args.planted, args.planted_pairs, args.cooccur, args.codes)
     # the conventional top-K is 50; clamp the default when the synthetic
     # dictionary is smaller, but honor an explicit request verbatim
-    top_k = min(50, int(args.codes)) if args.top_k is None else int(args.top_k)
+    top_k = min(50, args.codes) if args.top_k is None else args.top_k
     cfg = CorpusConfig(
-        num_docs=int(args.docs), vocab_size=int(args.vocab), num_codes=int(args.codes),
-        top_k=top_k, planted_pairs=pairs,
-        doc_len=(int(args.doc_len_min), int(args.doc_len_max)), seed=int(args.seed),
-        code_skew=float(args.code_skew), extra_code_prob=float(args.extra_code_prob),
-        signal_strength=float(args.signal_strength))
-    bundle = synthetic_bundle(cfg, float(args.or_threshold), int(args.min_support))
+        num_docs=args.docs, vocab_size=args.vocab, num_codes=args.codes, top_k=top_k,
+        planted_pairs=pairs, doc_len=(args.doc_len_min, args.doc_len_max), seed=args.seed,
+        code_skew=args.code_skew, extra_code_prob=args.extra_code_prob,
+        signal_strength=args.signal_strength)
+    bundle = synthetic_bundle(cfg, args.or_threshold, args.min_support)
     corpus_io.write_corpus_dir(args.out, bundle)
     print(f"wrote {len(bundle.documents)} documents, {len(bundle.table)} complication pairs "
           f"-> {args.out}")
@@ -119,8 +136,8 @@ def cmd_gen_data(args) -> int:
 def cmd_build_table(args) -> int:
     _require_dir(args.corpus, "corpus")
     bundle = load_corpus_dir(args.corpus)
-    table = build_complication_table(bundle.split_docs("train"),
-                                     float(args.or_threshold), int(args.min_support))
+    table = build_complication_table(bundle.split_docs("train"), args.or_threshold,
+                                     args.min_support)
     out = args.out or os.path.join(args.corpus, corpus_io.TABLE_FILE)
     write_table(out, table)
     print(f"wrote {len(table)} complication pairs -> {out}")
@@ -142,14 +159,7 @@ def cmd_train(args) -> int:
     _require_dir(args.out, "output")
     bundle = load_corpus_dir(args.corpus)
     fingerprints = _fingerprints(args.corpus)
-    values = {}
-    for name, dest, kind in _train_options():
-        try:
-            values[name] = parse_value(kind, getattr(args, dest))
-        except ValueError as exc:
-            raise ConfigError(f"--{dest.replace('_', '-')}: cannot read {getattr(args, dest)!r} "
-                              f"as {kind.__name__}") from exc
-    cfg = TrainConfig(**values)
+    cfg = TrainConfig(**{name: getattr(args, dest) for name, dest, _ in _train_options()})
     report, model = train(bundle, cfg)
     ckpt = os.path.join(args.out, CHECKPOINT_NAME)
     save_model(ckpt, model, cfg.seed, fingerprints)
@@ -232,7 +242,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--code-skew", default=1.0)
     p.add_argument("--extra-code-prob", default=0.25)
     p.add_argument("--signal-strength", default=0.8)
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=cmd_gen_data, kinds=_number_kinds(p, top_k=int))
 
     p = sub.add_parser("build-table", help="rebuild the complication table from the train split")
     p.add_argument("--config")
@@ -240,7 +250,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--or-threshold", default=2.0)
     p.add_argument("--min-support", default=5)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_build_table)
+    p.set_defaults(func=cmd_build_table, kinds=_number_kinds(p))
 
     p = sub.add_parser("train", help="train a model on a corpus directory")
     p.add_argument("--config")
@@ -253,7 +263,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             p.add_argument(flag, action="store_true", default=getattr(defaults, name))
         else:
             p.add_argument(flag, default=getattr(defaults, name))
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, kinds={dest: kind for _, dest, kind in _train_options()})
 
     p = sub.add_parser("eval", help="decode a split and write predictions plus metrics")
     p.add_argument("--config")
@@ -280,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(subparsers, argv)
         args = parser.parse_args(argv)
+        _read_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

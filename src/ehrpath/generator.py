@@ -9,10 +9,14 @@ mode over the whole code vocabulary (plus STOP and UNK) and a copy mode
 restricted to the previous code's complication partners. Decoding is
 greedy with repetition masking and terminates at STOP.
 
+The fusion is folded into three blocks, and every code-only product is
+taken for all code ids at once (`DecoderTables`) by each `run_batch` call
+and each standalone decode or step; the batch's steps (greedy ones from its
+first step too) carry them into the backward pass, and nothing keeps them.
+
 Teacher-forced steps run a batch of documents in lockstep: step t feeds
 the documents that still have an input at t through one GEMM per weight
-matrix, and the copy candidates of all of them through one more; one
-document is a batch of one (`generator_step`, `run_steps`,
+matrix; one document is a batch of one (`generator_step`, `run_steps`,
 `sequence_backward`). Greedy decoding steps each document alone after its
 first step, which needs only the document vector (STOP in, zero state):
 callers batch it with `run_batch` and pass each path its row (`step_row`).
@@ -64,15 +68,20 @@ def generator_slots(cfg: GeneratorConfig, rng: np.random.Generator | None) -> Sl
             ("gen.copy.W", uniform_init((cfg.rep_dim, cfg.rep_dim), rng))]
 
 
-def _fuse_forward(x: np.ndarray, code_vec: np.ndarray, store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
-    """Six-block feature fusion of document and code vectors, one row each
-    (or one vector each): tanh([x, c, x*c, x+c, x-c, c-x] @ W.T), plus the
-    feature blocks."""
-    if x.shape != code_vec.shape:
-        raise ValueError(f"fusion inputs disagree: x {x.shape} vs code {code_vec.shape}")
-    u = np.concatenate([x, code_vec, x * code_vec, x + code_vec, x - code_vec, code_vec - x],
-                       axis=-1)
-    return np.tanh(u.dot(store["gen.fuse.W"].T)), u
+class DecoderTables:
+    """Products of the decoder's weights that do not depend on the document:
+    [x, c, x*c, x+c, x-c, c-x] W^T = x A^T + c C^T + (x*c) M^T, A = W1+W4+W5-W6,
+    C = W2+W4-W5+W6, M = W3 (contiguous: one BLAS call each), and per code id
+    its projected vector c, its fusion part c C^T and its copy key."""
+
+    def __init__(self, store: ParamStore) -> None:
+        w = np.hsplit(store["gen.fuse.W"], 6)
+        self.A = w[0] + w[3] + w[4] - w[5]
+        self.C = w[1] + w[3] - w[4] + w[5]
+        self.M = w[2].copy()
+        self.code_vec = store["gen.code_embed"].dot(store["gen.code_proj"].T)
+        self.code_part = self.code_vec.dot(self.C.T)
+        self.copy_key = np.tanh(self.code_vec.dot(store["gen.copy.W"]))
 
 
 @dataclass
@@ -122,11 +131,11 @@ def _mixture_from_scores(gen_scores: np.ndarray, copy_scores: np.ndarray, ids: n
 
 
 def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: ComplicationTable | None,
-                     store: ParamStore, cfg: GeneratorConfig,
+                     store: ParamStore, cfg: GeneratorConfig, tables: DecoderTables,
                      ) -> tuple[np.ndarray, list[tuple[int, ...]], MixtureCache]:
     """Next-code probabilities (R, n_total) of each row of h (R, rep) given
-    its previous code, and each row's copy candidates; the candidates of all
-    rows go through one GEMM."""
+    its previous code, and each row's copy candidates, whose projected
+    vectors and copy keys are read from the tables."""
     if min(prev_codes) < 0 or max(prev_codes) >= cfg.n_total:
         raise ValueError(f"previous codes {prev_codes} outside vocabulary of {cfg.n_total}")
     copy_ids: list[tuple[int, ...]] = [()] * len(prev_codes)
@@ -135,8 +144,8 @@ def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: Complicati
     ids, owner = _candidates(copy_ids)
     if ids.size:
         emb_rows = store["gen.code_embed"].take(ids, axis=0)
-        proj_rows = emb_rows.dot(store["gen.code_proj"].T)
-        tanh_rows = np.tanh(proj_rows.dot(store["gen.copy.W"]))
+        proj_rows = tables.code_vec.take(ids, axis=0)
+        tanh_rows = tables.copy_key.take(ids, axis=0)
         copy_scores = (tanh_rows * h.take(owner, axis=0)).sum(axis=1)
     else:
         emb_rows = np.empty((0, cfg.d_code))
@@ -164,7 +173,7 @@ class StepTrace:
     prev_codes: list[int]
     emb_prev: np.ndarray
     code_vec: np.ndarray          # projected previous-code embedding
-    u: np.ndarray                 # fusion feature blocks
+    x: np.ndarray                 # document vectors
     fused: np.ndarray             # tanh fusion output
     lstm: LstmCache
     h: np.ndarray
@@ -172,6 +181,7 @@ class StepTrace:
     probs: np.ndarray             # (R, n_total) next-code probabilities
     copy_ids: list[tuple[int, ...]]  # each row's copy candidates
     mix: MixtureCache
+    tables: DecoderTables
 
     @property
     def dist(self) -> MixtureDistribution:
@@ -182,29 +192,31 @@ class StepTrace:
 
 def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
           x: np.ndarray, prev_codes: list[int], h_prev: np.ndarray, c_prev: np.ndarray,
-          rows: np.ndarray) -> StepTrace:
+          rows: np.ndarray, tables: DecoderTables) -> StepTrace:
     """One lockstep step of the documents at batch positions rows: x,
     h_prev, c_prev (R, rep) and one previous code each; every weight matrix
-    is one product over the rows."""
+    is one product over the rows, or a read of the tables."""
     emb_prev = store["gen.code_embed"].take(prev_codes, axis=0)
-    code_vec = emb_prev.dot(store["gen.code_proj"].T)
-    fused, u = _fuse_forward(x, code_vec, store)
+    code_vec = tables.code_vec.take(prev_codes, axis=0)
+    fused = np.tanh(x.dot(tables.A.T) + tables.code_part.take(prev_codes, axis=0)
+                    + (x * code_vec).dot(tables.M.T))
     h, c, lstm_cache = lstm_step(store, "gen.lstm", h_prev, c_prev, fused * code_vec,
                                  cfg.candidate_activation)
-    probs, copy_ids, mix_cache = _mixture_forward(h, prev_codes, table, store, cfg)
-    return StepTrace(rows, prev_codes, emb_prev, code_vec, u, fused, lstm_cache, h, c, probs,
-                     copy_ids, mix_cache)
+    probs, copy_ids, mix_cache = _mixture_forward(h, prev_codes, table, store, cfg, tables)
+    return StepTrace(rows, prev_codes, emb_prev, code_vec, x, fused, lstm_cache, h, c, probs,
+                     copy_ids, mix_cache, tables)
 
 
 _ONE_ROW = np.zeros(1, dtype=np.int64)
 
 
 def generator_step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
-                   x: np.ndarray, prev_code: int, h_prev: np.ndarray,
-                   c_prev: np.ndarray) -> StepTrace:
+                   x: np.ndarray, prev_code: int, h_prev: np.ndarray, c_prev: np.ndarray,
+                   tables: DecoderTables | None = None) -> StepTrace:
     """One step of one document, x, h_prev, c_prev (rep,): _step on a batch
-    of one."""
-    return _step(store, cfg, table, x[None], [prev_code], h_prev[None], c_prev[None], _ONE_ROW)
+    of one, on the given tables or its own."""
+    return _step(store, cfg, table, x[None], [prev_code], h_prev[None], c_prev[None], _ONE_ROW,
+                 tables or DecoderTables(store))
 
 
 def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
@@ -213,6 +225,7 @@ def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable 
     document vectors, and document b consumes inputs[b][t] as the previous
     code at step t, so step t covers the documents with more than t inputs.
     Starts from zero state with STOP as the BOS convention."""
+    tables = DecoderTables(store)
     lengths = np.array([len(seq) for seq in inputs])
     h = np.zeros((len(inputs), cfg.rep_dim))
     c = np.zeros_like(h)
@@ -220,7 +233,7 @@ def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable 
     for t in range(lengths.max(initial=0)):
         rows = np.flatnonzero(lengths > t)
         step = _step(store, cfg, table, x[rows], [inputs[b][t] for b in rows],
-                     h[rows], c[rows], rows)
+                     h[rows], c[rows], rows, tables)
         h[rows] = step.h
         c[rows] = step.c
         steps.append(step)
@@ -237,7 +250,8 @@ def run_steps(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable 
 def _concat(records: Sequence):
     """One record holding the rows of several of one dataclass, in order:
     array fields are concatenated, list fields joined, nested records
-    likewise; any other field must be equal in all."""
+    likewise; any other field must be equal in all (the tables: one
+    object), and stays."""
     parts = {}
     for f in fields(records[0]):
         values = [getattr(r, f.name) for r in records]
@@ -262,13 +276,14 @@ def step_row(step: StepTrace, b: int) -> StepTrace:
     r, lstm, mix = slice(b, b + 1), step.lstm, step.mix
     own = _candidates(step.copy_ids)[1] == b if len(mix.tanh_rows) else r
     return StepTrace(
-        step.rows[r], step.prev_codes[r], step.emb_prev[r], step.code_vec[r], step.u[r],
+        step.rows[r], step.prev_codes[r], step.emb_prev[r], step.code_vec[r], step.x[r],
         step.fused[r],
         LstmCache(lstm.z[r], lstm.f[r], lstm.i[r], lstm.g_pre[r], lstm.g[r], lstm.o[r],
                   lstm.c_prev[r], lstm.c[r], lstm.tau[r], lstm.activation),
         step.h[r], step.c[r], step.probs[r], step.copy_ids[r],
         MixtureCache(mix.exp_gen[r], mix.exp_copy[r], mix.z[r], mix.emb_rows[own],
-                     mix.proj_rows[own], mix.tanh_rows[own]))
+                     mix.proj_rows[own], mix.tanh_rows[own]),
+        step.tables)
 
 
 def stack_steps(doc_steps: Sequence[Sequence[StepTrace]]) -> list[StepTrace]:
@@ -303,7 +318,8 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
     are renormalized to zero before the argmax (ties break to the lowest
     id); stops at STOP or cfg.max_len. Stored distributions are unmasked.
     The first step depends on x alone (STOP in, zero state): `first`, one
-    document's row of it taken for a batch (step_row), stands in for it."""
+    document's row of it taken for a batch (step_row), stands in for it, tables and all."""
+    tables = first.tables if first is not None else DecoderTables(store)
     h = np.zeros(cfg.rep_dim)
     c = np.zeros(cfg.rep_dim)
     prev = cfg.stop_id
@@ -312,7 +328,7 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
     banned = {cfg.unk_id}
     for t in range(cfg.max_len):
         trace = (first if t == 0 and first is not None
-                 else generator_step(store, cfg, table, x, prev, h, c))
+                 else generator_step(store, cfg, table, x, prev, h, c, tables))
         masked = trace.probs[0].copy()
         masked[list(banned)] = 0.0
         masked /= masked.sum()
@@ -391,8 +407,7 @@ def batch_backward(store: ParamStore, cfg: GeneratorConfig, steps: Sequence[Step
     (target, weight) of document b at step t, or None. Accumulates into
     store gradients and returns the gradient with respect to each document
     representation, (B, rep)."""
-    rep = cfg.rep_dim
-    dx = np.zeros((len(step_targets), rep))
+    dx = np.zeros((len(step_targets), cfg.rep_dim))
     dh_next = np.zeros_like(dx)
     dc_next = np.zeros_like(dx)
     embed_ids: list[np.ndarray] = []
@@ -406,13 +421,11 @@ def batch_backward(store: ParamStore, cfg: GeneratorConfig, steps: Sequence[Step
         d_fused = dv * step.code_vec
         d_code_vec = dv * step.fused
         dq = d_fused * (1.0 - step.fused ** 2)
-        store.add_outer("gen.fuse.W", dq, step.u)
-        du = dq @ store["gen.fuse.W"]
-        b = [du[:, i * rep:(i + 1) * rep] for i in range(6)]
-        x_like = step.u[:, :rep]
-        c_like = step.u[:, rep:2 * rep]
-        dx[rows] += b[0] + b[2] * c_like + b[3] + b[4] - b[5]
-        d_code_vec += b[1] + b[2] * x_like + b[3] - b[4] + b[5]
+        x, c = step.x, step.code_vec
+        store.add_outer("gen.fuse.W", dq, np.concatenate([x, c, x * c, x + c, x - c, c - x], 1))
+        d_m = dq @ step.tables.M
+        dx[rows] += dq @ step.tables.A + d_m * c
+        d_code_vec += dq @ step.tables.C + d_m * x
         store.add_outer("gen.code_proj", d_code_vec, step.emb_prev)
         embed_ids.append(step.prev_codes)
         embed_rows.append(d_code_vec @ store["gen.code_proj"])

@@ -11,8 +11,9 @@ from ehrpath.alignment import step_targets
 from ehrpath.corpus import PAD_TOKEN
 from ehrpath.discriminator import CLAMP, DiscriminatorConfig
 from ehrpath.encoder import EncoderConfig, embed_tokens
-from ehrpath.generator import (MixtureCache, MixtureDistribution, StepTrace, _candidates,
-                               _mixture_forward, _mixture_from_scores, generator_step_loss)
+from ehrpath.generator import (DecoderTables, MixtureCache, MixtureDistribution, StepTrace,
+                               _candidates, _mixture_forward, _mixture_from_scores,
+                               generator_step_loss)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
 from ehrpath.numerics import AdamConfig, ParamStore, Slots, adam_step, add_rows, uniform_init
 from ehrpath.trainer import _aligned_forward, _decoder_backward
@@ -141,10 +142,24 @@ def pla_loss(probs: Sequence[np.ndarray], alignment: Mapping[int, int]) -> float
                if tgt is not None)
 
 
+def fuse_forward(x: np.ndarray, code_vec: np.ndarray,
+                 store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+    """Six-block feature fusion of document and code vectors, one row each
+    (or one vector each): tanh([x, c, x*c, x+c, x-c, c-x] @ W.T), plus the
+    feature blocks. The reference for the folded fusion of
+    ehrpath.generator's DecoderTables."""
+    if x.shape != code_vec.shape:
+        raise ValueError(f"fusion inputs disagree: x {x.shape} vs code {code_vec.shape}")
+    u = np.concatenate([x, code_vec, x * code_vec, x + code_vec, x - code_vec, code_vec - x],
+                       axis=-1)
+    return np.tanh(u.dot(store["gen.fuse.W"].T)), u
+
+
 def mixture_forward_row(h, prev_code, table, store, cfg) -> MixtureDistribution:
     """_mixture_forward on one hidden state (rep,) and its previous code, as
     the record StepTrace.dist builds (the step's other fields unset)."""
-    return StepTrace(*[None] * 9, *_mixture_forward(h[None], [prev_code], table, store, cfg)).dist
+    mixture = _mixture_forward(h[None], [prev_code], table, store, cfg, DecoderTables(store))
+    return StepTrace(*[None] * 9, *mixture, None).dist
 
 
 def mixture_scores_row(gen_scores, copy_scores, copy_ids) -> MixtureDistribution:
@@ -154,7 +169,7 @@ def mixture_scores_row(gen_scores, copy_scores, copy_ids) -> MixtureDistribution
     probs, exp_gen, exp_copy, z = _mixture_from_scores(gen_scores, copy_scores,
                                                        *_candidates(copy_ids))
     mix = MixtureCache(exp_gen, exp_copy, z, None, None, None)
-    return StepTrace(*[None] * 9, probs, copy_ids, mix).dist
+    return StepTrace(*[None] * 9, probs, copy_ids, mix, None).dist
 
 
 def supervised_batch(model, batch, table, cfg, dropout_rng) -> float:

@@ -142,6 +142,27 @@ def test_probe_and_spans_count_every_decoded_path(bundle):
     assert rec.get("adv", "bad_paths") == rec.get("decode", "bad_paths") == 0
 
 
+def test_every_counter_a_per_layer_figure_divides_by_is_counted(bundle):
+    # Runner.layer_metrics divides by these: a change that takes a phase
+    # round a swapped attribute must fail here, not crash a --trace 1 run
+    tracing = load_tracing()
+    model = build_model(bundle, CFG)
+    docs = bundle.split_docs("train")
+    rec = tracing.Recorder(bundle.codes.num_real)
+    with rec.path_probe(), rec.spans_on():
+        rec.phase = "sup"
+        adversarial_round(model, docs[:4], bundle.table, dataclasses.replace(CFG, no_arl=True),
+                          named_rng(1, "dropout"))
+        rec.phase = "adv"
+        adversarial_round(model, docs[4:8], bundle.table, CFG, named_rng(2, "dropout"))
+        rec.phase = "decode"
+        decode_predictions(model, bundle.split_docs("test")[:3], bundle.table)
+    denominators = [("adv", "paths"), ("decode", "paths"), ("sup", "aligned_labels"),
+                    ("adv", "aligned_labels"), ("sup", "clip_calls"), ("adv", "clip_calls"),
+                    ("adv", "scored_prefixes")]
+    assert [key for key in denominators if rec.get(*key) == 0] == []
+
+
 def test_traced_scorer_counts_prefixes_and_lstm_spans(bundle):
     # the benchmark divides by the scored prefixes and times the scorer's
     # LSTM through the swapped discriminator.lstm_step/lstm_step_backward

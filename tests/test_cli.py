@@ -83,6 +83,30 @@ class TestGenData:
         assert flag in capsys.readouterr().err
         assert digest_dir(out) == before
 
+    @pytest.mark.parametrize("command, flag, value, kind", [
+        ("gen-data", "--min-support", "3.5", "int"),
+        ("gen-data", "--or-threshold", "x", "float"),
+        ("gen-data", "--docs", "1.5", "int"),
+        ("gen-data", "--planted-pairs", "two", "int"),
+        ("gen-data", "--cooccur", "high", "float"),
+        ("gen-data", "--top-k", "", "int"),
+        ("build-table", "--min-support", "3.5", "int"),
+        ("build-table", "--or-threshold", "x", "float")])
+    def test_unparsable_number_exits_2_naming_flag_before_writing(
+            self, tmp_path, capsys, command, flag, value, kind):
+        if command == "gen-data":
+            out = tmp_path / "c"
+            out.mkdir()
+            argv = ["gen-data", "--out", str(out)] + GEN_FLAGS
+        else:
+            out = gen_corpus(tmp_path)
+            argv = ["build-table", "--corpus", str(out)]
+        before = digest_dir(out)
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 2
+        assert capsys.readouterr().err == f"config error: {flag}: cannot read {value!r} as {kind}\n"
+        assert digest_dir(out) == before
+
 
 class TestTrainCommand:
     def test_smoke_writes_checkpoint_and_report(self, tmp_path):

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from ehrpath.corpus import ComplicationTable
-from ehrpath.generator import (GeneratorConfig, _concat, _fuse_forward, decode_path,
-                               decode_path_traced, generator_slots, generator_step_loss,
-                               path_loss, run_batch, run_steps, sequence_backward, stack_steps,
-                               step_row)
+from ehrpath.generator import (DecoderTables, GeneratorConfig, _concat, decode_path,
+                               decode_path_traced, generator_slots, generator_step,
+                               generator_step_loss, path_loss, run_batch, run_steps,
+                               sequence_backward, stack_steps, step_row)
 from ehrpath.lstm import lstm_slots, lstm_step, lstm_step_backward
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
 from oracles import (GATES, four_gate_lstm_step, four_gate_lstm_step_backward,
-                     four_gate_lstm_slots, mixture_forward_row, mixture_scores_row,
-                     softmax_stable)
+                     four_gate_lstm_slots, fuse_forward, mixture_forward_row,
+                     mixture_scores_row, softmax_stable)
 
 CFG = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8)
 TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
@@ -38,14 +38,14 @@ class TestFuse:
         store = make_store()
         rng = named_rng(1, "x")
         x = rng.normal(size=CFG.rep_dim)
-        _, u = _fuse_forward(x, x.copy(), store)
+        _, u = fuse_forward(x, x.copy(), store)
         r = CFG.rep_dim
         np.testing.assert_array_equal(u[4 * r:5 * r], np.zeros(r))  # x - c
         np.testing.assert_array_equal(u[5 * r:6 * r], np.zeros(r))  # c - x
 
     def test_zero_inputs_zero_output(self):
         store = make_store()
-        out = _fuse_forward(np.zeros(CFG.rep_dim), np.zeros(CFG.rep_dim), store)[0]
+        out = fuse_forward(np.zeros(CFG.rep_dim), np.zeros(CFG.rep_dim), store)[0]
         np.testing.assert_array_equal(out, np.zeros(CFG.rep_dim))
 
     def test_selector_weight_recovers_sum_block(self):
@@ -57,18 +57,18 @@ class TestFuse:
         rng = named_rng(2, "x")
         x = rng.normal(size=r)
         c = rng.normal(size=r)
-        np.testing.assert_allclose(_fuse_forward(x, c, store)[0], np.tanh(x + c), atol=1e-12)
+        np.testing.assert_allclose(fuse_forward(x, c, store)[0], np.tanh(x + c), atol=1e-12)
 
     def test_output_strictly_inside_unit_interval(self):
         store = make_store()
         rng = named_rng(3, "x")
-        out = _fuse_forward(rng.normal(size=CFG.rep_dim), rng.normal(size=CFG.rep_dim), store)[0]
+        out = fuse_forward(rng.normal(size=CFG.rep_dim), rng.normal(size=CFG.rep_dim), store)[0]
         assert np.all(np.abs(out) < 1.0)
 
     def test_shape_mismatch_rejected(self):
         store = make_store()
         with pytest.raises(ValueError):
-            _fuse_forward(np.zeros(CFG.rep_dim), np.zeros(CFG.rep_dim + 1), store)[0]
+            fuse_forward(np.zeros(CFG.rep_dim), np.zeros(CFG.rep_dim + 1), store)[0]
 
 
 class TestLstmStep:
@@ -425,3 +425,63 @@ class TestSequenceGradients:
             xm[i] -= eps
             dn = path_loss(run_steps(store, cfg, None, xm, inputs), targets)
             assert dx[i] == pytest.approx((up - dn) / (2 * eps), abs=1e-5)
+
+
+class TestDecoderTables:
+    def test_step_on_tables_matches_six_block_formula(self):
+        store = unit_store(7)
+        xs = named_rng(8, "x").normal(size=(4, CFG.rep_dim))
+        step = run_batch(store, CFG, TABLE, xs, [[1], [2], [CFG.stop_id], [0]])[0]
+        code_vec = store["gen.code_embed"][[1, 2, CFG.stop_id, 0]] @ store["gen.code_proj"].T
+        fused, _ = fuse_forward(xs, code_vec, store)
+        np.testing.assert_allclose(step.code_vec, code_vec, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.fused, fused, rtol=0, atol=1e-12)
+        # the copy candidates of codes 1 (0 and 4), 2 (3) and 0 (1), read from the tables
+        proj = store["gen.code_embed"][[0, 4, 3, 1]] @ store["gen.code_proj"].T
+        np.testing.assert_allclose(step.mix.proj_rows, proj, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.mix.tanh_rows, np.tanh(proj @ store["gen.copy.W"]),
+                                   rtol=0, atol=1e-12)
+
+    def test_each_run_batch_builds_tables_from_the_current_weights(self):
+        store = unit_store(9)
+        xs = named_rng(10, "x").normal(size=(2, CFG.rep_dim))
+        inputs = [[CFG.stop_id, 1], [CFG.stop_id]]
+        before = run_batch(store, CFG, TABLE, xs, inputs)
+        store["gen.fuse.W"][...] += named_rng(11, "w").normal(size=store["gen.fuse.W"].shape)
+        after = run_batch(store, CFG, TABLE, xs, inputs)
+        fresh = DecoderTables(store)
+        assert all(step.tables is after[0].tables for step in after)
+        assert after[0].tables is not before[0].tables
+        for name in ("A", "C", "M", "code_vec", "code_part", "copy_key"):
+            np.testing.assert_array_equal(getattr(after[0].tables, name), getattr(fresh, name))
+        assert not np.allclose(after[0].tables.A, before[0].tables.A)
+        fused, _ = fuse_forward(xs[:1], after[1].code_vec, store)
+        np.testing.assert_allclose(after[1].fused, fused, rtol=0, atol=1e-12)
+
+    def test_decode_steps_run_on_the_first_steps_tables(self):
+        cfg = replace(CFG, max_len=4)
+        store = unit_store(2)
+        xs = named_rng(13, "x").normal(size=(3, cfg.rep_dim))
+        (first,) = run_batch(store, cfg, TABLE, xs, [[cfg.stop_id]] * len(xs))
+        for b, x in enumerate(xs):
+            _, traces = decode_path_traced(store, cfg, TABLE, x, first=step_row(first, b))
+            assert all(trace.tables is first.tables for trace in traces)
+        # a standalone step or decode builds tables of its own
+        h = np.zeros(cfg.rep_dim)
+        assert generator_step(store, cfg, TABLE, xs[0], 1, h, h).tables is not first.tables
+        _, traces = decode_path_traced(store, cfg, TABLE, xs[0])
+        assert traces[0].tables is not first.tables
+        assert all(trace.tables is traces[0].tables for trace in traces)
+
+    def test_only_steps_on_one_batchs_tables_are_stacked(self):
+        cfg = replace(CFG, max_len=2)
+        store = make_store()
+        xs = named_rng(6, "x").normal(size=(2, cfg.rep_dim))
+        (first,) = run_batch(store, cfg, TABLE, xs, [[cfg.stop_id]] * len(xs))
+        decodes = [decode_path_traced(store, cfg, TABLE, x, first=step_row(first, b))[1]
+                   for b, x in enumerate(xs)]
+        assert all(step.tables is first.tables for step in stack_steps(decodes))
+        # a standalone decode builds its own tables, even on the same weights
+        _, own = decode_path_traced(store, cfg, TABLE, xs[1])
+        with pytest.raises(ValueError, match="tables"):
+            stack_steps([decodes[0], own])

@@ -10,7 +10,8 @@ from ehrpath.discriminator import discriminator_loss, reward
 from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath import generator, trainer
-from ehrpath.generator import DecodedPath, decode_path, decode_path_traced, stack_steps
+from ehrpath.generator import (DecodedPath, decode_path, decode_path_traced, stack_steps,
+                               step_row)
 from ehrpath.numerics import named_rng
 from ehrpath.trainer import (TrainConfig, _aligned_forward, _decoder_backward, adversarial_round,
                              build_model, decode_predictions, model_config_kv,
@@ -307,9 +308,10 @@ class TestBatchEquivalence:
 
         def backward(model, fwd, doc_ids):
             pg_traces, pg_targets = [], []
-            for x, b in zip(fwd.x, doc_ids):
+            for i, (x, b) in enumerate(zip(fwd.x, doc_ids)):
                 gen_cfg = dataclasses.replace(model.gen_cfg, max_len=2 + b % 3)
-                path, traces = decode_path_traced(model.gen_store, gen_cfg, bundle.table, x)
+                path, traces = decode_path_traced(model.gen_store, gen_cfg, bundle.table, x,
+                                                  first=step_row(fwd.steps[0], i))
                 pg_traces.append(traces[:path.valid_len])
                 pg_targets.append([(code, 0.3 - 0.2 * b + 0.1 * k)
                                    for k, code in enumerate(path.valid_codes)])
