@@ -23,6 +23,8 @@ from .corpus import atomic_write
 from .errors import DataError
 
 MAGIC = b"CRNNET-CKPT-2"
+BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def format_value(value) -> str:
@@ -38,10 +40,12 @@ def format_value(value) -> str:
 def parse_value(kind, raw) -> object:
     """Value of a config field of type `kind` from its text form; a value
     that is not text goes through format_value first. Raises ValueError on
-    malformed text."""
+    malformed text, such as a bool not spelled as in BOOL_TEXT."""
     text = raw if isinstance(raw, str) else format_value(raw)
     if kind is bool:
-        return text.lower() in ("1", "true", "yes", "on")
+        if text.lower() not in BOOL_TEXT:
+            raise ValueError(f"cannot read {text!r} as bool")
+        return BOOL_TEXT[text.lower()]
     if typing.get_origin(kind) is tuple:
         return tuple(int(v) for v in text.split(","))
     return kind(text)

@@ -55,7 +55,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _apply_config_file(subparsers: dict[str, argparse.ArgumentParser], argv: list[str]) -> None:
     """Pre-scan for --config and install its values as defaults on the
-    invoked subcommand's parser, so real flags still win."""
+    invoked subcommand's parser, so real flags still win. argparse checks a
+    flag's choices on the command line only, so they are checked here."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -65,12 +66,16 @@ def _apply_config_file(subparsers: dict[str, argparse.ArgumentParser], argv: lis
     if command is None:
         return
     sub = subparsers[command]
-    valid = {a.dest for a in sub._actions}
+    actions = {a.dest: a for a in sub._actions}
     defaults = {}
     for key, val in _read_config_file(known.config).items():
         dest = key.replace("-", "_")
-        if dest not in valid:
+        if dest not in actions:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+        choices = actions[dest].choices
+        if choices is not None and val not in choices:
+            raise ConfigError(f"{actions[dest].option_strings[0]} must be one of "
+                              f"{'|'.join(choices)}, got {val}")
         defaults[dest] = val
     sub.set_defaults(**defaults)
 
@@ -237,8 +242,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--planted", help="explicit pairs a:b:p,a:b:p,...")
     p.add_argument("--planted-pairs", default=5, help="number of disjoint auto pairs")
     p.add_argument("--cooccur", default=0.9)
-    p.add_argument("--or-threshold", default=2.0)
-    p.add_argument("--min-support", default=5)
+    p.add_argument("--or-threshold", default=corpus_io.OR_THRESHOLD)
+    p.add_argument("--min-support", default=corpus_io.MIN_SUPPORT)
     p.add_argument("--code-skew", default=1.0)
     p.add_argument("--extra-code-prob", default=0.25)
     p.add_argument("--signal-strength", default=0.8)
@@ -247,8 +252,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("build-table", help="rebuild the complication table from the train split")
     p.add_argument("--config")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--or-threshold", default=2.0)
-    p.add_argument("--min-support", default=5)
+    p.add_argument("--or-threshold", default=corpus_io.OR_THRESHOLD)
+    p.add_argument("--min-support", default=corpus_io.MIN_SUPPORT)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build_table, kinds=_number_kinds(p))
 

@@ -30,6 +30,10 @@ CODES_FILE = "codes.txt"
 TABLE_FILE = "complications.txt"
 SPLITS_FILE = "splits.json"
 
+# the complication table's defaults: least odds ratio, least co-occurring documents
+OR_THRESHOLD = 2.0
+MIN_SUPPORT = 5
+
 
 @dataclass(frozen=True)
 class EhrDocument:
@@ -247,8 +251,8 @@ def split_indices(n: int, seed: int, ratio: tuple[int, int, int] = (4, 1, 1)) ->
 
 
 def build_complication_table(train_documents: Sequence[EhrDocument],
-                             or_threshold: float = 2.0,
-                             min_support: int = 5) -> ComplicationTable:
+                             or_threshold: float = OR_THRESHOLD,
+                             min_support: int = MIN_SUPPORT) -> ComplicationTable:
     """Odds ratio over the 2x2 document co-occurrence table for every code
     pair; a pair is kept iff OR >= or_threshold and it co-occurs in at least
     min_support documents. Zero cells get the +0.5 continuity correction."""
@@ -351,7 +355,7 @@ def write_table(path: str, table: ComplicationTable) -> None:
 
 
 def read_table(path: str) -> ComplicationTable:
-    threshold, min_support = 2.0, 5
+    threshold, min_support = OR_THRESHOLD, MIN_SUPPORT
     pairs: dict[tuple[int, int], float] = {}
     try:
         with open(path) as fh:

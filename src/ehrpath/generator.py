@@ -12,7 +12,8 @@ greedy with repetition masking and terminates at STOP.
 The fusion is folded into three blocks, and every code-only product is
 taken for all code ids at once (`DecoderTables`) by each `run_batch` call
 and each standalone decode or step; the batch's steps (greedy ones from its
-first step too) carry them into the backward pass, and nothing keeps them.
+first step too) carry them into the backward pass, which reads its code
+rows from them again; nothing keeps them.
 
 Teacher-forced steps run a batch of documents in lockstep: step t feeds
 the documents that still have an input at t through one GEMM per weight
@@ -95,14 +96,11 @@ class MixtureDistribution:
 
 @dataclass
 class MixtureCache:
-    """Backward cache of the mixture head over R rows. The copy candidates
-    of all rows are concatenated row by row, M in all."""
+    """Backward cache of the mixture head over R rows; the candidates' rows
+    are read again from the tables."""
     exp_gen: np.ndarray            # (R, n_total) shifted exps of generate scores
     exp_copy: np.ndarray           # (R, n_total) shifted exps of copy scores, 0 off the candidates
     z: np.ndarray                  # (R,) shifted normalizers
-    emb_rows: np.ndarray           # (M, d_code) embeddings of copy candidates
-    proj_rows: np.ndarray          # (M, rep) projected candidates
-    tanh_rows: np.ndarray          # (M, rep) tanh(candidate^T W_c)
 
 
 def _candidates(copy_ids: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -134,26 +132,18 @@ def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: Complicati
                      store: ParamStore, cfg: GeneratorConfig, tables: DecoderTables,
                      ) -> tuple[np.ndarray, list[tuple[int, ...]], MixtureCache]:
     """Next-code probabilities (R, n_total) of each row of h (R, rep) given
-    its previous code, and each row's copy candidates, whose projected
-    vectors and copy keys are read from the tables."""
+    its previous code, and each row's copy candidates, whose copy keys are
+    read from the tables (none for a row without candidates)."""
     if min(prev_codes) < 0 or max(prev_codes) >= cfg.n_total:
         raise ValueError(f"previous codes {prev_codes} outside vocabulary of {cfg.n_total}")
     copy_ids: list[tuple[int, ...]] = [()] * len(prev_codes)
     if table is not None and not cfg.no_copy:
         copy_ids = [table.partners(p) for p in prev_codes]
     ids, owner = _candidates(copy_ids)
-    if ids.size:
-        emb_rows = store["gen.code_embed"].take(ids, axis=0)
-        proj_rows = tables.code_vec.take(ids, axis=0)
-        tanh_rows = tables.copy_key.take(ids, axis=0)
-        copy_scores = (tanh_rows * h.take(owner, axis=0)).sum(axis=1)
-    else:
-        emb_rows = np.empty((0, cfg.d_code))
-        proj_rows = tanh_rows = np.empty((0, cfg.rep_dim))
-        copy_scores = np.empty(0)
+    copy_scores = (tables.copy_key.take(ids, axis=0) * h.take(owner, axis=0)).sum(axis=1)
     probs, exp_gen, exp_copy, z = _mixture_from_scores(h.dot(store["gen.out.W"].T), copy_scores,
                                                        ids, owner)
-    return probs, copy_ids, MixtureCache(exp_gen, exp_copy, z, emb_rows, proj_rows, tanh_rows)
+    return probs, copy_ids, MixtureCache(exp_gen, exp_copy, z)
 
 
 def generator_step_loss(probs: np.ndarray, target: int) -> float:
@@ -167,12 +157,10 @@ def generator_step_loss(probs: np.ndarray, target: int) -> float:
 @dataclass
 class StepTrace:
     """One decoder step of a batch in lockstep, one row per document (a
-    document alone is a batch of one). Every array holds one row per
-    document, except the mixture cache's candidate rows."""
+    document alone is a batch of one) in every array and list; the backward
+    reads the previous codes' and copy candidates' rows from the tables."""
     rows: np.ndarray              # (R,) batch positions
     prev_codes: list[int]
-    emb_prev: np.ndarray
-    code_vec: np.ndarray          # projected previous-code embedding
     x: np.ndarray                 # document vectors
     fused: np.ndarray             # tanh fusion output
     lstm: LstmCache
@@ -196,15 +184,14 @@ def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | No
     """One lockstep step of the documents at batch positions rows: x,
     h_prev, c_prev (R, rep) and one previous code each; every weight matrix
     is one product over the rows, or a read of the tables."""
-    emb_prev = store["gen.code_embed"].take(prev_codes, axis=0)
     code_vec = tables.code_vec.take(prev_codes, axis=0)
     fused = np.tanh(x.dot(tables.A.T) + tables.code_part.take(prev_codes, axis=0)
                     + (x * code_vec).dot(tables.M.T))
     h, c, lstm_cache = lstm_step(store, "gen.lstm", h_prev, c_prev, fused * code_vec,
                                  cfg.candidate_activation)
     probs, copy_ids, mix_cache = _mixture_forward(h, prev_codes, table, store, cfg, tables)
-    return StepTrace(rows, prev_codes, emb_prev, code_vec, x, fused, lstm_cache, h, c, probs,
-                     copy_ids, mix_cache, tables)
+    return StepTrace(rows, prev_codes, x, fused, lstm_cache, h, c, probs, copy_ids, mix_cache,
+                     tables)
 
 
 _ONE_ROW = np.zeros(1, dtype=np.int64)
@@ -269,21 +256,19 @@ def _concat(records: Sequence):
     return type(records[0])(**parts)
 
 
-def step_row(step: StepTrace, b: int) -> StepTrace:
+def step_row(record, b: int):
     """Row b of a lockstep step as a one-row step, the inverse of _concat:
-    every per-row field is sliced to row b, and the mixture cache's
-    candidate rows to those that row b owns."""
-    r, lstm, mix = slice(b, b + 1), step.lstm, step.mix
-    own = _candidates(step.copy_ids)[1] == b if len(mix.tanh_rows) else r
-    return StepTrace(
-        step.rows[r], step.prev_codes[r], step.emb_prev[r], step.code_vec[r], step.x[r],
-        step.fused[r],
-        LstmCache(lstm.z[r], lstm.f[r], lstm.i[r], lstm.g_pre[r], lstm.g[r], lstm.o[r],
-                  lstm.c_prev[r], lstm.c[r], lstm.tau[r], lstm.activation),
-        step.h[r], step.c[r], step.probs[r], step.copy_ids[r],
-        MixtureCache(mix.exp_gen[r], mix.exp_copy[r], mix.z[r], mix.emb_rows[own],
-                     mix.proj_rows[own], mix.tanh_rows[own]),
-        step.tables)
+    every array and list field is sliced to row b, nested records likewise;
+    any other field (the tables, the activation) stays. A record's vars are
+    its fields, read faster than through fields()."""
+    parts = {}
+    for name, value in vars(record).items():
+        if isinstance(value, (np.ndarray, list)):
+            value = value[b:b + 1]
+        elif is_dataclass(value):
+            value = step_row(value, b)
+        parts[name] = value
+    return type(record)(**parts)
 
 
 def stack_steps(doc_steps: Sequence[Sequence[StepTrace]]) -> list[StepTrace]:
@@ -300,10 +285,10 @@ def stack_steps(doc_steps: Sequence[Sequence[StepTrace]]) -> list[StepTrace]:
 
 @dataclass
 class DecodedPath:
-    """Greedy decode result: emitted ids (STOP included if reached), the full
-    unmasked per-step distributions, and the count of valid codes."""
+    """Greedy decode result: emitted ids (STOP included if reached), each real
+    code's highest unmasked probability over the steps, and the valid count."""
     codes: tuple[int, ...]
-    distributions: list[MixtureDistribution]
+    scores: np.ndarray             # (n_codes,)
     valid_len: int
 
     @property
@@ -316,7 +301,7 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
                        ) -> tuple[DecodedPath, list[StepTrace]]:
     """Greedy decode with repetition masking: already-emitted codes and UNK
     are renormalized to zero before the argmax (ties break to the lowest
-    id); stops at STOP or cfg.max_len. Stored distributions are unmasked.
+    id); stops at STOP or cfg.max_len. The path's scores are unmasked.
     The first step depends on x alone (STOP in, zero state): `first`, one
     document's row of it taken for a batch (step_row), stands in for it, tables and all."""
     tables = first.tables if first is not None else DecoderTables(store)
@@ -340,8 +325,8 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
         banned.add(choice)
         h, c, prev = trace.h[0], trace.c[0], choice
     valid = len(codes) - 1 if codes and codes[-1] == cfg.stop_id else len(codes)
-    path = DecodedPath(tuple(codes), [t.dist for t in traces], valid)
-    return path, traces
+    scores = np.max([t.probs[0, :cfg.n_codes] for t in traces], axis=0)
+    return DecodedPath(tuple(codes), scores, valid), traces
 
 
 def decode_path(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
@@ -370,7 +355,7 @@ def _mixture_backward(store: ParamStore, step: StepTrace,
     gradient rows to embed_ids/embed_rows, and returns dh (R, rep). A row
     without a target, or whose target probability is below the floor (the
     loss is clamped constant there), contributes nothing."""
-    mix = step.mix
+    mix, tables = step.mix, step.tables
     n = len(targets)
     rows = np.arange(n)
     target = np.array([tw[0] if tw is not None else 0 for tw in targets])
@@ -383,18 +368,19 @@ def _mixture_backward(store: ParamStore, step: StepTrace,
     dpsi_g[rows, target] -= weight * mix.exp_gen[rows, target] / numer
     store.add_outer("gen.out.W", dpsi_g, step.h)
     dh = dpsi_g @ store["gen.out.W"]
-    if mix.tanh_rows.size:
-        ids, owner = _candidates(step.copy_ids)
+    ids, owner = _candidates(step.copy_ids)
+    if ids.size:
+        tanh_rows = tables.copy_key.take(ids, axis=0)
         dpsi_c = weight[:, None] * mix.exp_copy / mix.z[:, None]
         dpsi_c[rows, target] -= weight * mix.exp_copy[rows, target] / numer
         dpsi_c = dpsi_c[owner, ids]
         spread = np.zeros((n, ids.size))
         spread[owner, np.arange(ids.size)] = dpsi_c
-        dh += spread @ mix.tanh_rows
-        d_pre = dpsi_c[:, None] * step.h[owner] * (1.0 - mix.tanh_rows ** 2)
-        store.add_outer("gen.copy.W", mix.proj_rows, d_pre)
+        dh += spread @ tanh_rows
+        d_pre = dpsi_c[:, None] * step.h[owner] * (1.0 - tanh_rows ** 2)
+        store.add_outer("gen.copy.W", tables.code_vec.take(ids, axis=0), d_pre)
         d_proj = d_pre @ store["gen.copy.W"].T
-        store.add_outer("gen.code_proj", d_proj, mix.emb_rows)
+        store.add_outer("gen.code_proj", d_proj, store["gen.code_embed"].take(ids, axis=0))
         embed_ids.append(ids)
         embed_rows.append(d_proj @ store["gen.code_proj"])
     return dh
@@ -418,15 +404,15 @@ def batch_backward(store: ParamStore, cfg: GeneratorConfig, steps: Sequence[Step
         dh = dh_next[rows] + _mixture_backward(store, step, [step_targets[b][t] for b in rows],
                                                embed_ids, embed_rows)
         dh_prev, dc_prev, dv = lstm_step_backward(store, "gen.lstm", dh, dc_next[rows], step.lstm)
-        d_fused = dv * step.code_vec
+        x, c = step.x, step.tables.code_vec.take(step.prev_codes, axis=0)
+        d_fused = dv * c
         d_code_vec = dv * step.fused
         dq = d_fused * (1.0 - step.fused ** 2)
-        x, c = step.x, step.code_vec
         store.add_outer("gen.fuse.W", dq, np.concatenate([x, c, x * c, x + c, x - c, c - x], 1))
         d_m = dq @ step.tables.M
         dx[rows] += dq @ step.tables.A + d_m * c
         d_code_vec += dq @ step.tables.C + d_m * x
-        store.add_outer("gen.code_proj", d_code_vec, step.emb_prev)
+        store.add_outer("gen.code_proj", d_code_vec, store["gen.code_embed"][step.prev_codes])
         embed_ids.append(step.prev_codes)
         embed_rows.append(d_code_vec @ store["gen.code_proj"])
         dh_next[rows] = dh_prev

@@ -42,7 +42,6 @@ class LstmCache:
     g: np.ndarray
     o: np.ndarray
     c_prev: np.ndarray
-    c: np.ndarray
     tau: np.ndarray      # tanh(c)
     activation: str
 
@@ -68,7 +67,7 @@ def lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_prev: np.nda
     c = f * c_prev + i * g
     tau = np.tanh(c)
     h = o * tau
-    return h, c, LstmCache(z, f, i, g_pre, g, o, c_prev, c, tau, activation)
+    return h, c, LstmCache(z, f, i, g_pre, g, o, c_prev, tau, activation)
 
 
 def lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray, dc_in: np.ndarray,

@@ -266,7 +266,7 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
 
 
 # documents that decode_predictions encodes and first-steps at once: a first
-# step holds about 48 KB per document at published sizes, 480 MB for 10k
+# step holds about 32 KB per document at published sizes, 320 MB for 10k
 DECODE_SLICE = 256
 
 
@@ -284,9 +284,8 @@ def decode_predictions(model: Model, docs: Sequence[EhrDocument],
         (first,) = run_batch(store, gen_cfg, table, xs, [[gen_cfg.stop_id]] * len(part))
         for b, (doc, x) in enumerate(zip(part, xs)):
             path = decode_path(store, gen_cfg, table, x, first=step_row(first, b))
-            best = np.max([d.probs[:gen_cfg.n_codes] for d in path.distributions], axis=0)
             records.append(PredictionRecord(start + b, frozenset(path.valid_codes),
-                                            doc.gold_codes, dict(enumerate(best.tolist()))))
+                                            doc.gold_codes, dict(enumerate(path.scores.tolist()))))
     return records
 
 

@@ -1,7 +1,7 @@
 """Loop-form reference implementations that the tests compare the package's
 vectorized code against."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -155,11 +155,18 @@ def fuse_forward(x: np.ndarray, code_vec: np.ndarray,
     return np.tanh(u.dot(store["gen.fuse.W"].T)), u
 
 
+def mixture_record(probs, copy_ids, mix) -> MixtureDistribution:
+    """The record StepTrace.dist builds from one row's mixture (the step's
+    other fields unset)."""
+    unset = {f.name: None for f in fields(StepTrace)}
+    return StepTrace(**{**unset, "probs": probs, "copy_ids": copy_ids, "mix": mix}).dist
+
+
 def mixture_forward_row(h, prev_code, table, store, cfg) -> MixtureDistribution:
     """_mixture_forward on one hidden state (rep,) and its previous code, as
-    the record StepTrace.dist builds (the step's other fields unset)."""
-    mixture = _mixture_forward(h[None], [prev_code], table, store, cfg, DecoderTables(store))
-    return StepTrace(*[None] * 9, *mixture, None).dist
+    the record StepTrace.dist builds."""
+    return mixture_record(*_mixture_forward(h[None], [prev_code], table, store, cfg,
+                                            DecoderTables(store)))
 
 
 def mixture_scores_row(gen_scores, copy_scores, copy_ids) -> MixtureDistribution:
@@ -168,8 +175,7 @@ def mixture_scores_row(gen_scores, copy_scores, copy_ids) -> MixtureDistribution
     record StepTrace.dist builds."""
     probs, exp_gen, exp_copy, z = _mixture_from_scores(gen_scores, copy_scores,
                                                        *_candidates(copy_ids))
-    mix = MixtureCache(exp_gen, exp_copy, z, None, None, None)
-    return StepTrace(*[None] * 9, probs, copy_ids, mix, None).dist
+    return mixture_record(probs, copy_ids, MixtureCache(exp_gen, exp_copy, z))
 
 
 def supervised_batch(model, batch, table, cfg, dropout_rng) -> float:
@@ -223,7 +229,8 @@ def four_gate_lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_pr
     c = f * c_prev + i * g
     tau = np.tanh(c)
     h = o * tau
-    return h, c, LstmCache(z, f, i, g_pre, g, o, c_prev, c, tau, activation)
+    return h, c, LstmCache(z=z, f=f, i=i, g_pre=g_pre, g=g, o=o, c_prev=c_prev, tau=tau,
+                           activation=activation)
 
 
 def four_gate_lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray,

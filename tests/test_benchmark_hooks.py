@@ -202,3 +202,14 @@ def test_model_trains_on_alike_after_the_warm_up_pickle(bundle, monkeypatch):
         assert params.keys() == expected.keys()
         for name, p in expected.items():
             np.testing.assert_array_equal(params[name], p)
+
+
+def test_zero_second_desk_run_passes_every_check(monkeypatch, tmp_path):
+    # the benchmark's own checks on four passes, traced and untraced in
+    # turn: every pass reproduces the first, the greedy paths that
+    # trainer.decode_path counts are valid and not all empty, and the
+    # gradient matches central differences
+    harness = load_harness(monkeypatch)
+    monkeypatch.setattr(harness, "CACHE_DIR", str(tmp_path))
+    result = harness.Runner("desk", 1, 0.0, True).run()
+    assert result["correct"] and result["failed"] == 0, result["problems"]

@@ -214,8 +214,9 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("line,message", [
         ("candidate_activation=bogus", "--candidate-activation must be one of relu|tanh"),
-        ("clip_norm=big", "--clip-norm: cannot read 'big' as float")],
-        ids=["out-of-range", "malformed"])
+        ("clip_norm=big", "--clip-norm: cannot read 'big' as float"),
+        ("no_arl=ture", "--no-arl: cannot read 'ture' as bool")],
+        ids=["out-of-range", "malformed", "misspelled-bool"])
     def test_config_file_value_exits_2_naming_flag_before_training(
             self, tmp_path, capsys, monkeypatch, line, message):
         # a --config file value passes the same TrainConfig rule as its flag
@@ -395,11 +396,12 @@ class TestEvalCommand:
         assert self._eval(corpus, ckpt, tmp_path) == 4
         assert TABLE_FILE in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", [
-        lambda kv: kv.pop("d_code"),
-        lambda kv: kv.update(d_code="abc"),
-    ], ids=["missing-key", "malformed-value"])
-    def test_bad_config_block_exits_3_naming_key(self, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("damage, key", [
+        (lambda kv: kv.pop("d_code"), "d_code"),
+        (lambda kv: kv.update(d_code="abc"), "d_code"),
+        (lambda kv: kv.update(no_copy="maybe"), "no_copy"),
+    ], ids=["missing-key", "malformed-value", "misspelled-bool"])
+    def test_bad_config_block_exits_3_naming_key(self, tmp_path, capsys, damage, key):
         corpus, ckpt = self._train(tmp_path)
         kv, slots = load_checkpoint(str(ckpt))
         damage(kv)
@@ -409,7 +411,7 @@ class TestEvalCommand:
         rc = main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
                    "--out", str(out)])
         assert rc == 3
-        assert "d_code" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("candidate_activation", "foo"), ("max_len", "0")],
                              ids=["unknown-activation", "zero-max-len"])
@@ -425,6 +427,19 @@ class TestEvalCommand:
                    "--out", str(out)])
         assert rc == 3
         assert key in capsys.readouterr().err
+
+    def test_config_file_value_outside_choices_exits_2_naming_flag(self, tmp_path, capsys):
+        # argparse checks choices only for values given on the command line
+        corpus, ckpt = self._train(tmp_path)
+        conf = tmp_path / "eval.conf"
+        conf.write_text("split=bogus\n")
+        out = tmp_path / "eval"
+        out.mkdir()
+        rc = main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                   "--out", str(out), "--config", str(conf)])
+        assert rc == 2
+        assert "--split must be one of train|test|validation" in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
 
     def test_eval_without_checkpoint_or_predictions_exits_2(self, tmp_path):
         corpus = gen_corpus(tmp_path)

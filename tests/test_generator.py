@@ -278,7 +278,7 @@ class TestDecode:
         for seed in range(15):
             store = make_store(seed=seed)
             x = rng.normal(size=CFG.rep_dim)
-            path = decode_path(store, replace(CFG, max_len=8), TABLE, x)
+            path, traces = decode_path_traced(store, replace(CFG, max_len=8), TABLE, x)
             valid = path.valid_codes
             assert len(valid) == len(set(valid))
             assert CFG.stop_id not in valid
@@ -286,7 +286,7 @@ class TestDecode:
             if CFG.stop_id in path.codes:
                 assert path.codes.index(CFG.stop_id) == len(path.codes) - 1
             assert len(path.codes) <= 8
-            assert len(path.distributions) == len(path.codes)
+            assert len(traces) == len(path.codes)
 
     def test_batched_first_step_gives_the_same_paths(self):
         # the first step of a batch (STOP in, zero state) handed to each
@@ -301,11 +301,11 @@ class TestDecode:
             theirs, their_traces = decode_path_traced(store, cfg, TABLE, x)
             assert mine.codes == theirs.codes and mine.valid_len == theirs.valid_len
             assert decode_path(store, cfg, TABLE, x, first=step_row(first, b)).codes == mine.codes
-            for d, e in zip(mine.distributions, theirs.distributions):
+            for t, u in zip(my_traces, their_traces):
+                d, e = t.dist, u.dist
                 assert d.copy_ids == e.copy_ids
                 np.testing.assert_allclose(d.probs, e.probs, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(d.copy_mass, e.copy_mass, rtol=0, atol=1e-12)
-            for t, u in zip(my_traces, their_traces):
                 np.testing.assert_allclose(t.h, u.h, rtol=0, atol=1e-12)
             lengths.add(len(mine.codes))
         # paths that stop at step 1, that reach max_len, and between
@@ -314,10 +314,18 @@ class TestDecode:
     def test_distributions_are_unmasked(self):
         store = make_store(seed=3)
         x = named_rng(6, "x").normal(size=CFG.rep_dim)
-        path = decode_path(store, replace(CFG, max_len=4), TABLE, x)
-        for dist in path.distributions:
+        _, traces = decode_path_traced(store, replace(CFG, max_len=4), TABLE, x)
+        for dist in (trace.dist for trace in traces):
             assert abs(dist.probs.sum() - 1.0) < 1e-9
             assert np.all(dist.probs > 0.0)
+
+    def test_scores_are_each_real_codes_highest_probability(self):
+        store = unit_store(2)
+        x = named_rng(13, "x").normal(size=CFG.rep_dim)
+        path, traces = decode_path_traced(store, replace(CFG, max_len=4), TABLE, x)
+        assert len(traces) > 1
+        best = np.max([trace.probs[0, :CFG.n_codes] for trace in traces], axis=0)
+        np.testing.assert_array_equal(path.scores, best)
 
 
 def assert_same_record(mine, theirs):
@@ -343,7 +351,7 @@ class TestStepRow:
                           [[CFG.stop_id, 1, 0], [CFG.stop_id, 2], [CFG.stop_id, 5, 3],
                            [CFG.stop_id, 0]])
         assert [len(s.rows) for s in steps] == [4, 4, 2]
-        assert steps[1].mix.tanh_rows.shape[0] == 4 and steps[2].mix.tanh_rows.shape[0] == 2
+        assert [sum(map(len, s.copy_ids)) for s in steps[1:]] == [4, 2]
         for step in steps:
             rows = [step_row(step, b) for b in range(len(step.rows))]
             assert all(len(r.rows) == 1 and len(r.probs) == 1 for r in rows)
@@ -357,8 +365,7 @@ class TestStepRow:
         for b, count in enumerate((2, 0, 1)):
             row = step_row(step, b)
             assert row.dist.copy_ids == step.copy_ids[b]
-            for name in ("emb_rows", "proj_rows", "tanh_rows"):
-                assert getattr(row.mix, name).shape[0] == count
+            assert len(row.dist.copy_ids) == count
 
 
 class TestStackSteps:
@@ -432,15 +439,17 @@ class TestDecoderTables:
         store = unit_store(7)
         xs = named_rng(8, "x").normal(size=(4, CFG.rep_dim))
         step = run_batch(store, CFG, TABLE, xs, [[1], [2], [CFG.stop_id], [0]])[0]
-        code_vec = store["gen.code_embed"][[1, 2, CFG.stop_id, 0]] @ store["gen.code_proj"].T
+        prev = [1, 2, CFG.stop_id, 0]
+        code_vec = store["gen.code_embed"][prev] @ store["gen.code_proj"].T
         fused, _ = fuse_forward(xs, code_vec, store)
-        np.testing.assert_allclose(step.code_vec, code_vec, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.tables.code_vec[prev], code_vec, rtol=0, atol=1e-12)
         np.testing.assert_allclose(step.fused, fused, rtol=0, atol=1e-12)
         # the copy candidates of codes 1 (0 and 4), 2 (3) and 0 (1), read from the tables
+        assert step.copy_ids == [(0, 4), (3,), (), (1,)]
         proj = store["gen.code_embed"][[0, 4, 3, 1]] @ store["gen.code_proj"].T
-        np.testing.assert_allclose(step.mix.proj_rows, proj, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(step.mix.tanh_rows, np.tanh(proj @ store["gen.copy.W"]),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.tables.code_vec[[0, 4, 3, 1]], proj, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.tables.copy_key[[0, 4, 3, 1]],
+                                   np.tanh(proj @ store["gen.copy.W"]), rtol=0, atol=1e-12)
 
     def test_each_run_batch_builds_tables_from_the_current_weights(self):
         store = unit_store(9)
@@ -455,7 +464,7 @@ class TestDecoderTables:
         for name in ("A", "C", "M", "code_vec", "code_part", "copy_key"):
             np.testing.assert_array_equal(getattr(after[0].tables, name), getattr(fresh, name))
         assert not np.allclose(after[0].tables.A, before[0].tables.A)
-        fused, _ = fuse_forward(xs[:1], after[1].code_vec, store)
+        fused, _ = fuse_forward(xs[:1], after[1].tables.code_vec[[1]], store)
         np.testing.assert_allclose(after[1].fused, fused, rtol=0, atol=1e-12)
 
     def test_decode_steps_run_on_the_first_steps_tables(self):

@@ -10,8 +10,7 @@ from ehrpath.discriminator import discriminator_loss, reward
 from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath import generator, trainer
-from ehrpath.generator import (DecodedPath, decode_path, decode_path_traced, stack_steps,
-                               step_row)
+from ehrpath.generator import DecodedPath, decode_path_traced, stack_steps, step_row
 from ehrpath.numerics import named_rng
 from ehrpath.trainer import (TrainConfig, _aligned_forward, _decoder_backward, adversarial_round,
                              build_model, decode_predictions, model_config_kv,
@@ -65,8 +64,8 @@ class TestPretrain:
         model, _ = pretrain_generator(bundle, cfg)
         doc = bundle.split_docs("test")[0]
         x, _ = encode_ehr(doc.tokens, model.gen_store, model.enc_cfg)
-        path = decode_path(model.gen_store, model.gen_cfg, bundle.table, x)
-        for dist in path.distributions:
+        _, traces = decode_path_traced(model.gen_store, model.gen_cfg, bundle.table, x)
+        for dist in (trace.dist for trace in traces):
             assert dist.copy_ids == ()
             assert np.all(dist.copy_mass == 0.0)
 
@@ -124,7 +123,8 @@ class TestAdversarialRound:
         batch = bundle.split_docs("train")[:6]
         monkeypatch.setattr(trainer, "decode_path_traced",
                             lambda store, gen_cfg, table, x, first:
-                            (DecodedPath((gen_cfg.stop_id,), [], 0), [first]))
+                            (DecodedPath((gen_cfg.stop_id,), first.probs[0, :gen_cfg.n_codes], 0),
+                             [first]))
         rewards = []
         monkeypatch.setattr(trainer, "reward", lambda *a: rewards.append(reward(*a)) or rewards[-1])
         x = _aligned_forward(model.snapshot(), batch, bundle.table, named_rng(8, "dropout")).x
