@@ -110,10 +110,11 @@ def _planted_pairs(raw: str | None, n_pairs: int, cooccur: float, num_codes: int
     if raw:
         pairs = []
         for part in raw.split(","):
-            bits = part.split(":")
-            if len(bits) != 3:
-                raise ConfigError(f"bad planted pair {part!r}, expected a:b:p")
-            pairs.append((int(bits[0]), int(bits[1]), float(bits[2])))
+            try:
+                a, b, p = part.split(":")
+                pairs.append((int(a), int(b), float(p)))
+            except ValueError as exc:
+                raise ConfigError(f"--planted: cannot read {part!r} as int:int:float") from exc
         return tuple(pairs)
     if 2 * n_pairs > num_codes:
         raise ConfigError(f"{n_pairs} disjoint pairs need {2 * n_pairs} codes, have {num_codes}")
@@ -140,10 +141,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_build_table(args) -> int:
     _require_dir(args.corpus, "corpus")
+    out = args.out or os.path.join(args.corpus, corpus_io.TABLE_FILE)
+    _require_dir(os.path.dirname(os.path.abspath(out)), "output")
     bundle = load_corpus_dir(args.corpus)
     table = build_complication_table(bundle.split_docs("train"), args.or_threshold,
                                      args.min_support)
-    out = args.out or os.path.join(args.corpus, corpus_io.TABLE_FILE)
     write_table(out, table)
     print(f"wrote {len(table)} complication pairs -> {out}")
     return 0
@@ -213,6 +215,8 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     _require_dir(args.corpus, "corpus")
+    if args.out:
+        _require_dir(os.path.dirname(os.path.abspath(args.out)), "output")
     bundle = load_corpus_dir(args.corpus)
     records = read_predictions(args.predictions, bundle)
     text = format_metric_table(metric_table(records, bundle.table,

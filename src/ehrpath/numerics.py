@@ -1,6 +1,6 @@
 """Dense float64 math shared by every model component.
 
-Parameter storage with gradient and Adam-moment buffers, the
+Parameter storage with Adam-moment buffers and update-time gradients, the
 bias-corrected Adam update, and a central-difference gradient oracle
 used to validate every hand-derived backward pass in the test suite.
 """
@@ -43,12 +43,15 @@ def uniform_init(shape: tuple[int, ...], rng: np.random.Generator | None) -> np.
 
 
 class ParamStore:
-    """Named float64 parameter slots, each paired with a gradient buffer and
-    Adam first/second moments. One store per trainable model side. The slots
-    are fixed at construction and live in one (4, N) buffer: parameters,
-    gradients, Adam's m and v, one row each, every slot a view of its columns
-    in each row, so a whole-store operation is one numpy call on the buffer.
-    Pickling keeps the buffer, layout and step, and rebuilds the views.
+    """Named float64 parameter slots with Adam first/second moments and,
+    during an update, gradients. One store per trainable model side. The
+    slots are fixed at construction and live in one (3, N) buffer:
+    parameters, Adam's m and v, one row each, every slot a view of its
+    columns in each row, so a whole-store operation is one numpy call on the
+    buffer. Gradients live in a separate N-float array that exists only from
+    the first gradient write until adam_step consumes it or zero_grads drops
+    it; a store without one reads zero gradients. Pickling keeps the buffer,
+    the gradient array if any, layout and step, and rebuilds the views.
     Weight gradients that are sums of outer products arrive as rows through
     add_outer; a slot's pending rows are folded in with one GEMM before
     anything reads its gradient, instead of one rank-1 pass per step."""
@@ -60,25 +63,34 @@ class ParamStore:
                 raise ValueError(f"duplicate parameter slot {name!r}")
             values[name] = np.asarray(value, dtype=np.float64)
         size = sum(v.size for v in values.values())
-        self.__setstate__((np.zeros((4, size)), [(n, v.shape) for n, v in values.items()], 0))
+        self.__setstate__((np.zeros((3, size)), None,
+                           [(n, v.shape) for n, v in values.items()], 0))
         for name, value in values.items():
             self._params[name][...] = value
 
     def __getstate__(self) -> tuple:
         self._flush_all()
-        return self._buffer, self._layout, self.step
+        return self._buffer, self._grad_buffer, self._layout, self.step
 
     def __setstate__(self, state: tuple) -> None:
-        self._buffer, self._layout, self.step = state
+        self._buffer, grad_buffer, self._layout, self.step = state
         self._pending: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-        views: list[dict[str, np.ndarray]] = [{}, {}, {}, {}]
+        self._params, self._m, self._v = (self._views(row) for row in self._buffer)
+        self._set_grads(grad_buffer)
+
+    def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
+        """Each slot's view of its columns of one N-float row."""
+        views = {}
         lo = 0
         for name, shape in self._layout:
             hi = lo + int(np.prod(shape))
-            for row, view in zip(self._buffer, views):
-                view[name] = row[lo:hi].reshape(shape)
+            views[name] = row[lo:hi].reshape(shape)
             lo = hi
-        self._params, self._grads, self._m, self._v = views
+        return views
+
+    def _set_grads(self, grad_buffer: np.ndarray | None) -> None:
+        self._grad_buffer = grad_buffer
+        self._grads = {} if grad_buffer is None else self._views(grad_buffer)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
@@ -93,26 +105,28 @@ class ParamStore:
         lefts.append(left)
         rights.append(right)
 
-    def _flush(self, name: str) -> None:
+    def _flush_all(self) -> None:
+        for name in list(self._pending):
+            self.grad(name)
+
+    def grad(self, name: str) -> np.ndarray:
+        """The slot's gradient, pending rows folded in; the store's gradient
+        array starts here, as zeros, when it holds none."""
+        if self._grad_buffer is None:
+            self._set_grads(np.zeros(self._buffer.shape[1]))
         rows = self._pending.pop(name, None)
         if rows is not None:
             self._grads[name] += np.vstack(rows[0]).T @ np.vstack(rows[1])
-
-    def _flush_all(self) -> None:
-        for name in list(self._pending):
-            self._flush(name)
-
-    def grad(self, name: str) -> np.ndarray:
-        self._flush(name)
         return self._grads[name]
 
     def zero_grads(self) -> None:
         self._pending.clear()
-        self._buffer[1].fill(0.0)
+        self._set_grads(None)
 
     def scale_grads(self, factor: float) -> None:
         self._flush_all()
-        self._buffer[1] *= factor
+        if self._grad_buffer is not None:
+            self._grad_buffer *= factor
 
     def grad_norm(self) -> float:
         self._flush_all()
@@ -129,7 +143,8 @@ class ParamStore:
         return norm
 
     def copy(self) -> "ParamStore":
-        """Deep copy of parameters, gradients, moments, and step counter."""
+        """Deep copy of parameters, moments, step counter and, if the store
+        holds any, gradients."""
         return deepcopy(self)  # through __getstate__ and __setstate__
 
     def parameters(self) -> Iterable[tuple[str, np.ndarray]]:
@@ -170,22 +185,27 @@ ADAM_TILE = 16384
 
 
 def adam_step(store: ParamStore, cfg: AdamConfig) -> ParamStore:
-    """One bias-corrected Adam update over every slot; zeroes gradients and
-    increments the step counter. Raises on non-finite gradients. The steps
-    of `lr * (m / bc1) / (sqrt(v / bc2) + eps)` run in that order in one
+    """One bias-corrected Adam update over every slot, on zero gradients if
+    the store holds none; drops the gradients and increments the step
+    counter. Raises on non-finite gradients. The steps of
+    `lr * (m / bc1) / (sqrt(v / bc2) + eps)` run in that order in one
     scratch buffer and the spent gradient, with no other temporary, over
     tiles of ADAM_TILE columns of the store's buffer; a tile may span slots,
     as every step is elementwise."""
     store._flush_all()
-    if not np.isfinite(store._buffer[1]).all():
+    grads = store._grad_buffer
+    if grads is None:
+        grads = np.zeros(store._buffer.shape[1])
+    elif not np.isfinite(grads).all():
         bad = next(n for n, g in store._grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient in slot {bad!r}")
     store.step += 1
     bc1 = 1.0 - cfg.beta1 ** store.step
     bc2 = 1.0 - cfg.beta2 ** store.step
     scratch = np.empty(ADAM_TILE)
-    for lo in range(0, store._buffer.shape[1], ADAM_TILE):
-        p, g, m, v = store._buffer[:, lo:lo + ADAM_TILE]
+    for lo in range(0, grads.size, ADAM_TILE):
+        p, m, v = store._buffer[:, lo:lo + ADAM_TILE]
+        g = grads[lo:lo + ADAM_TILE]
         buf = scratch[:g.size]
         m *= cfg.beta1
         m += np.multiply(g, 1.0 - cfg.beta1, out=buf)
@@ -195,7 +215,7 @@ def adam_step(store: ParamStore, cfg: AdamConfig) -> ParamStore:
         np.sqrt(np.divide(v, bc2, out=g), out=g)
         g += cfg.epsilon
         p -= np.divide(buf, g, out=buf)
-        g.fill(0.0)
+    store.zero_grads()
     return store
 
 

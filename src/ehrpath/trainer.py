@@ -103,6 +103,8 @@ class Model:
     disc_store: ParamStore | None = None
 
     def snapshot(self) -> "Model":
+        """An independent copy of both stores; between updates a store holds
+        no gradients, so the copy holds parameters and Adam moments only."""
         return Model(self.enc_cfg, self.gen_cfg, self.gen_store.copy(), self.disc_cfg,
                      self.disc_store.copy() if self.disc_store is not None else None)
 

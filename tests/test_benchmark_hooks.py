@@ -181,7 +181,9 @@ def test_traced_scorer_counts_prefixes_and_lstm_spans(bundle):
 def test_model_trains_on_alike_after_the_warm_up_pickle(bundle, monkeypatch):
     # the benchmark caches its warmed-up model with CachePickler and reads it
     # back with plain pickle: every slot of a loaded store must again be a
-    # view of its buffer, so that whole-store operations reach the slots
+    # view of its buffers (parameters and moments of the store's buffer,
+    # gradients of its gradient array), so that whole-store operations
+    # reach the slots
     harness = load_harness(monkeypatch)
     batch = bundle.split_docs("train")[:4]
     model = build_model(bundle, CFG)
@@ -192,8 +194,9 @@ def test_model_trains_on_alike_after_the_warm_up_pickle(bundle, monkeypatch):
     for copy in copies:
         for store in (copy.gen_store, copy.disc_store):
             for name in store.names():
-                assert np.shares_memory(store[name], store._buffer)
-                assert np.shares_memory(store.grad(name), store._buffer)
+                for view in (store[name], store._m[name], store._v[name]):
+                    assert np.shares_memory(view, store._buffer)
+                assert np.shares_memory(store.grad(name), store._grad_buffer)
     for m in [model] + copies:
         adversarial_round(m, batch, bundle.table, CFG, named_rng(2, "dropout"))
     expected = dict(model.parameters())

@@ -44,10 +44,27 @@ class TestGenData:
         b = gen_corpus(tmp_path, "b")
         assert digest_dir(a) == digest_dir(b)
 
-    def test_missing_output_dir_exits_2(self, tmp_path, capsys):
-        rc = main(["gen-data", "--out", str(tmp_path / "nope")] + GEN_FLAGS)
+    @pytest.mark.parametrize("command", ["gen-data", "build-table", "report"])
+    def test_missing_output_dir_exits_2(self, tmp_path, capsys, command):
+        # gen-data's --out is a directory; build-table's and report's name a
+        # file, whose directory is checked before any work
+        if command == "gen-data":
+            argv = ["gen-data", "--out", str(tmp_path / "nope")] + GEN_FLAGS
+        else:
+            corpus = gen_corpus(tmp_path)
+            record = json.loads((corpus / CORPUS_FILE).read_text().split("\n")[0])
+            preds = tmp_path / "p.jsonl"
+            preds.write_text(json.dumps({"doc": 0, "pred": record["codes"],
+                                         "gold": record["codes"]}) + "\n")
+            argv = {"build-table": ["build-table"],
+                    "report": ["report", "--predictions", str(preds)]}[command]
+            argv += ["--corpus", str(corpus), "--out", str(tmp_path / "nope" / "out.txt")]
+        capsys.readouterr()
+        rc = main(argv)
+        captured = capsys.readouterr()
         assert rc == 2
-        assert "error" in capsys.readouterr().err
+        assert "output directory" in captured.err and "does not exist" in captured.err
+        assert captured.out == ""
 
     def test_infeasible_config_exits_2(self, tmp_path):
         out = tmp_path / "c"
@@ -90,6 +107,8 @@ class TestGenData:
         ("gen-data", "--planted-pairs", "two", "int"),
         ("gen-data", "--cooccur", "high", "float"),
         ("gen-data", "--top-k", "", "int"),
+        ("gen-data", "--planted", "0:x:0.9", "int:int:float"),
+        ("gen-data", "--planted", "0:1:abc", "int:int:float"),
         ("build-table", "--min-support", "3.5", "int"),
         ("build-table", "--or-threshold", "x", "float")])
     def test_unparsable_number_exits_2_naming_flag_before_writing(

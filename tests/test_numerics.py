@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -177,6 +178,75 @@ class TestParamStore:
         dup = store.copy()
         dup["w"][0] = 99.0
         assert store["w"][0] == 1.0
+
+
+class TestGradientLifetime:
+    """Gradients exist from the first write until adam_step or zero_grads;
+    an idle store holds parameters and moments only."""
+
+    @staticmethod
+    def _store():
+        store = ParamStore([("a", np.array([1.0, -2.0])), ("w", np.zeros((3, 2)))])
+        store.grad("a")[:] = [0.5, -0.25]
+        store.add_outer("w", np.array([1.0, -2.0, 3.0]), np.array([0.5, 4.0]))
+        return store
+
+    def test_adam_step_drops_the_gradient_array(self):
+        store = self._store()
+        adam_step(store, AdamConfig())
+        assert store._grad_buffer is None
+        assert np.all(store.grad("a") == 0.0) and np.all(store.grad("w") == 0.0)
+
+    def test_zero_grads_drops_the_gradient_array(self):
+        store = self._store()
+        store.zero_grads()
+        assert store._grad_buffer is None
+        assert np.all(store.grad("a") == 0.0) and np.all(store.grad("w") == 0.0)
+
+    def test_copy_and_pickle_of_an_idle_store_carry_no_gradients(self):
+        store = self._store()
+        adam_step(store, AdamConfig())
+        for dup in (store.copy(), pickle.loads(pickle.dumps(store))):
+            assert dup._grad_buffer is None
+            assert dup.step == 1
+            for name in store.names():
+                np.testing.assert_array_equal(dup[name], store[name])
+                np.testing.assert_array_equal(dup._m[name], store._m[name])
+                np.testing.assert_array_equal(dup._v[name], store._v[name])
+
+    def test_copy_and_pickle_carry_live_gradients_exactly(self):
+        store = self._store()
+        expected = {"a": np.array([0.5, -0.25]),
+                    "w": np.outer([1.0, -2.0, 3.0], [0.5, 4.0])}
+        for dup in (store.copy(), pickle.loads(pickle.dumps(store))):
+            assert dup._grad_buffer is not None
+            assert not np.shares_memory(dup._grad_buffer, store._grad_buffer)
+            for name, g in expected.items():
+                np.testing.assert_array_equal(dup.grad(name), g)
+                assert np.shares_memory(dup.grad(name), dup._grad_buffer)
+            dup.grad("a")[:] = 7.0
+            np.testing.assert_array_equal(store.grad("a"), expected["a"])
+
+    def test_adam_step_without_gradients_matches_scalar_oracle(self):
+        # one real gradient, then two steps on a store that received none:
+        # the moments keep decaying as on zero gradients
+        store = ParamStore([("p", np.array([0.5]))])
+        store.grad("p")[:] = 0.7
+        adam_step(store, AdamConfig(learning_rate=0.1))
+        for _ in range(2):
+            assert store._grad_buffer is None
+            adam_step(store, AdamConfig(learning_rate=0.1))
+        assert store.step == 3
+        assert store["p"][0] == pytest.approx(scalar_adam_oracle(0.5, [0.7, 0.0, 0.0]),
+                                              abs=1e-12)
+
+    def test_idle_store_reads_a_zero_norm_and_ignores_scaling(self):
+        store = self._store()
+        store.zero_grads()
+        store.scale_grads(3.0)
+        assert store._grad_buffer is None
+        assert store.grad_norm() == 0.0
+        assert store.clip_grads(1.0) == 0.0
 
 
 class TestDeferredOuter:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,36 @@ class TestTrain:
         records = decode_predictions(model, bundle.split_docs("validation"), bundle.table)
         from ehrpath.metrics import jaccard
         assert jaccard(records) == pytest.approx(best, abs=1e-12)
+
+
+class TestIdleGradients:
+    """Between updates a model's stores hold no gradients, so every idle
+    copy (train's best snapshot, the benchmark's starting points) holds
+    parameters and Adam moments only."""
+
+    def test_best_snapshot_holds_no_gradients(self, bundle):
+        cfg = TrainConfig(epochs=1, pretrain_epochs=1, seed=17, **TINY)
+        _, best = train(bundle, cfg)
+        assert best.gen_store._grad_buffer is None
+        assert best.disc_store._grad_buffer is None
+
+    def test_snapshot_after_a_round_allocates_three_rows_per_store(self, bundle):
+        # desk sizes; a store of N floats is 8N bytes a row, and a snapshot
+        # copies parameters, m and v: 3 rows, where a gradient row makes 4
+        cfg = TrainConfig(seed=18, d_embed=24, d_code=24, n_filters=20, batch_size=8, max_len=5)
+        model = build_model(bundle, cfg)
+        adversarial_round(model, bundle.split_docs("train")[:8], bundle.table, cfg,
+                          named_rng(1, "dropout"))
+        stores = (model.gen_store, model.disc_store)
+        row_bytes = sum(8 * store._buffer.shape[1] for store in stores)
+        tracemalloc.start()
+        try:
+            copy = model.snapshot()
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 3 * row_bytes <= allocated < 3.25 * row_bytes
+        assert copy.gen_store._grad_buffer is None and copy.disc_store._grad_buffer is None
 
 
 class TestBatchEquivalence:
