@@ -1,12 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from conftest import tiny_bundle
 from ehrpath.corpus import (ComplicationTable, CorpusBundle, CorpusConfig, EhrDocument,
                             build_complication_table, filter_top_k, generate_synthetic_corpus,
-                            load_corpus_dir, split_indices, write_corpus_dir)
+                            load_corpus_dir, split_indices, synthetic_bundle, write_corpus_dir)
 from ehrpath.errors import ConfigError, DataError
+from ehrpath.trainer import TrainConfig, build_model
 
 
 def doc(codes, tokens=(1, 2)):
@@ -210,3 +213,46 @@ class TestDocumentInvariants:
     def test_table_validates_ordering(self):
         with pytest.raises(ValueError):
             ComplicationTable({(3, 1): 2.0}, 2.0, 5)
+
+
+TINY_DIGEST = "dcf271f4ad64177f566c831ae85694bfc206adfec1275360e593cfe49be18772"
+DESK_DIGEST = "81b11a82fb7f2bdd6fe77fb3885a4cb9856cf3dbef9889f0a8a6b892ae01563f"
+LONG_DIGEST = "9ed78c29b8c413550d8439956af739bf1d879b4ee299a3b1f920379d7e2e4156"
+
+
+def setup_digest(bundle: CorpusBundle) -> str:
+    """sha256 over everything set-up hands to training: each document's
+    tokens and gold set, the split ids, the table's pairs in insertion order
+    with their odds ratios as float.hex, and the initial parameters."""
+    h = hashlib.sha256()
+    for d in bundle.documents:
+        h.update(repr((d.tokens, sorted(d.gold_codes))).encode())
+    h.update(json.dumps(bundle.splits).encode())
+    h.update(repr([(a, b, orr.hex()) for (a, b), orr in bundle.table.pairs.items()]).encode())
+    model = build_model(bundle, TrainConfig(seed=1, d_embed=24, d_code=24, n_filters=20))
+    for name, p in model.parameters():
+        h.update(name.encode())
+        h.update(p.tobytes())
+    return h.hexdigest()
+
+
+class TestSetupPinned:
+    """Set-up output pinned bit for bit: the corpus, splits, table and
+    initial parameters of three configs, as sha256 digests."""
+
+    def test_tiny_bundle(self):
+        assert setup_digest(tiny_bundle()) == TINY_DIGEST
+
+    def test_desk_corpus(self):
+        cfg = CorpusConfig(num_docs=2000, vocab_size=200, num_codes=20, top_k=20,
+                           planted_pairs=tuple((2 * i, 2 * i + 1, 0.9) for i in range(5)),
+                           doc_len=(12, 30), seed=1, code_skew=0.3,
+                           extra_code_prob=0.3, signal_strength=0.85)
+        assert setup_digest(synthetic_bundle(cfg, 2.0, 5)) == DESK_DIGEST
+
+    def test_long_notes(self):
+        cfg = CorpusConfig(num_docs=200, vocab_size=20000, num_codes=50, top_k=50,
+                           planted_pairs=tuple((2 * i, 2 * i + 1, 0.9) for i in range(12)),
+                           doc_len=(200, 400), seed=1, code_skew=0.3,
+                           extra_code_prob=0.3, signal_strength=0.85)
+        assert setup_digest(synthetic_bundle(cfg, 2.0, 5)) == LONG_DIGEST
