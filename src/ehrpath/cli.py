@@ -85,6 +85,13 @@ def _require_dir(path: str, role: str) -> None:
         raise ConfigError(f"{role} directory {path!r} does not exist")
 
 
+def _require_out_file(path: str) -> None:
+    """A file-valued --out: its directory exists and it is not one itself."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is a directory, not a file")
+    _require_dir(os.path.dirname(os.path.abspath(path)), "output")
+
+
 def _number_kinds(p: argparse.ArgumentParser, **unset: type) -> dict[str, type]:
     """Each numeric flag of a subcommand and its kind, taken from its
     default; unset names the kind of a flag that has no default."""
@@ -142,7 +149,7 @@ def cmd_gen_data(args) -> int:
 def cmd_build_table(args) -> int:
     _require_dir(args.corpus, "corpus")
     out = args.out or os.path.join(args.corpus, corpus_io.TABLE_FILE)
-    _require_dir(os.path.dirname(os.path.abspath(out)), "output")
+    _require_out_file(out)
     bundle = load_corpus_dir(args.corpus)
     table = build_complication_table(bundle.split_docs("train"), args.or_threshold,
                                      args.min_support)
@@ -216,7 +223,7 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     _require_dir(args.corpus, "corpus")
     if args.out:
-        _require_dir(os.path.dirname(os.path.abspath(args.out)), "output")
+        _require_out_file(args.out)
     bundle = load_corpus_dir(args.corpus)
     records = read_predictions(args.predictions, bundle)
     text = format_metric_table(metric_table(records, bundle.table,

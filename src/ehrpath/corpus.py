@@ -195,28 +195,30 @@ def generate_synthetic_corpus(cfg: CorpusConfig) -> tuple[list[EhrDocument], Cod
     n_bg = cfg.vocab_size - bg_start
 
     targets = {b for _, b, _ in cfg.planted_pairs}
-    samplable = np.array([c for c in range(cfg.num_codes) if c not in targets])
+    samplable = [c for c in range(cfg.num_codes) if c not in targets]
     weights = 1.0 / (np.arange(len(samplable)) + 1.0) ** cfg.code_skew
     weights /= weights.sum()
+    # Generator.choice(samplable, p=weights) is one random() looked up in this CDF
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
 
     lo, hi = cfg.doc_len
     documents: list[EhrDocument] = []
     for _ in range(cfg.num_docs):
         n_tokens = int(rng.integers(lo, hi + 1))
-        gold = {int(rng.choice(samplable, p=weights))}
+        gold = {samplable[cdf.searchsorted(rng.random(), side="right")]}
         if rng.random() < cfg.extra_code_prob:
-            gold.add(int(rng.choice(samplable)))
+            gold.add(samplable[rng.integers(0, len(samplable))])
         for a, b, p in cfg.planted_pairs:
             if a in gold and rng.random() < p:
                 gold.add(b)
-        ordered = sorted(gold)
+        ordered = np.array(sorted(gold))
         signal = rng.random(n_tokens) < cfg.signal_strength
         which = rng.integers(0, len(ordered), size=n_tokens)
         offsets = rng.integers(0, block, size=n_tokens)
         bg = rng.integers(0, n_bg, size=n_tokens)
-        code_arr = np.array(ordered)[which]
-        toks = np.where(signal, 1 + code_arr * block + offsets, bg_start + bg)
-        documents.append(EhrDocument(tuple(int(t) for t in toks), frozenset(gold)))
+        toks = np.where(signal, 1 + ordered[which] * block + offsets, bg_start + bg)
+        documents.append(EhrDocument(tuple(toks.tolist()), frozenset(gold)))
 
     codes = CodeDictionary([f"D{c:03d}" for c in range(cfg.num_codes)])
     tokens = TokenDictionary(["<pad>"] + [f"w{t}" for t in range(1, cfg.vocab_size)])
@@ -230,8 +232,8 @@ def filter_top_k(documents: Sequence[EhrDocument], k: int) -> list[EhrDocument]:
         raise ConfigError(f"top-k must be >= 1, got {k}")
     freq = Counter(c for doc in documents for c in doc.gold_codes)
     keep = set(sorted(freq, key=lambda c: (-freq[c], c))[:k])
-    return [EhrDocument(doc.tokens, doc.gold_codes & keep) for doc in documents
-            if doc.gold_codes & keep]
+    return [doc if len(gold) == len(doc.gold_codes) else EhrDocument(doc.tokens, gold)
+            for doc in documents if (gold := doc.gold_codes & keep)]
 
 
 def split_indices(n: int, seed: int, ratio: tuple[int, int, int] = (4, 1, 1)) -> dict[str, list[int]]:
@@ -239,7 +241,7 @@ def split_indices(n: int, seed: int, ratio: tuple[int, int, int] = (4, 1, 1)) ->
     total = sum(ratio)
     if n < total:
         raise ConfigError(f"need at least {total} documents to split {ratio}, got {n}")
-    order = [int(i) for i in named_rng(seed, "split").permutation(n)]
+    order = named_rng(seed, "split").permutation(n).tolist()
     n_test = n * ratio[1] // total
     n_val = n * ratio[2] // total
     n_train = n - n_test - n_val
@@ -262,30 +264,26 @@ def build_complication_table(train_documents: Sequence[EhrDocument],
         raise ConfigError(f"--min-support must be >= 0, got {min_support}")
     if len(train_documents) == 0:
         raise ConfigError("cannot build complication table from an empty split")
-    n_codes = max(max(doc.gold_codes) for doc in train_documents) + 1
-    member = np.zeros((len(train_documents), n_codes), dtype=np.int64)
-    for i, doc in enumerate(train_documents):
-        for c in doc.gold_codes:
-            member[i, c] = 1
+    rows = [i for i, doc in enumerate(train_documents) for _ in doc.gold_codes]
+    cols = [c for doc in train_documents for c in doc.gold_codes]
+    # counts in float64 are exact integers, and the product runs in BLAS
+    member = np.zeros((len(train_documents), max(cols) + 1))
+    member[rows, cols] = 1.0
     co = member.T @ member
     per_code = member.sum(axis=0)
-    n_docs = len(train_documents)
 
-    pairs: dict[tuple[int, int], float] = {}
-    for a in range(n_codes):
-        for b in range(a + 1, n_codes):
-            n11 = int(co[a, b])
-            if n11 < min_support:
-                continue
-            n10 = int(per_code[a]) - n11
-            n01 = int(per_code[b]) - n11
-            n00 = n_docs - n11 - n10 - n01
-            cells = [float(n11), float(n10), float(n01), float(n00)]
-            if min(cells) == 0.0:
-                cells = [c + 0.5 for c in cells]
-            orr = (cells[0] * cells[3]) / (cells[1] * cells[2])
-            if orr >= or_threshold:
-                pairs[(a, b)] = orr
+    # every pair a < b, ordered by a then b: the table's insertion order
+    a, b = np.triu_indices(member.shape[1], k=1)
+    n11 = co[a, b]
+    supported = n11 >= min_support
+    a, b, n11 = a[supported], b[supported], n11[supported]
+    n10 = per_code[a] - n11
+    n01 = per_code[b] - n11
+    cells = np.stack([n11, n10, n01, len(train_documents) - n11 - n10 - n01])
+    cells += 0.5 * (cells.min(axis=0) == 0.0)
+    orr = (cells[0] * cells[3]) / (cells[1] * cells[2])
+    kept = orr >= or_threshold
+    pairs = dict(zip(zip(a[kept].tolist(), b[kept].tolist()), orr[kept].tolist()))
     return ComplicationTable(pairs, or_threshold, min_support)
 
 

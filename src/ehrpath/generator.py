@@ -77,8 +77,12 @@ class DecoderTables:
 
     def __init__(self, store: ParamStore) -> None:
         w = np.hsplit(store["gen.fuse.W"], 6)
-        self.A = w[0] + w[3] + w[4] - w[5]
-        self.C = w[1] + w[3] - w[4] + w[5]
+        self.A = w[0] + w[3]
+        self.A += w[4]
+        self.A -= w[5]
+        self.C = w[1] + w[3]
+        self.C -= w[4]
+        self.C += w[5]
         self.M = w[2].copy()
         self.code_vec = store["gen.code_embed"].dot(store["gen.code_proj"].T)
         self.code_part = self.code_vec.dot(self.C.T)

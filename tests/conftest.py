@@ -1,6 +1,16 @@
-import pytest
+import os
+import sys
 
-from ehrpath.corpus import CorpusConfig, synthetic_bundle
+# One BLAS thread, as the benchmark runs: on a small host a thread pool
+# buys these sizes nothing and takes the other cores. OpenBLAS reads the
+# variables once, when numpy loads.
+assert "numpy" not in sys.modules, "numpy was loaded before tests/conftest.py"
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import pytest  # noqa: E402
+
+from ehrpath.corpus import CorpusConfig, synthetic_bundle  # noqa: E402
 
 
 def tiny_bundle(seed=5, num_docs=60, num_codes=6, planted=((0, 1, 0.9),)):

@@ -66,6 +66,26 @@ class TestGenData:
         assert "output directory" in captured.err and "does not exist" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["build-table", "report"])
+    def test_out_naming_a_directory_exits_2_before_loading(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        corpus = gen_corpus(tmp_path)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        argv = {"build-table": ["build-table"],
+                "report": ["report", "--predictions", str(tmp_path / "p.jsonl")]}[command]
+
+        def no_load(path):
+            raise AssertionError("corpus loaded before --out was checked")
+
+        monkeypatch.setattr("ehrpath.cli.load_corpus_dir", no_load)
+        capsys.readouterr()
+        rc = main(argv + ["--corpus", str(corpus), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"config error: --out {str(out)!r} is a directory, not a file\n"
+        assert captured.out == "" and os.listdir(out) == []
+
     def test_infeasible_config_exits_2(self, tmp_path):
         out = tmp_path / "c"
         out.mkdir()

@@ -435,6 +435,15 @@ class TestSequenceGradients:
 
 
 class TestDecoderTables:
+    def test_fold_equals_six_block_sums_bit_for_bit(self):
+        store = unit_store(12)
+        w = np.hsplit(store["gen.fuse.W"], 6)
+        tables = DecoderTables(store)
+        np.testing.assert_array_equal(tables.A, w[0] + w[3] + w[4] - w[5])
+        np.testing.assert_array_equal(tables.C, w[1] + w[3] - w[4] + w[5])
+        np.testing.assert_array_equal(tables.M, w[2])
+        assert all(t.flags.c_contiguous for t in (tables.A, tables.C, tables.M))
+
     def test_step_on_tables_matches_six_block_formula(self):
         store = unit_store(7)
         xs = named_rng(8, "x").normal(size=(4, CFG.rep_dim))
