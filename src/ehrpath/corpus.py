@@ -197,9 +197,8 @@ def generate_synthetic_corpus(cfg: CorpusConfig) -> tuple[list[EhrDocument], Cod
     targets = {b for _, b, _ in cfg.planted_pairs}
     samplable = [c for c in range(cfg.num_codes) if c not in targets]
     weights = 1.0 / (np.arange(len(samplable)) + 1.0) ** cfg.code_skew
-    weights /= weights.sum()
-    # Generator.choice(samplable, p=weights) is one random() looked up in this CDF
-    cdf = weights.cumsum()
+    # Generator.choice(samplable, p=weights / weights.sum()) is one random() looked up in cdf
+    cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
 
     lo, hi = cfg.doc_len
@@ -241,15 +240,11 @@ def split_indices(n: int, seed: int, ratio: tuple[int, int, int] = (4, 1, 1)) ->
     total = sum(ratio)
     if n < total:
         raise ConfigError(f"need at least {total} documents to split {ratio}, got {n}")
-    order = named_rng(seed, "split").permutation(n).tolist()
     n_test = n * ratio[1] // total
     n_val = n * ratio[2] // total
-    n_train = n - n_test - n_val
-    return {
-        "train": order[:n_train],
-        "test": order[n_train:n_train + n_test],
-        "validation": order[n_train + n_test:],
-    }
+    train, test, validation = np.split(named_rng(seed, "split").permutation(n),
+                                       [n - n_test - n_val, n - n_val])
+    return {"train": train.tolist(), "test": test.tolist(), "validation": validation.tolist()}
 
 
 def build_complication_table(train_documents: Sequence[EhrDocument],
@@ -270,19 +265,16 @@ def build_complication_table(train_documents: Sequence[EhrDocument],
     member = np.zeros((len(train_documents), max(cols) + 1))
     member[rows, cols] = 1.0
     co = member.T @ member
-    per_code = member.sum(axis=0)
 
     # every pair a < b, ordered by a then b: the table's insertion order
-    a, b = np.triu_indices(member.shape[1], k=1)
+    a, b = np.triu_indices(len(co), k=1)
     n11 = co[a, b]
-    supported = n11 >= min_support
-    a, b, n11 = a[supported], b[supported], n11[supported]
-    n10 = per_code[a] - n11
-    n01 = per_code[b] - n11
+    n10 = co[a, a] - n11
+    n01 = co[b, b] - n11
     cells = np.stack([n11, n10, n01, len(train_documents) - n11 - n10 - n01])
     cells += 0.5 * (cells.min(axis=0) == 0.0)
     orr = (cells[0] * cells[3]) / (cells[1] * cells[2])
-    kept = orr >= or_threshold
+    kept = (n11 >= min_support) & (orr >= or_threshold)
     pairs = dict(zip(zip(a[kept].tolist(), b[kept].tolist()), orr[kept].tolist()))
     return ComplicationTable(pairs, or_threshold, min_support)
 

@@ -77,10 +77,9 @@ class DecoderTables:
 
     def __init__(self, store: ParamStore) -> None:
         w = np.hsplit(store["gen.fuse.W"], 6)
-        self.A = w[0] + w[3]
+        self.A, self.C = w[0] + w[3], w[1] + w[3]
         self.A += w[4]
         self.A -= w[5]
-        self.C = w[1] + w[3]
         self.C -= w[4]
         self.C += w[5]
         self.M = w[2].copy()

@@ -8,14 +8,15 @@ import numpy as np
 from scipy.special import expit
 
 from ehrpath.alignment import step_targets
-from ehrpath.corpus import PAD_TOKEN
+from ehrpath.corpus import PAD_TOKEN, CorpusConfig, EhrDocument
 from ehrpath.discriminator import CLAMP, DiscriminatorConfig
 from ehrpath.encoder import EncoderConfig, embed_tokens
 from ehrpath.generator import (DecoderTables, MixtureCache, MixtureDistribution, StepTrace,
                                _candidates, _mixture_forward, _mixture_from_scores,
                                generator_step_loss)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
-from ehrpath.numerics import AdamConfig, ParamStore, Slots, adam_step, add_rows, uniform_init
+from ehrpath.numerics import (AdamConfig, ParamStore, Slots, adam_step, add_rows, named_rng,
+                              uniform_init)
 from ehrpath.trainer import _aligned_forward, _decoder_backward
 
 
@@ -328,3 +329,54 @@ def discriminator_loss(paths: Sequence[Sequence[int]], positive: Sequence[bool],
             dh, dc, dx_in = lstm_step_backward(store, "disc.lstm", dh, dc, caches[k])
             store.grad("disc.code_embed")[codes[k]] += dx_in[0]
     return total * scale
+
+
+def synthetic_documents(cfg: CorpusConfig) -> list[EhrDocument]:
+    """corpus.generate_synthetic_corpus's documents, drawn one Generator.choice
+    and one token at a time."""
+    rng = named_rng(cfg.seed, "corpus")
+    block = (cfg.vocab_size - 1) // (cfg.num_codes + 1)
+    bg_start = 1 + cfg.num_codes * block
+    targets = {b for _, b, _ in cfg.planted_pairs}
+    samplable = np.array([c for c in range(cfg.num_codes) if c not in targets])
+    weights = 1.0 / (np.arange(len(samplable)) + 1.0) ** cfg.code_skew
+    weights /= weights.sum()
+    documents = []
+    for _ in range(cfg.num_docs):
+        n_tokens = int(rng.integers(cfg.doc_len[0], cfg.doc_len[1] + 1))
+        gold = {int(rng.choice(samplable, p=weights))}
+        if rng.random() < cfg.extra_code_prob:
+            gold.add(int(rng.choice(samplable)))
+        for a, b, p in cfg.planted_pairs:
+            if a in gold and rng.random() < p:
+                gold.add(b)
+        ordered = sorted(gold)
+        signal = rng.random(n_tokens) < cfg.signal_strength
+        which = rng.integers(0, len(ordered), size=n_tokens)
+        offsets = rng.integers(0, block, size=n_tokens)
+        bg = rng.integers(0, cfg.vocab_size - bg_start, size=n_tokens)
+        tokens = tuple(int(1 + ordered[w] * block + o) if s else int(bg_start + g)
+                       for s, w, o, g in zip(signal, which, offsets, bg))
+        documents.append(EhrDocument(tokens, frozenset(gold)))
+    return documents
+
+
+def complication_pairs(documents: Sequence[EhrDocument], or_threshold: float,
+                       min_support: int) -> dict[tuple[int, int], float]:
+    """corpus.build_complication_table's pairs, one 2x2 table per code pair."""
+    n_codes = max(max(doc.gold_codes) for doc in documents) + 1
+    pairs = {}
+    for a in range(n_codes):
+        for b in range(a + 1, n_codes):
+            n11 = sum({a, b} <= doc.gold_codes for doc in documents)
+            if n11 < min_support:
+                continue
+            n10 = sum(a in doc.gold_codes for doc in documents) - n11
+            n01 = sum(b in doc.gold_codes for doc in documents) - n11
+            cells = [float(n11), float(n10), float(n01), float(len(documents) - n11 - n10 - n01)]
+            if min(cells) == 0.0:
+                cells = [c + 0.5 for c in cells]
+            orr = (cells[0] * cells[3]) / (cells[1] * cells[2])
+            if orr >= or_threshold:
+                pairs[(a, b)] = orr
+    return pairs

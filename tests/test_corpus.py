@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_bundle
+from oracles import complication_pairs, synthetic_documents
 from ehrpath.corpus import (ComplicationTable, CorpusBundle, CorpusConfig, EhrDocument,
                             build_complication_table, filter_top_k, generate_synthetic_corpus,
                             load_corpus_dir, split_indices, synthetic_bundle, write_corpus_dir)
@@ -163,6 +164,33 @@ class TestComplicationTable:
     def test_empty_split_rejected(self):
         with pytest.raises(ConfigError):
             build_complication_table([], 2.0, 5)
+
+
+class TestMatchesLoopOracle:
+    """Synthesis and the table equal their loop forms bit for bit: the same
+    documents, and the same pairs in the same order with the same floats."""
+
+    @pytest.mark.parametrize("cfg", [
+        CorpusConfig(**BASE, planted_pairs=((0, 1, 0.8),)),
+        CorpusConfig(**{**BASE, "num_docs": 300}, planted_pairs=((0, 1, 0.9), (2, 3, 0.5)),
+                     code_skew=0.0, extra_code_prob=1.0, signal_strength=0.5),
+        CorpusConfig(num_docs=50, vocab_size=40, num_codes=2, top_k=2, doc_len=(1, 3),
+                     planted_pairs=((0, 1, 0.5),), code_skew=2.0, seed=9)],
+        ids=["base", "two-pairs", "one-samplable-code"])
+    def test_synthesis(self, cfg):
+        docs, _, _ = generate_synthetic_corpus(cfg)
+        assert docs == synthetic_documents(cfg)
+        assert all(type(t) is int for d in docs for t in d.tokens)
+
+    @pytest.mark.parametrize("or_threshold, min_support", [(1.0, 0), (1.5, 3), (2.0, 5)])
+    def test_table(self, or_threshold, min_support):
+        cfg = CorpusConfig(**{**BASE, "num_docs": 400, "top_k": 5},
+                           planted_pairs=((0, 1, 0.9), (2, 3, 0.3)), extra_code_prob=0.6)
+        docs = filter_top_k(generate_synthetic_corpus(cfg)[0], cfg.top_k)
+        pairs = build_complication_table(docs, or_threshold, min_support).pairs
+        expected = complication_pairs(docs, or_threshold, min_support)
+        assert list(pairs.items()) == list(expected.items())
+        assert all(type(v) is float for v in pairs.values())
 
 
 class TestCorpusIo:
