@@ -17,7 +17,7 @@ from .corpus import (ComplicationTable, CodeDictionary, CorpusConfig, EhrDocumen
 from .generator import DecodedPath, GeneratorConfig, MixtureDistribution, decode_path
 from .metrics import PredictionRecord, auc, complication_ratio, jaccard, micro_macro_prf
 from .numerics import AdamConfig, ParamStore, adam_step, finite_diff_check
-from .trainer import Model, TrainConfig, TrainReport, pretrain_generator, train
+from .trainer import Model, TrainConfig, TrainReport, train
 
 __all__ = [
     "AdamConfig", "CodeDictionary", "ComplicationTable", "CorpusConfig", "DecodedPath",
@@ -25,5 +25,5 @@ __all__ = [
     "PredictionRecord", "TokenDictionary", "TrainConfig", "TrainReport", "adam_step",
     "auc", "build_complication_table", "complication_ratio", "decode_path",
     "filter_top_k", "finite_diff_check", "generate_synthetic_corpus", "jaccard",
-    "micro_macro_prf", "pretrain_generator", "split_indices", "train",
+    "micro_macro_prf", "split_indices", "train",
 ]

@@ -69,14 +69,13 @@ def align_path(probs: np.ndarray, greedy_path: Sequence[int],
     return {t: labels[j] for t, j in assigned.items()}
 
 
-def step_targets(alignment: Mapping[int, int], n_steps: int, stop_id: int) -> list[int | None]:
-    """Per-step supervision targets from a step -> code alignment: the
-    assigned code, STOP at the first unassigned step, nothing afterwards."""
-    targets: list[int | None] = [None] * n_steps
-    for t, code in alignment.items():
-        targets[t] = code
-    for t in range(n_steps):
-        if targets[t] is None:
-            targets[t] = stop_id
-            break
-    return targets
+def step_targets(alignment: Mapping[int, int], n_steps: int,
+                 stop_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step supervision from a step -> code alignment, as targets and
+    weights (n_steps,): the assigned code, STOP at the first unassigned
+    step, and weight 0 (target STOP) afterwards."""
+    targets, weights = np.full(n_steps, stop_id), np.zeros(n_steps)
+    targets[list(alignment)] = list(alignment.values())
+    weights[list(alignment)] = 1.0
+    weights[np.flatnonzero(weights == 0.0)[:1]] = 1.0
+    return targets, weights

@@ -287,7 +287,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--from-predictions", help="score an existing prediction file instead")
-    p.add_argument("--split", default="test", choices=("train", "test", "validation"))
+    p.add_argument("--split", default="test", choices=corpus_io.SPLIT_NAMES)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="metric table for a prediction file")

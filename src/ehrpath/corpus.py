@@ -29,6 +29,7 @@ TOKENS_FILE = "tokens.txt"
 CODES_FILE = "codes.txt"
 TABLE_FILE = "complications.txt"
 SPLITS_FILE = "splits.json"
+SPLIT_NAMES = ("train", "test", "validation")
 
 # the complication table's defaults: least odds ratio, least co-occurring documents
 OR_THRESHOLD = 2.0
@@ -368,6 +369,15 @@ def read_table(path: str) -> ComplicationTable:
         raise DataError(f"bad complication table {path}: {exc}") from exc
 
 
+def id_list(value, what: str) -> list[int]:
+    """A JSON list of integer ids as read, unchanged: anything else, such as
+    a string of digits or a list holding a float or a bool, is a ValueError
+    naming `what`."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ValueError(f"{what} must be a JSON list of integers, got {value!r:.60}")
+    return value
+
+
 def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
     def _read_lines(name: str) -> list[str]:
         with open(os.path.join(corpus_dir, name)) as fh:
@@ -378,26 +388,32 @@ def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
         codes = CodeDictionary(_read_lines(CODES_FILE))
         documents = []
         for ln, line in enumerate(_read_lines(CORPUS_FILE), start=1):
-            rec = json.loads(line)
-            toks = tuple(int(t) for t in rec["tokens"])
-            gold = frozenset(int(c) for c in rec["codes"])
-            if any(not 0 < t < tokens.vocab_size for t in toks):
-                raise ValueError(f"line {ln}: token id outside dictionary")
-            if any(not 0 <= c < codes.num_real for c in gold):
-                raise ValueError(f"line {ln}: code id outside dictionary")
-            documents.append(EhrDocument(toks, gold))
+            try:
+                rec = json.loads(line)
+                toks = tuple(id_list(rec["tokens"], "'tokens'"))
+                gold = frozenset(id_list(rec["codes"], "'codes'"))
+                if any(not 0 < t < tokens.vocab_size for t in toks):
+                    raise ValueError("token id outside dictionary")
+                if any(not 0 <= c < codes.num_real for c in gold):
+                    raise ValueError("code id outside dictionary")
+                documents.append(EhrDocument(toks, gold))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{CORPUS_FILE} line {ln}: {exc}") from exc
         with open(os.path.join(corpus_dir, SPLITS_FILE)) as fh:
             raw = json.load(fh)
-        splits = {k: [int(i) for i in v] for k, v in raw.items()}
+        names = sorted(raw) if isinstance(raw, dict) else raw
+        if names != sorted(SPLIT_NAMES):
+            raise ValueError(f"{SPLITS_FILE} must hold exactly the splits "
+                             f"{', '.join(SPLIT_NAMES)}, got {names!r:.60}")
+        splits = {k: id_list(v, f"{SPLITS_FILE}: split {k!r}") for k, v in raw.items()}
         owner: dict[int, str] = {}
-        for name in ("train", "test", "validation"):
-            if name not in splits:
-                raise ValueError(f"splits manifest missing {name!r}")
+        for name in SPLIT_NAMES:
             if any(not 0 <= i < len(documents) for i in splits[name]):
-                raise ValueError(f"split {name!r} references unknown documents")
+                raise ValueError(f"{SPLITS_FILE}: split {name!r} references unknown documents")
             for i in splits[name]:
                 if i in owner:
-                    raise ValueError(f"document {i} is listed in split {owner[i]!r} and {name!r}")
+                    raise ValueError(f"{SPLITS_FILE}: document {i} is listed in split "
+                                     f"{owner[i]!r} and {name!r}")
                 owner[i] = name
     except DataError:
         raise

@@ -20,10 +20,11 @@ the documents that still have an input at t through one GEMM per weight
 matrix; one document is a batch of one (`generator_step`, `run_steps`,
 `sequence_backward`). Greedy decoding steps each document alone after its
 first step, which needs only the document vector (STOP in, zero state):
-callers batch it with `run_batch` and pass each path its row (`step_row`).
+callers batch it with `run_batch` and continue each path from its row.
 
 All gradients are hand-derived; `batch_backward` runs the full backward
-pass through the mixture head, LSTM, fusion, and projections, returning
+pass through the mixture head, LSTM, fusion, and projections for (B, T)
+arrays of target ids and weights (0 where a document has none), returning
 the gradient with respect to each document representation.
 """
 
@@ -149,14 +150,6 @@ def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: Complicati
     return probs, copy_ids, MixtureCache(exp_gen, exp_copy, z)
 
 
-def generator_step_loss(probs: np.ndarray, target: int) -> float:
-    """Negative log probability of the target id under one row of
-    probabilities, floored at 1e-12."""
-    if not 0 <= target < probs.shape[0]:
-        raise ValueError(f"target {target} outside distribution of {probs.shape[0]}")
-    return float(-np.log(max(float(probs[target]), PROB_FLOOR)))
-
-
 @dataclass
 class StepTrace:
     """One decoder step of a batch in lockstep, one row per document (a
@@ -241,7 +234,7 @@ def _concat(records: Sequence):
     """One record holding the rows of several of one dataclass, in order:
     array fields are concatenated, list fields joined, nested records
     likewise; any other field must be equal in all (the tables: one
-    object), and stays."""
+    object, the activation), and stays."""
     parts = {}
     for f in fields(records[0]):
         values = [getattr(r, f.name) for r in records]
@@ -257,21 +250,6 @@ def _concat(records: Sequence):
         else:
             raise ValueError(f"cannot stack field {f.name!r}: its values differ")
     return type(records[0])(**parts)
-
-
-def step_row(record, b: int):
-    """Row b of a lockstep step as a one-row step, the inverse of _concat:
-    every array and list field is sliced to row b, nested records likewise;
-    any other field (the tables, the activation) stays. A record's vars are
-    its fields, read faster than through fields()."""
-    parts = {}
-    for name, value in vars(record).items():
-        if isinstance(value, (np.ndarray, list)):
-            value = value[b:b + 1]
-        elif is_dataclass(value):
-            value = step_row(value, b)
-        parts[name] = value
-    return type(record)(**parts)
 
 
 def stack_steps(doc_steps: Sequence[Sequence[StepTrace]]) -> list[StepTrace]:
@@ -300,71 +278,71 @@ class DecodedPath:
 
 
 def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
-                       x: np.ndarray, first: StepTrace | None = None,
+                       x: np.ndarray, first: StepTrace | None = None, row: int = 0,
                        ) -> tuple[DecodedPath, list[StepTrace]]:
     """Greedy decode with repetition masking: already-emitted codes and UNK
     are renormalized to zero before the argmax (ties break to the lowest
     id); stops at STOP or cfg.max_len. The path's scores are unmasked.
-    The first step depends on x alone (STOP in, zero state): `first`, one
-    document's row of it taken for a batch (step_row), stands in for it, tables and all."""
-    tables = first.tables if first is not None else DecoderTables(store)
-    h = np.zeros(cfg.rep_dim)
-    c = np.zeros(cfg.rep_dim)
-    prev = cfg.stop_id
+    Its first step (STOP in, zero state) is row `row` of `first`, a batch's
+    first step, whose tables it decodes on, or else its own as a batch of
+    one. Returns the path and its steps: `first`, then one per further code."""
+    if first is None:
+        (first,) = run_batch(store, cfg, table, x[None], [[cfg.stop_id]])
+        row = 0
+    traces, probs, h, c = [first], [first.probs[row]], first.h[row], first.c[row]
     codes: list[int] = []
-    traces: list[StepTrace] = []
     banned = {cfg.unk_id}
-    for t in range(cfg.max_len):
-        trace = (first if t == 0 and first is not None
-                 else generator_step(store, cfg, table, x, prev, h, c, tables))
-        masked = trace.probs[0].copy()
+    while True:
+        masked = probs[-1].copy()
         masked[list(banned)] = 0.0
         masked /= masked.sum()
-        choice = int(np.argmax(masked))
-        codes.append(choice)
-        traces.append(trace)
-        if choice == cfg.stop_id:
+        codes.append(int(np.argmax(masked)))
+        if codes[-1] == cfg.stop_id or len(codes) == cfg.max_len:
             break
-        banned.add(choice)
-        h, c, prev = trace.h[0], trace.c[0], choice
-    valid = len(codes) - 1 if codes and codes[-1] == cfg.stop_id else len(codes)
-    scores = np.max([t.probs[0, :cfg.n_codes] for t in traces], axis=0)
-    return DecodedPath(tuple(codes), scores, valid), traces
+        banned.add(codes[-1])
+        traces.append(generator_step(store, cfg, table, x, codes[-1], h, c, first.tables))
+        probs.append(traces[-1].probs[0])
+        h, c = traces[-1].h[0], traces[-1].c[0]
+    valid = len(codes) - 1 if codes[-1] == cfg.stop_id else len(codes)
+    return DecodedPath(tuple(codes), np.max(probs, axis=0)[:cfg.n_codes], valid), traces
 
 
 def decode_path(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
-                x: np.ndarray, first: StepTrace | None = None) -> DecodedPath:
-    path, _ = decode_path_traced(store, cfg, table, x, first)
+                x: np.ndarray, first: StepTrace | None = None, row: int = 0) -> DecodedPath:
+    path, _ = decode_path_traced(store, cfg, table, x, first, row)
     return path
+
+
+def step_losses(steps: Sequence[StepTrace], targets: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """Each document's weighted negative log likelihood, (B,): the sum, in
+    step order, of weight * -log p(target) over the lockstep steps, with
+    targets and weights (B, T) and p floored at PROB_FLOOR."""
+    p = np.ones(targets.shape)
+    for t, step in enumerate(steps):
+        p[step.rows, t] = step.probs[np.arange(len(step.rows)), targets[step.rows, t]]
+    return (weights * -np.log(np.maximum(p, PROB_FLOOR))).cumsum(axis=1)[:, -1]
 
 
 def path_loss(traces: Sequence[StepTrace],
               step_targets: Sequence[tuple[int, float] | None]) -> float:
     """Sum of weight * (-log p(target)) over one document's steps with a
-    target."""
-    total = 0.0
-    for trace, tw in zip(traces, step_targets):
-        if tw is not None:
-            target, weight = tw
-            total += weight * generator_step_loss(trace.probs[0], target)
-    return total
+    target, p floored at PROB_FLOOR."""
+    return float(sum(tw[1] * -np.log(max(float(trace.probs[0, tw[0]]), PROB_FLOOR))
+                     for trace, tw in zip(traces, step_targets) if tw is not None))
 
 
-def _mixture_backward(store: ParamStore, step: StepTrace,
-                      targets: Sequence[tuple[int, float] | None],
-                      embed_ids: list, embed_rows: list) -> np.ndarray:
+def _mixture_backward(store: ParamStore, step: StepTrace, target: np.ndarray,
+                      weight: np.ndarray, embed_ids: list, embed_rows: list) -> np.ndarray:
     """Gradient of each row's weight * (-log p(target)) into the score
     families; accumulates parameter gradients, appends code-embedding
     gradient rows to embed_ids/embed_rows, and returns dh (R, rep). A row
-    without a target, or whose target probability is below the floor (the
-    loss is clamped constant there), contributes nothing."""
+    of weight 0, or whose target probability is below the floor (the loss
+    is clamped constant there), contributes nothing."""
     mix, tables = step.mix, step.tables
-    n = len(targets)
-    rows = np.arange(n)
-    target = np.array([tw[0] if tw is not None else 0 for tw in targets])
-    weight = np.array([tw[1] if tw is not None else 0.0 for tw in targets])
+    rows = np.arange(len(target))
     numer = mix.exp_gen[rows, target] + mix.exp_copy[rows, target]
-    live = np.array([tw is not None for tw in targets]) & ~(numer / mix.z < PROB_FLOOR)
+    live = ~(numer / mix.z < PROB_FLOOR)
     weight = np.where(live, weight, 0.0)
     numer = np.where(live, numer, 1.0)
     dpsi_g = weight[:, None] * mix.exp_gen / mix.z[:, None]
@@ -377,7 +355,7 @@ def _mixture_backward(store: ParamStore, step: StepTrace,
         dpsi_c = weight[:, None] * mix.exp_copy / mix.z[:, None]
         dpsi_c[rows, target] -= weight * mix.exp_copy[rows, target] / numer
         dpsi_c = dpsi_c[owner, ids]
-        spread = np.zeros((n, ids.size))
+        spread = np.zeros((len(rows), ids.size))
         spread[owner, np.arange(ids.size)] = dpsi_c
         dh += spread @ tanh_rows
         d_pre = dpsi_c[:, None] * step.h[owner] * (1.0 - tanh_rows ** 2)
@@ -390,21 +368,20 @@ def _mixture_backward(store: ParamStore, step: StepTrace,
 
 
 def batch_backward(store: ParamStore, cfg: GeneratorConfig, steps: Sequence[StepTrace],
-                   step_targets: Sequence[Sequence[tuple[int, float] | None]]) -> np.ndarray:
+                   targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Full backward, in reverse time over the lockstep steps, for per-step
-    weighted negative log likelihood terms: step_targets[b][t] is the
-    (target, weight) of document b at step t, or None. Accumulates into
-    store gradients and returns the gradient with respect to each document
-    representation, (B, rep)."""
-    dx = np.zeros((len(step_targets), cfg.rep_dim))
+    weighted negative log likelihood terms: targets[b, t] and weights[b, t]
+    are the target id and weight of document b at step t (weight 0 for
+    none). Accumulates into store gradients and returns the gradient with
+    respect to each document representation, (B, rep)."""
+    dx = np.zeros((len(targets), cfg.rep_dim))
     dh_next = np.zeros_like(dx)
     dc_next = np.zeros_like(dx)
     embed_ids: list[np.ndarray] = []
     embed_rows: list[np.ndarray] = []
-    for t in range(len(steps) - 1, -1, -1):
-        step = steps[t]
+    for t, step in reversed(list(enumerate(steps))):
         rows = step.rows
-        dh = dh_next[rows] + _mixture_backward(store, step, [step_targets[b][t] for b in rows],
+        dh = dh_next[rows] + _mixture_backward(store, step, targets[rows, t], weights[rows, t],
                                                embed_ids, embed_rows)
         dh_prev, dc_prev, dv = lstm_step_backward(store, "gen.lstm", dh, dc_next[rows], step.lstm)
         x, c = step.x, step.tables.code_vec.take(step.prev_codes, axis=0)
@@ -430,4 +407,6 @@ def sequence_backward(store: ParamStore, cfg: GeneratorConfig, traces: Sequence[
     """Backward through one document's run_steps traces: batch_backward on
     a batch of one; returns the gradient with respect to its representation
     (rep,)."""
-    return batch_backward(store, cfg, traces, [step_targets])[0]
+    pairs = np.array([tw or (0, 0.0) for tw in step_targets])
+    return batch_backward(store, cfg, traces, pairs[None, :, 0].astype(np.int64),
+                          pairs[None, :, 1])[0]

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ComplicationTable, CorpusBundle, atomic_write
+from .corpus import ComplicationTable, CorpusBundle, atomic_write, id_list
 from .errors import DataError
 
 REPORT_KEYS = ("jaccard", "complication",
@@ -205,10 +205,12 @@ def read_predictions(path: str, bundle: CorpusBundle) -> list[PredictionRecord]:
             continue
         try:
             rec = json.loads(line)
+            if type(rec["doc"]) is not int:
+                raise ValueError(f"'doc' must be one JSON integer, got {rec['doc']!r}")
             record = PredictionRecord(
-                int(rec["doc"]),
-                frozenset(int(c) for c in rec["pred"]),
-                frozenset(int(c) for c in rec["gold"]),
+                rec["doc"],
+                frozenset(id_list(rec["pred"], "'pred'")),
+                frozenset(id_list(rec["gold"], "'gold'")),
                 {int(c): float(s) for c, s in rec.get("scores", {}).items()},
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -29,14 +29,14 @@ from .discriminator import (DiscriminatorConfig, discriminator_loss, discriminat
 from .encoder import (EncodeCache, EncoderConfig, encode_batch, encode_batch_backward,
                       encoder_slots)
 from .errors import ConfigError, DataError, TrainingError
-from .generator import (GeneratorConfig, StepTrace, batch_backward,
-                        decode_path, decode_path_traced, generator_slots,
-                        generator_step_loss, path_loss, run_batch, stack_steps, step_row)
-# unused here, but benchmarks/tracing.py still swaps these four attributes,
+from .generator import (DecodedPath, GeneratorConfig, StepTrace, batch_backward, decode_path,
+                        decode_path_traced, generator_slots, run_batch, stack_steps,
+                        step_losses)
+# unused here, but benchmarks/tracing.py still swaps these five attributes,
 # which the lockstep engine and the packed encoder no longer call (the FOUND
 # lines on tracing.py in CHANGES.md); drop them together with those swaps
 from .encoder import encode_backward, encode_ehr  # noqa: F401
-from .generator import run_steps, sequence_backward  # noqa: F401
+from .generator import path_loss, run_steps, sequence_backward  # noqa: F401
 from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import PredictionRecord, metric_table
 from .numerics import AdamConfig, ParamStore, adam_step, named_rng
@@ -135,6 +135,9 @@ def _new_model(enc_cfg: EncoderConfig, gen_cfg: GeneratorConfig, has_discriminat
     the one place that states the slot names and shapes and the scorer's
     config. The scorer is initialized after the decoder so ablations share
     decoder init."""
+    if gen_cfg.rep_dim != enc_cfg.rep_dim:
+        raise ValueError(f"rep_dim {gen_cfg.rep_dim} is not n_filters x len(kernel_sizes) = "
+                         f"{enc_cfg.rep_dim}")
     model = Model(enc_cfg, gen_cfg,
                   ParamStore(encoder_slots(enc_cfg, rng) + generator_slots(gen_cfg, rng)))
     if has_discriminator:
@@ -163,17 +166,18 @@ class _BatchForward:
     """A batch's training forward: each document's representation (one row
     of x) and the batch's encoder cache, the aligned teacher-forced lockstep
     steps, each document's per-step probabilities (B, T, n_total), zero
-    past its last step, and its per-step targets."""
+    past its last step, and its per-step targets and weights (B, T): 1 at
+    each supervised step, 0 elsewhere."""
     x: np.ndarray
     enc_cache: EncodeCache
     steps: list[StepTrace]
     probs: np.ndarray
-    targets: list[list[int | None]]
+    targets: np.ndarray
+    weights: np.ndarray
 
     def losses(self) -> list[float]:
         """Each document's aligned loss: -log p(target) summed over its steps."""
-        return [sum(generator_step_loss(p, t) for p, t in zip(probs, targets) if t is not None)
-                for probs, targets in zip(self.probs, self.targets)]
+        return step_losses(self.steps, self.targets, self.weights).tolist()
 
 
 def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: ComplicationTable,
@@ -194,27 +198,38 @@ def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: Complica
     probs = np.zeros((len(batch), len(steps), gen_cfg.n_total))
     for t, step in enumerate(steps):
         probs[step.rows, t] = step.probs
-    targets = []
-    for doc, gold, doc_inputs, doc_probs in zip(batch, golds, inputs, probs):
-        label_probs = doc_probs[:len(gold)]
+    targets, weights = np.zeros(probs.shape[:2], dtype=np.int64), np.zeros(probs.shape[:2])
+    for b, (doc, gold) in enumerate(zip(batch, golds)):
+        label_probs = probs[b, :len(gold)]
         alignment = align_path(label_probs, label_probs.argmax(axis=1).tolist(), doc.gold_codes)
-        targets.append(step_targets(alignment, len(doc_inputs), gen_cfg.stop_id))
-    return _BatchForward(x, enc_cache, steps, probs, targets)
+        # over all the batch's steps: a first unassigned step (STOP) is the document's last
+        targets[b], weights[b] = step_targets(alignment, len(steps), gen_cfg.stop_id)
+    return _BatchForward(x, enc_cache, steps, probs, targets, weights)
 
 
-def _decoder_backward(model: Model, fwd: _BatchForward, weight: float,
-                      pg_steps: Sequence[StepTrace],
-                      pg_targets: Sequence[Sequence[tuple[int, float]]]) -> None:
+def _policy_terms(first: StepTrace, decodes: Sequence[tuple[DecodedPath, list[StepTrace]]],
+                  advantages: np.ndarray) -> tuple[list[StepTrace], np.ndarray, np.ndarray]:
+    """The policy-gradient terms of greedy paths, at least one of them
+    non-empty, each decoded from its row of `first`: their lockstep steps,
+    `first` then the stacked later steps, and their targets (each path's
+    codes) and weights (B, T), the advantages of all codes in path order."""
+    lengths = np.array([path.valid_len for path, _ in decodes])
+    held = np.arange(lengths.max()) < lengths[:, None]
+    targets, weights = np.zeros(held.shape, dtype=np.int64), np.zeros(held.shape)
+    targets[held] = [c for path, _ in decodes for c in path.valid_codes]
+    weights[held] = advantages
+    later = stack_steps([traces[1:n] for (_, traces), n in zip(decodes, lengths)])
+    return [first] + later, targets, weights
+
+
+def _decoder_backward(model: Model, fwd: _BatchForward, weight: float, *policy) -> None:
     """Decoder+encoder gradient accumulation for the aligned loss at
     `weight`, plus, in adversarial rounds, the policy-gradient terms
-    pg_targets of the greedy steps pg_steps (lockstep, like the aligned
-    pass)."""
+    (`_policy_terms`: steps, targets, weights)."""
     store, gen_cfg = model.gen_store, model.gen_cfg
-    dx = batch_backward(store, gen_cfg, fwd.steps,
-                        [[(t, weight) if t is not None else None for t in targets]
-                         for targets in fwd.targets])
-    if pg_steps:
-        dx += batch_backward(store, gen_cfg, pg_steps, pg_targets)
+    dx = batch_backward(store, gen_cfg, fwd.steps, fwd.targets, weight * fwd.weights)
+    if policy:
+        dx += batch_backward(store, gen_cfg, *policy)
     encode_batch_backward(dx, fwd.enc_cache, store, model.enc_cfg)
 
 
@@ -225,15 +240,14 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
     policy-gradient term. Under no_arl (or without a scorer) only the
     decoder update on the aligned loss at weight 1, the scorer untouched."""
     fwd = _aligned_forward(model, batch, table, dropout_rng)
-    weight, pg_steps, pg_targets, pg_total, disc_loss = 1.0, [], [], 0.0, 0.0
+    weight, policy, pg_total, disc_loss = 1.0, (), 0.0, 0.0
     if not cfg.no_arl and model.disc_store is not None:
         weight = cfg.supervised_weight
-        # greedy decode per document, whose first step is its row of the
-        # aligned pass's first step
-        decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x,
-                                      first=step_row(fwd.steps[0], b))
+        # greedy decode per document, continuing its row of the aligned
+        # pass's first step
+        decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x, fwd.steps[0], b)
                    for b, x in enumerate(fwd.x)]
-        generated = [tuple(path.valid_codes) for path, _ in decodes]
+        generated = [path.valid_codes for path, _ in decodes]
 
         # scorer update: each document's gold path positive, then its
         # generated path negative, every prefix of each scored
@@ -249,17 +263,14 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         # rewards of the generated prefixes from the updated scorer; the
         # baseline is their batch mean
         rewards = reward(generated, fwd.x, model.disc_store, model.disc_cfg)
-        baseline = float(np.mean(np.concatenate(rewards))) if any(generated) else 0.0
-        pg_traces = [traces[:len(gen)] for gen, (_, traces) in zip(generated, decodes)]
-        pg_targets = [[(code, r - baseline) for code, r in zip(gen, rs.tolist())]
-                      for gen, rs in zip(generated, rewards)]
-        pg_total = sum(path_loss(traces, targets)
-                       for traces, targets in zip(pg_traces, pg_targets))
-        pg_steps = stack_steps(pg_traces)
+        if any(generated):
+            advantages = np.concatenate(rewards)
+            policy = _policy_terms(fwd.steps[0], decodes, advantages - advantages.mean())
+            pg_total = sum(step_losses(*policy).tolist())
 
     # decoder update: aligned loss plus any reward-weighted surrogate
     model.gen_store.zero_grads()
-    _decoder_backward(model, fwd, weight, pg_steps, pg_targets)
+    _decoder_backward(model, fwd, weight, *policy)
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
     adam_step(model.gen_store, cfg.adam)
@@ -285,7 +296,7 @@ def decode_predictions(model: Model, docs: Sequence[EhrDocument],
         xs, _ = encode_batch([doc.tokens for doc in part], store, model.enc_cfg)
         (first,) = run_batch(store, gen_cfg, table, xs, [[gen_cfg.stop_id]] * len(part))
         for b, (doc, x) in enumerate(zip(part, xs)):
-            path = decode_path(store, gen_cfg, table, x, first=step_row(first, b))
+            path = decode_path(store, gen_cfg, table, x, first, b)
             records.append(PredictionRecord(start + b, frozenset(path.valid_codes),
                                             doc.gold_codes, dict(enumerate(path.scores.tolist()))))
     return records
@@ -317,14 +328,6 @@ def _epoch(model: Model, docs: Sequence[EhrDocument], table: ComplicationTable,
     if not np.isfinite(means["gen"]):
         raise TrainingError(f"training diverged at epoch {epoch}")
     return means
-
-
-def pretrain_generator(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[Model, list[float]]:
-    """Supervised pretraining only; returns the final model and per-epoch losses."""
-    model, train_docs, dropout_rng, shuffle_rng = _start(bundle, cfg)
-    sup_cfg = replace(cfg, no_arl=True)
-    return model, [_epoch(model, train_docs, bundle.table, sup_cfg, dropout_rng, shuffle_rng,
-                          epoch)["gen"] for epoch in range(cfg.pretrain_epochs)]
 
 
 def train(bundle: CorpusBundle, cfg: TrainConfig) -> tuple[TrainReport, Model]:

@@ -1,7 +1,7 @@
 """Loop-form reference implementations that the tests compare the package's
 vectorized code against."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -11,13 +11,12 @@ from ehrpath.alignment import step_targets
 from ehrpath.corpus import PAD_TOKEN, CorpusConfig, EhrDocument
 from ehrpath.discriminator import CLAMP, DiscriminatorConfig
 from ehrpath.encoder import EncoderConfig, embed_tokens
-from ehrpath.generator import (DecoderTables, MixtureCache, MixtureDistribution, StepTrace,
-                               _candidates, _mixture_forward, _mixture_from_scores,
-                               generator_step_loss)
+from ehrpath.generator import (PROB_FLOOR, DecoderTables, MixtureCache, MixtureDistribution,
+                               StepTrace, _candidates, _mixture_forward, _mixture_from_scores)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
 from ehrpath.numerics import (AdamConfig, ParamStore, Slots, adam_step, add_rows, named_rng,
                               uniform_init)
-from ehrpath.trainer import _aligned_forward, _decoder_backward
+from ehrpath.trainer import _aligned_forward, _decoder_backward, _epoch, _start
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
@@ -133,14 +132,46 @@ def adam_update_with_temporaries(params: np.ndarray, grad: np.ndarray, m: np.nda
     params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
+def generator_step_loss(probs: np.ndarray, target: int) -> float:
+    """Negative log probability of the target id under one row of
+    probabilities, floored at 1e-12: the loop-form reference for the
+    per-step terms of ehrpath.generator.step_losses."""
+    if not 0 <= target < probs.shape[0]:
+        raise ValueError(f"target {target} outside distribution of {probs.shape[0]}")
+    return float(-np.log(max(float(probs[target]), PROB_FLOOR)))
+
+
 def pla_loss(probs: Sequence[np.ndarray], alignment: Mapping[int, int]) -> float:
     """Sum of -log p over assigned step -> label pairs plus -log p(STOP) at
     the first unassigned step, given one probability row per step;
     probabilities floored at 1e-12."""
     stop_id = len(probs[0]) - 2
-    targets = step_targets(alignment, len(probs), stop_id)
-    return sum(generator_step_loss(row, tgt) for row, tgt in zip(probs, targets)
-               if tgt is not None)
+    targets, weights = step_targets(alignment, len(probs), stop_id)
+    return sum(generator_step_loss(row, int(tgt)) for row, tgt, w in zip(probs, targets, weights)
+               if w)
+
+
+def aligned_losses(fwd) -> list[float]:
+    """Each document's aligned loss in a batch forward, in loop form: the
+    sum of generator_step_loss over its supervised steps, in step order."""
+    return [sum(generator_step_loss(probs[t], int(targets[t])) for t in np.flatnonzero(weights))
+            for probs, targets, weights in zip(fwd.probs, fwd.targets, fwd.weights)]
+
+
+def step_row(record, b: int):
+    """Row b of a lockstep step as a one-row step, the inverse of
+    ehrpath.generator._concat: every array and list field is sliced to row
+    b, nested records likewise; any other field (the tables, the
+    activation) stays."""
+    parts = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (np.ndarray, list)):
+            value = value[b:b + 1]
+        elif is_dataclass(value):
+            value = step_row(value, b)
+        parts[f.name] = value
+    return type(record)(**parts)
 
 
 def fuse_forward(x: np.ndarray, code_vec: np.ndarray,
@@ -185,11 +216,20 @@ def supervised_batch(model, batch, table, cfg, dropout_rng) -> float:
     reference for adversarial_round under no_arl or a zero advantage."""
     model.gen_store.zero_grads()
     fwd = _aligned_forward(model, batch, table, dropout_rng)
-    _decoder_backward(model, fwd, 1.0, [], [])
+    _decoder_backward(model, fwd, 1.0)
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
     adam_step(model.gen_store, cfg.adam)
     return sum(fwd.losses()) / len(batch)
+
+
+def pretrain_generator(bundle, cfg) -> tuple:
+    """Supervised pretraining only; returns the final model and per-epoch
+    losses. `train` with epochs=0 runs the same pretraining epochs."""
+    model, train_docs, dropout_rng, shuffle_rng = _start(bundle, cfg)
+    sup_cfg = replace(cfg, no_arl=True)
+    return model, [_epoch(model, train_docs, bundle.table, sup_cfg, dropout_rng, shuffle_rng,
+                          epoch)["gen"] for epoch in range(cfg.pretrain_epochs)]
 
 
 # The LSTM cell with one weight and one bias slot per gate,

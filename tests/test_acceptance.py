@@ -4,6 +4,8 @@ dominate the suite's runtime."""
 
 import itertools
 import math
+import multiprocessing
+import os
 import time
 from collections import Counter
 
@@ -20,9 +22,8 @@ from ehrpath.metrics import (PredictionRecord, auc, complication_ratio, jaccard,
                              metric_table, micro_macro_prf)
 from ehrpath.numerics import (AdamConfig, ParamStore, adam_step, finite_diff_check,
                               named_rng)
-from ehrpath.trainer import (TrainConfig, adversarial_round, build_model,
-                             decode_predictions, pretrain_generator, train)
-from oracles import mixture_forward_row, mixture_scores_row
+from ehrpath.trainer import TrainConfig, adversarial_round, build_model, decode_predictions, train
+from oracles import mixture_forward_row, mixture_scores_row, pretrain_generator
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -67,12 +68,16 @@ def desk_run(seed: int, no_copy: bool):
 @pytest.fixture(scope="module")
 def desk_ablation_runs():
     """The ten training runs behind criteria 5 and 6: five seeds, full model
-    and no-copy ablation, sharing corpus and initialization per seed."""
-    runs = {}
-    for seed in DESK_SEEDS:
-        runs[(seed, False)] = desk_run(seed, no_copy=False)
-        runs[(seed, True)] = desk_run(seed, no_copy=True)
-    return runs
+    and no-copy ablation, sharing corpus and initialization per seed. They
+    run on a spawned pool of at most two worker processes; each worker
+    inherits the one BLAS thread that tests/conftest.py sets, and each run
+    is the same computation as in series. The wait is bounded by criterion
+    5's 10 minutes per run, so a lost worker fails the suite, not hangs it."""
+    pairs = [(seed, no_copy) for seed in DESK_SEEDS for no_copy in (False, True)]
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        runs = pool.starmap_async(desk_run, pairs).get(timeout=600.0 * len(pairs))
+    return dict(zip(pairs, runs))
 
 
 def test_criterion_1_gradient_correctness():

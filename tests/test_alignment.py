@@ -117,15 +117,22 @@ class TestHungarian:
             hungarian_assign(np.zeros((3, 2)), {0: 1, 1: 1})
 
 
+def supervised(alignment, n_steps, stop_id):
+    """step_targets as one list: each step's target, None at weight 0."""
+    targets, weights = step_targets(alignment, n_steps, stop_id)
+    assert set(weights.tolist()) <= {0.0, 1.0}
+    return [int(t) if w else None for t, w in zip(targets, weights)]
+
+
 class TestStepTargets:
     def test_stop_at_first_unassigned(self):
-        assert step_targets({0: 4, 1: 9}, 3, stop_id=11) == [4, 9, 11]
+        assert supervised({0: 4, 1: 9}, 3, stop_id=11) == [4, 9, 11]
 
     def test_no_stop_when_every_step_assigned(self):
-        assert step_targets({0: 9, 1: 4}, 2, stop_id=11) == [9, 4]
+        assert supervised({0: 9, 1: 4}, 2, stop_id=11) == [9, 4]
 
     def test_only_first_gap_supervised(self):
-        assert step_targets({0: 4}, 3, stop_id=11) == [4, 11, None]
+        assert supervised({0: 4}, 3, stop_id=11) == [4, 11, None]
 
 
 class TestPlaLoss:

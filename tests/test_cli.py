@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,8 @@ from ehrpath import trainer
 from ehrpath.checkpoint import load_checkpoint, save_checkpoint
 from ehrpath.cli import build_parser, main
 from ehrpath.corpus import CORPUS_FILE, CODES_FILE, SPLITS_FILE, TABLE_FILE, TOKENS_FILE
+from ehrpath.generator import generator_slots
+from ehrpath.numerics import named_rng
 
 GEN_FLAGS = ["--docs", "48", "--vocab", "60", "--codes", "6", "--top-k", "6",
              "--doc-len-min", "6", "--doc-len-max", "10", "--planted-pairs", "2",
@@ -467,6 +470,30 @@ class TestEvalCommand:
         assert rc == 3
         assert key in capsys.readouterr().err
 
+    def test_rep_dim_off_the_encoder_exits_3_naming_it_before_decoding(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        # a config whose decoder width is not the encoder's output width,
+        # with decoder slots of that width: every slot agrees with the
+        # stored config, but no document can be decoded
+        corpus, ckpt = self._train(tmp_path)
+        kv, slots = load_checkpoint(str(ckpt))
+        gen_cfg = trainer.model_from_checkpoint(kv, slots).gen_cfg
+        narrow = dataclasses.replace(gen_cfg, rep_dim=gen_cfg.rep_dim - 2)
+        kv["rep_dim"] = str(narrow.rep_dim)
+        slots.update(generator_slots(narrow, named_rng(0, "init")))
+        save_checkpoint(str(ckpt), kv, slots)
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoding started")
+
+        monkeypatch.setattr("ehrpath.cli.decode_predictions", no_decode)
+        out = tmp_path / "eval"
+        out.mkdir()
+        rc = main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "rep_dim" in capsys.readouterr().err
+
     def test_config_file_value_outside_choices_exits_2_naming_flag(self, tmp_path, capsys):
         # argparse checks choices only for values given on the command line
         corpus, ckpt = self._train(tmp_path)
@@ -618,3 +645,79 @@ class TestReportAndBuildTable:
         (corpus / name).write_text(text)
         assert main(["build-table", "--corpus", str(corpus)]) == 3
         assert "bad corpus directory" in capsys.readouterr().err
+
+
+def edit_corpus_line(corpus, key, value):
+    """Set one field of the third record of corpus.jsonl."""
+    path = corpus / CORPUS_FILE
+    lines = path.read_text().split("\n")
+    record = json.loads(lines[2])
+    record[key] = value
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines))
+
+
+def edit_splits(corpus, edit):
+    splits = json.loads((corpus / SPLITS_FILE).read_text())
+    edit(splits)
+    (corpus / SPLITS_FILE).write_text(json.dumps(splits))
+
+
+def digit_string_split(splits):
+    # ids 0-9 leave their splits and come back as one string of digits,
+    # which a reader that iterates it takes for ids 0-9
+    for name in splits:
+        splits[name] = [i for i in splits[name] if i >= 10]
+    splits["test"] = "0123456789"
+
+
+class TestStrictIdLists:
+    """Every id list in the corpus, split and prediction files is a JSON list
+    of integers. Each edit below reads as other ids under int(...) coercion;
+    each must end with exit 3 and a message naming the file, and the line
+    for line-delimited files."""
+
+    # case -> (file the message names, the words that locate it, edit)
+    CORPUS_EDITS = {
+        "codes-digit-string": (CORPUS_FILE, "line 3:",
+                               lambda c: edit_corpus_line(c, "codes", "12")),
+        "codes-float": (CORPUS_FILE, "line 3:", lambda c: edit_corpus_line(c, "codes", [1.9])),
+        "codes-bool": (CORPUS_FILE, "line 3:", lambda c: edit_corpus_line(c, "codes", [True])),
+        "tokens-float": (CORPUS_FILE, "line 3:",
+                         lambda c: edit_corpus_line(c, "tokens", [3.7, 4.2])),
+        "split-digit-string": (SPLITS_FILE, "'test'", lambda c: edit_splits(c, digit_string_split)),
+        "split-float-ids": (SPLITS_FILE, "'test'", lambda c: edit_splits(
+            c, lambda s: s.update(test=[i + 0.5 for i in s["test"]]))),
+        "split-fourth-key": (SPLITS_FILE, "exactly", lambda c: edit_splits(
+            c, lambda s: s.update(holdout=[]))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CORPUS_EDITS))
+    def test_corpus_edit_exits_3_naming_the_file(self, tmp_path, capsys, case):
+        corpus = gen_corpus(tmp_path)
+        name, where, edit = self.CORPUS_EDITS[case]
+        edit(corpus)
+        capsys.readouterr()
+        assert main(["build-table", "--corpus", str(corpus)]) == 3
+        err = capsys.readouterr().err
+        assert name in err and where in err, err
+
+    # case -> the record on line 2, given the gold codes g of each document
+    PREDICTION_EDITS = {
+        "pred-digit-string": lambda g: {"doc": 0, "pred": "12", "gold": g[0]},
+        "doc-float": lambda g: {"doc": 15.7, "pred": g[15], "gold": g[15]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(PREDICTION_EDITS))
+    def test_prediction_edit_exits_3_naming_file_and_line(self, tmp_path, capsys, case):
+        corpus = gen_corpus(tmp_path)
+        golds = [json.loads(line)["codes"]
+                 for line in (corpus / CORPUS_FILE).read_text().strip().split("\n")]
+        preds = tmp_path / "p.jsonl"
+        good = {"doc": 1, "pred": golds[1], "gold": golds[1]}
+        preds.write_text(json.dumps(good) + "\n"
+                         + json.dumps(self.PREDICTION_EDITS[case](golds)) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--predictions", str(preds), "--corpus", str(corpus)]) == 3
+        err = capsys.readouterr().err
+        assert str(preds) in err and "line 2:" in err, err

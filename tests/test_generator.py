@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from ehrpath.corpus import ComplicationTable
-from ehrpath.generator import (DecoderTables, GeneratorConfig, _concat, decode_path,
-                               decode_path_traced, generator_slots, generator_step,
-                               generator_step_loss, path_loss, run_batch, run_steps,
-                               sequence_backward, stack_steps, step_row)
+from ehrpath.generator import (DecoderTables, GeneratorConfig, _concat, batch_backward,
+                               decode_path, decode_path_traced, generator_slots, generator_step,
+                               path_loss, run_batch, run_steps, sequence_backward, stack_steps)
 from ehrpath.lstm import lstm_slots, lstm_step, lstm_step_backward
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
 from oracles import (GATES, four_gate_lstm_step, four_gate_lstm_step_backward,
-                     four_gate_lstm_slots, fuse_forward, mixture_forward_row,
-                     mixture_scores_row, softmax_stable)
+                     four_gate_lstm_slots, fuse_forward, generator_step_loss, mixture_forward_row,
+                     mixture_scores_row, softmax_stable, step_row)
 
 CFG = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8)
 TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
@@ -297,11 +296,12 @@ class TestDecode:
         (first,) = run_batch(store, cfg, TABLE, xs, [[cfg.stop_id]] * len(xs))
         lengths = set()
         for b, x in enumerate(xs):
-            mine, my_traces = decode_path_traced(store, cfg, TABLE, x, first=step_row(first, b))
+            mine, my_traces = decode_path_traced(store, cfg, TABLE, x, first, b)
             theirs, their_traces = decode_path_traced(store, cfg, TABLE, x)
             assert mine.codes == theirs.codes and mine.valid_len == theirs.valid_len
-            assert decode_path(store, cfg, TABLE, x, first=step_row(first, b)).codes == mine.codes
-            for t, u in zip(my_traces, their_traces):
+            assert decode_path(store, cfg, TABLE, x, first, b).codes == mine.codes
+            assert my_traces[0] is first and len(their_traces[0].rows) == 1
+            for t, u in zip([step_row(first, b)] + my_traces[1:], their_traces):
                 d, e = t.dist, u.dist
                 assert d.copy_ids == e.copy_ids
                 np.testing.assert_allclose(d.probs, e.probs, rtol=0, atol=1e-12)
@@ -434,6 +434,37 @@ class TestSequenceGradients:
             assert dx[i] == pytest.approx((up - dn) / (2 * eps), abs=1e-5)
 
 
+class TestBatchBackward:
+    def test_zero_weight_row_equals_the_batch_without_it(self):
+        # the policy-gradient pass starts on a batch's first step, where a
+        # document whose greedy path is empty sits at weight 0: its row
+        # must add nothing to the gradient
+        store = unit_store(14)
+        xs = named_rng(15, "x").normal(size=(4, CFG.rep_dim)) * 0.3
+        inputs = [[CFG.stop_id, 1, 0], [CFG.stop_id], [CFG.stop_id, 2], [CFG.stop_id, 5]]
+        targets = np.array([[1, 0, 4], [3, 0, 0], [2, 1, 0], [5, 2, 0]])
+        weights = named_rng(16, "w").normal(size=targets.shape)
+        weights[1] = 0.0
+        for b, seq in enumerate(inputs):
+            weights[b, len(seq):] = 0.0
+        keep = [0, 2, 3]
+
+        def grads(xs, inputs, targets, weights):
+            store.zero_grads()
+            dx = batch_backward(store, CFG, run_batch(store, CFG, TABLE, xs, inputs), targets,
+                                weights)
+            return dx, {n: store.grad(n).copy() for n in store.names()}
+
+        dx, with_row = grads(xs, inputs, targets, weights)
+        dx_kept, without = grads(xs[keep], [inputs[b] for b in keep], targets[keep],
+                                 weights[keep])
+        np.testing.assert_array_equal(dx[1], 0.0)
+        np.testing.assert_allclose(dx[keep], dx_kept, rtol=0, atol=1e-12)
+        for n in store.names():
+            assert np.linalg.norm(without[n]) > 0.0, n
+            np.testing.assert_allclose(with_row[n], without[n], rtol=0, atol=1e-12, err_msg=n)
+
+
 class TestDecoderTables:
     def test_fold_equals_six_block_sums_bit_for_bit(self):
         store = unit_store(12)
@@ -482,7 +513,7 @@ class TestDecoderTables:
         xs = named_rng(13, "x").normal(size=(3, cfg.rep_dim))
         (first,) = run_batch(store, cfg, TABLE, xs, [[cfg.stop_id]] * len(xs))
         for b, x in enumerate(xs):
-            _, traces = decode_path_traced(store, cfg, TABLE, x, first=step_row(first, b))
+            _, traces = decode_path_traced(store, cfg, TABLE, x, first, b)
             assert all(trace.tables is first.tables for trace in traces)
         # a standalone step or decode builds tables of its own
         h = np.zeros(cfg.rep_dim)
@@ -496,8 +527,9 @@ class TestDecoderTables:
         store = make_store()
         xs = named_rng(6, "x").normal(size=(2, cfg.rep_dim))
         (first,) = run_batch(store, cfg, TABLE, xs, [[cfg.stop_id]] * len(xs))
-        decodes = [decode_path_traced(store, cfg, TABLE, x, first=step_row(first, b))[1]
+        decodes = [decode_path_traced(store, cfg, TABLE, x, first, b)[1][1:]
                    for b, x in enumerate(xs)]
+        assert all(decodes)  # each path takes a step after the first
         assert all(step.tables is first.tables for step in stack_steps(decodes))
         # a standalone decode builds its own tables, even on the same weights
         _, own = decode_path_traced(store, cfg, TABLE, xs[1])

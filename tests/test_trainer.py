@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import tiny_bundle
-from oracles import supervised_batch
+from oracles import aligned_losses, pretrain_generator, supervised_batch
 from ehrpath.discriminator import discriminator_loss, reward
 from ehrpath.encoder import encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath import generator, trainer
-from ehrpath.generator import DecodedPath, decode_path_traced, stack_steps, step_row
+from ehrpath.generator import DecodedPath, decode_path_traced
 from ehrpath.numerics import named_rng
-from ehrpath.trainer import (TrainConfig, _aligned_forward, _decoder_backward, adversarial_round,
-                             build_model, decode_predictions, model_config_kv,
-                             model_from_checkpoint, pretrain_generator, save_model, train)
+from ehrpath.trainer import (TrainConfig, _aligned_forward, _decoder_backward, _policy_terms,
+                             adversarial_round, build_model, decode_predictions,
+                             model_config_kv, model_from_checkpoint, save_model, train)
 from ehrpath.checkpoint import load_checkpoint
 
 TINY = dict(d_embed=10, d_code=8, n_filters=6, kernel_sizes=(2, 3), batch_size=8,
@@ -123,9 +123,9 @@ class TestAdversarialRound:
         cfg, model = self._setup(bundle)
         batch = bundle.split_docs("train")[:6]
         monkeypatch.setattr(trainer, "decode_path_traced",
-                            lambda store, gen_cfg, table, x, first:
-                            (DecodedPath((gen_cfg.stop_id,), first.probs[0, :gen_cfg.n_codes], 0),
-                             [first]))
+                            lambda store, gen_cfg, table, x, first, row:
+                            (DecodedPath((gen_cfg.stop_id,), first.probs[row, :gen_cfg.n_codes],
+                                         0), [first]))
         rewards = []
         monkeypatch.setattr(trainer, "reward", lambda *a: rewards.append(reward(*a)) or rewards[-1])
         x = _aligned_forward(model.snapshot(), batch, bundle.table, named_rng(8, "dropout")).x
@@ -141,6 +141,17 @@ class TestAdversarialRound:
         supervised_batch(m2, batch, bundle.table, dataclasses.replace(cfg, no_arl=True),
                          named_rng(8, "dropout"))
         assert stores_equal(m1.gen_store, m2.gen_store)
+
+    def test_gen_loss_is_the_loop_form_sum_bit_for_bit(self, bundle):
+        # the gather sums each document's steps in step order, then the
+        # documents in batch order, as the loop over generator_step_loss does
+        cfg, model = self._setup(bundle)
+        batch = bundle.split_docs("train")[:8]
+        fwd = _aligned_forward(model.snapshot(), batch, bundle.table, named_rng(8, "dropout"))
+        out = adversarial_round(model, batch, bundle.table, cfg, named_rng(8, "dropout"))
+        assert len(set(fwd.weights.sum(axis=1).tolist())) > 1  # ragged supervision
+        assert fwd.losses() == aligned_losses(fwd)
+        assert out["gen"] == sum(aligned_losses(fwd)) / len(batch)
 
     def test_reward_known_value_on_zeroed_scorer(self, bundle):
         cfg, model = self._setup(bundle)
@@ -300,7 +311,10 @@ class TestBatchEquivalence:
         assert sum(fwd.losses()) == pytest.approx(sum(sum(s.losses()) for s in singles),
                                                   rel=0, abs=1e-10)
         for b, single in enumerate(singles):
-            assert single.targets[0] == fwd.targets[b]
+            n = single.targets.shape[1]
+            np.testing.assert_array_equal(single.targets[0], fwd.targets[b, :n])
+            np.testing.assert_array_equal(single.weights[0], fwd.weights[b, :n])
+            assert not fwd.weights[b, n:].any()
             (single_dists,) = doc_steps(single)
             assert len(single_dists) == len(doc_steps(fwd)[b])
             for mine, theirs in zip(doc_steps(fwd)[b], single_dists):
@@ -318,39 +332,45 @@ class TestBatchEquivalence:
         cfg = self.CFG
         model = build_model(bundle, cfg)
         fwd = _aligned_forward(model, self._batch(bundle), bundle.table, named_rng(3, "dropout"))
-        probs = sorted(d.probs[t] for dists, targets in zip(doc_steps(fwd), fwd.targets)
-                       for d, t in zip(dists, targets) if t is not None)
+        probs = sorted(d.probs[t] for dists, targets, weights
+                       in zip(doc_steps(fwd), fwd.targets, fwd.weights)
+                       for d, t, w in zip(dists, targets, weights) if w)
         monkeypatch.setattr(generator, "PROB_FLOOR", (probs[0] + probs[1]) / 2)
 
     def test_deferred_batch_equals_sum_of_single_documents(self, bundle, monkeypatch):
         self._clamp_one_target(bundle, monkeypatch)
-        fwd = self._compare(bundle,
-                            lambda model, fwd, doc_ids: _decoder_backward(model, fwd, 1.0, [], []))
-        clamped = [d.probs[t] < generator.PROB_FLOOR for dists, targets
-                   in zip(doc_steps(fwd), fwd.targets)
-                   for d, t in zip(dists, targets) if t is not None]
+        fwd = self._compare(bundle, lambda model, fwd, doc_ids: _decoder_backward(model, fwd, 1.0))
+        clamped = [d.probs[t] < generator.PROB_FLOOR for dists, targets, weights
+                   in zip(doc_steps(fwd), fwd.targets, fwd.weights)
+                   for d, t, w in zip(dists, targets, weights) if w]
         assert sum(clamped) == 1
 
     def test_adversarial_decoder_update_equals_single_documents(self, bundle, monkeypatch):
         # the aligned pass at the supervised weight plus the policy-gradient
-        # pass over greedy paths of mixed lengths, with fixed advantages
+        # pass over greedy paths of mixed lengths, with fixed advantages,
+        # built as adversarial_round builds it; document 1's path is empty,
+        # as a greedy path that stops at once, so the batch's first policy
+        # step holds its row at weight 0
         self._clamp_one_target(bundle, monkeypatch)
         lengths = set()
 
         def backward(model, fwd, doc_ids):
-            pg_traces, pg_targets = [], []
+            decodes, advantages = [], []
             for i, (x, b) in enumerate(zip(fwd.x, doc_ids)):
                 gen_cfg = dataclasses.replace(model.gen_cfg, max_len=2 + b % 3)
                 path, traces = decode_path_traced(model.gen_store, gen_cfg, bundle.table, x,
-                                                  first=step_row(fwd.steps[0], i))
-                pg_traces.append(traces[:path.valid_len])
-                pg_targets.append([(code, 0.3 - 0.2 * b + 0.1 * k)
-                                   for k, code in enumerate(path.valid_codes)])
+                                                  fwd.steps[0], i)
+                if b == 1:
+                    path = dataclasses.replace(path, valid_len=0)
+                decodes.append((path, traces))
+                advantages += [0.3 - 0.2 * b + 0.1 * k for k in range(path.valid_len)]
                 lengths.add(path.valid_len)
-            _decoder_backward(model, fwd, 0.7, stack_steps(pg_traces), pg_targets)
+            policy = (_policy_terms(fwd.steps[0], decodes, np.array(advantages))
+                      if advantages else ())
+            _decoder_backward(model, fwd, 0.7, *policy)
 
         self._compare(bundle, backward)
-        assert len(lengths - {0}) > 1
+        assert 0 in lengths and len(lengths - {0}) > 1
 
 
 class TestDecodePredictions:
