@@ -16,12 +16,12 @@ from .corpus import (ComplicationTable, CodeDictionary, CorpusConfig, EhrDocumen
                      generate_synthetic_corpus, split_indices)
 from .generator import DecodedPath, GeneratorConfig, MixtureDistribution, decode_path
 from .metrics import PredictionRecord, auc, complication_ratio, jaccard, micro_macro_prf
-from .numerics import AdamConfig, ParamStore, adam_step, finite_diff_check
+from .numerics import ParamStore, adam_step, finite_diff_check
 from .trainer import Model, TrainConfig, TrainReport, train
 
 __all__ = [
-    "AdamConfig", "CodeDictionary", "ComplicationTable", "CorpusConfig", "DecodedPath",
-    "EhrDocument", "GeneratorConfig", "MixtureDistribution", "Model", "ParamStore",
+    "CodeDictionary", "ComplicationTable", "CorpusConfig", "DecodedPath", "EhrDocument",
+    "GeneratorConfig", "MixtureDistribution", "Model", "ParamStore",
     "PredictionRecord", "TokenDictionary", "TrainConfig", "TrainReport", "adam_step",
     "auc", "build_complication_table", "complication_ratio", "decode_path",
     "filter_top_k", "finite_diff_check", "generate_synthetic_corpus", "jaccard",

@@ -18,7 +18,7 @@ import sys
 from . import corpus as corpus_io
 from .checkpoint import field_kinds, load_checkpoint, parse_value
 from .corpus import (CorpusConfig, atomic_write, build_complication_table, load_corpus_dir,
-                     synthetic_bundle, write_table)
+                     load_corpus_text, synthetic_bundle, write_table)
 from .errors import CompatibilityError, ConfigError, DataError
 from .metrics import format_metric_table, metric_table, read_predictions, write_predictions
 from .trainer import (TRAIN_FLAG_NAMES, TrainConfig, decode_predictions,
@@ -131,9 +131,9 @@ def _planted_pairs(raw: str | None, n_pairs: int, cooccur: float, num_codes: int
 def cmd_gen_data(args) -> int:
     _require_dir(args.out, "output")
     pairs = _planted_pairs(args.planted, args.planted_pairs, args.cooccur, args.codes)
-    # the conventional top-K is 50; clamp the default when the synthetic
+    # the conventional top-K; clamp the default when the synthetic
     # dictionary is smaller, but honor an explicit request verbatim
-    top_k = min(50, args.codes) if args.top_k is None else args.top_k
+    top_k = min(CorpusConfig.top_k, args.codes) if args.top_k is None else args.top_k
     cfg = CorpusConfig(
         num_docs=args.docs, vocab_size=args.vocab, num_codes=args.codes, top_k=top_k,
         planted_pairs=pairs, doc_len=(args.doc_len_min, args.doc_len_max), seed=args.seed,
@@ -150,7 +150,7 @@ def cmd_build_table(args) -> int:
     _require_dir(args.corpus, "corpus")
     out = args.out or os.path.join(args.corpus, corpus_io.TABLE_FILE)
     _require_out_file(out)
-    bundle = load_corpus_dir(args.corpus)
+    bundle = load_corpus_text(args.corpus)
     table = build_complication_table(bundle.split_docs("train"), args.or_threshold,
                                      args.min_support)
     write_table(out, table)
@@ -195,29 +195,31 @@ def _compat_check(stored: dict[str, str], corpus_dir: str) -> None:
                                      "one the checkpoint was trained on (sha256 differs)")
 
 
+def _report(records, bundle, out: str | None) -> int:
+    """Print the metric table of the records, and write it to out if given."""
+    text = format_metric_table(metric_table(records, bundle.table, range(bundle.codes.num_real)))
+    if out:
+        with atomic_write(out) as fh:
+            fh.write(text)
+    print(text, end="")
+    return 0
+
+
 def cmd_eval(args) -> int:
     _require_dir(args.corpus, "corpus")
     _require_dir(args.out, "output")
     bundle = load_corpus_dir(args.corpus)
-    if args.from_predictions:
-        records = read_predictions(args.from_predictions, bundle)
-    else:
-        if not args.checkpoint:
-            raise ConfigError("eval needs --checkpoint or --from-predictions")
-        stored, slots = load_checkpoint(args.checkpoint)
-        model = model_from_checkpoint(stored, slots)
-        _compat_check(stored, args.corpus)
-        docs = bundle.split_docs(args.split)
-        # records are numbered by corpus line, as prediction files are read
-        records = [dataclasses.replace(rec, doc_id=i) for rec, i in
-                   zip(decode_predictions(model, docs, bundle.table), bundle.splits[args.split])]
-        write_predictions(os.path.join(args.out, PREDICTIONS_NAME), records)
-    values = metric_table(records, bundle.table, range(bundle.codes.num_real))
-    text = format_metric_table(values)
-    with atomic_write(os.path.join(args.out, METRICS_NAME)) as fh:
-        fh.write(text)
-    print(text, end="")
-    return 0
+    if not args.checkpoint:  # argparse does not require it: a --config file may supply it
+        raise ConfigError("eval needs --checkpoint")
+    stored, slots = load_checkpoint(args.checkpoint)
+    model = model_from_checkpoint(stored, slots)
+    _compat_check(stored, args.corpus)
+    docs = bundle.split_docs(args.split)
+    # records are numbered by corpus line, as prediction files are read
+    records = [dataclasses.replace(rec, doc_id=i) for rec, i in
+               zip(decode_predictions(model, docs, bundle.table), bundle.splits[args.split])]
+    write_predictions(os.path.join(args.out, PREDICTIONS_NAME), records)
+    return _report(records, bundle, os.path.join(args.out, METRICS_NAME))
 
 
 def cmd_report(args) -> int:
@@ -225,14 +227,7 @@ def cmd_report(args) -> int:
     if args.out:
         _require_out_file(args.out)
     bundle = load_corpus_dir(args.corpus)
-    records = read_predictions(args.predictions, bundle)
-    text = format_metric_table(metric_table(records, bundle.table,
-                                            range(bundle.codes.num_real)))
-    if args.out:
-        with atomic_write(args.out) as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0
+    return _report(read_predictions(args.predictions, bundle), bundle, args.out)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -246,18 +241,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--docs", default=2000)
     p.add_argument("--vocab", default=400)
     p.add_argument("--codes", default=20)
-    p.add_argument("--top-k", help="default: min(50, codes)")
-    p.add_argument("--seed", default=0)
-    p.add_argument("--doc-len-min", default=20)
-    p.add_argument("--doc-len-max", default=60)
+    p.add_argument("--top-k", help=f"default: min({CorpusConfig.top_k}, codes)")
+    p.add_argument("--seed", default=CorpusConfig.seed)
+    p.add_argument("--doc-len-min", default=CorpusConfig.doc_len[0])
+    p.add_argument("--doc-len-max", default=CorpusConfig.doc_len[1])
     p.add_argument("--planted", help="explicit pairs a:b:p,a:b:p,...")
     p.add_argument("--planted-pairs", default=5, help="number of disjoint auto pairs")
     p.add_argument("--cooccur", default=0.9)
     p.add_argument("--or-threshold", default=corpus_io.OR_THRESHOLD)
     p.add_argument("--min-support", default=corpus_io.MIN_SUPPORT)
-    p.add_argument("--code-skew", default=1.0)
-    p.add_argument("--extra-code-prob", default=0.25)
-    p.add_argument("--signal-strength", default=0.8)
+    p.add_argument("--code-skew", default=CorpusConfig.code_skew)
+    p.add_argument("--extra-code-prob", default=CorpusConfig.extra_code_prob)
+    p.add_argument("--signal-strength", default=CorpusConfig.signal_strength)
     p.set_defaults(func=cmd_gen_data, kinds=_number_kinds(p, top_k=int))
 
     p = sub.add_parser("build-table", help="rebuild the complication table from the train split")
@@ -286,7 +281,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint")
-    p.add_argument("--from-predictions", help="score an existing prediction file instead")
     p.add_argument("--split", default="test", choices=corpus_io.SPLIT_NAMES)
     p.set_defaults(func=cmd_eval)
 

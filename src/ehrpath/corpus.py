@@ -30,6 +30,7 @@ CODES_FILE = "codes.txt"
 TABLE_FILE = "complications.txt"
 SPLITS_FILE = "splits.json"
 SPLIT_NAMES = ("train", "test", "validation")
+SPLIT_RATIO = (4, 1, 1)
 
 # the complication table's defaults: least odds ratio, least co-occurring documents
 OR_THRESHOLD = 2.0
@@ -236,16 +237,25 @@ def filter_top_k(documents: Sequence[EhrDocument], k: int) -> list[EhrDocument]:
             for doc in documents if (gold := doc.gold_codes & keep)]
 
 
-def split_indices(n: int, seed: int, ratio: tuple[int, int, int] = (4, 1, 1)) -> dict[str, list[int]]:
-    """Disjoint, exhaustive shuffled index split; remainder goes to train."""
-    total = sum(ratio)
+def split_indices(n: int, seed: int) -> dict[str, list[int]]:
+    """Disjoint, exhaustive shuffled index split by SPLIT_RATIO; remainder to train."""
+    total = sum(SPLIT_RATIO)
     if n < total:
-        raise ConfigError(f"need at least {total} documents to split {ratio}, got {n}")
-    n_test = n * ratio[1] // total
-    n_val = n * ratio[2] // total
+        raise ConfigError(f"need at least {total} documents to split {SPLIT_RATIO}, got {n}")
+    n_test = n * SPLIT_RATIO[1] // total
+    n_val = n * SPLIT_RATIO[2] // total
     train, test, validation = np.split(named_rng(seed, "split").permutation(n),
                                        [n - n_test - n_val, n - n_val])
     return {"train": train.tolist(), "test": test.tolist(), "validation": validation.tolist()}
+
+
+def _check_table_settings(or_threshold: float, min_support: int, names: Sequence[str]) -> None:
+    """The one rule for a table's settings, as flags or in a table file's
+    header; a ConfigError names (by `names`) the setting that breaks it."""
+    if not 1.0 <= or_threshold < np.inf:
+        raise ConfigError(f"{names[0]} must be finite and >= 1, got {or_threshold}")
+    if not min_support >= 0:
+        raise ConfigError(f"{names[1]} must be >= 0, got {min_support}")
 
 
 def build_complication_table(train_documents: Sequence[EhrDocument],
@@ -254,10 +264,7 @@ def build_complication_table(train_documents: Sequence[EhrDocument],
     """Odds ratio over the 2x2 document co-occurrence table for every code
     pair; a pair is kept iff OR >= or_threshold and it co-occurs in at least
     min_support documents. Zero cells get the +0.5 continuity correction."""
-    if not 1.0 <= or_threshold < np.inf:
-        raise ConfigError(f"--or-threshold must be finite and >= 1, got {or_threshold}")
-    if not min_support >= 0:
-        raise ConfigError(f"--min-support must be >= 0, got {min_support}")
+    _check_table_settings(or_threshold, min_support, ("--or-threshold", "--min-support"))
     if len(train_documents) == 0:
         raise ConfigError("cannot build complication table from an empty split")
     rows = [i for i, doc in enumerate(train_documents) for _ in doc.gold_codes]
@@ -345,25 +352,40 @@ def write_table(path: str, table: ComplicationTable) -> None:
             fh.write(f"{a} {b} {table.pairs[(a, b)]!r}\n")
 
 
-def read_table(path: str) -> ComplicationTable:
+def read_table(path: str, n_codes: int) -> ComplicationTable:
+    """A table file as write_table writes it: a header, if any, whose values
+    pass _check_table_settings, then one line per pair of real codes a < b,
+    each pair once, its odds ratio finite and at least the threshold. A line
+    that breaks a rule is a DataError naming the file and line."""
     threshold, min_support = OR_THRESHOLD, MIN_SUPPORT
     pairs: dict[tuple[int, int], float] = {}
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+            lines = fh.readlines()
+        for ln, line in enumerate(lines, start=1):
+            line = line.strip()
+            try:
                 if line.startswith("#"):
-                    for part in line[1:].split():
-                        key, _, val = part.partition("=")
-                        if key == "threshold":
-                            threshold = float(val)
-                        elif key == "min_support":
-                            min_support = int(val)
-                    continue
-                a, b, orr = line.split()
-                pairs[(int(a), int(b))] = float(orr)
+                    header = dict(part.partition("=")[::2] for part in line[1:].split())
+                    if unknown := sorted(header.keys() - {"threshold", "min_support"}):
+                        raise ValueError(f"unknown header keys {unknown}")
+                    if pairs:
+                        raise ValueError("the header must come before the pairs")
+                    threshold = float(header.get("threshold", threshold))
+                    min_support = int(header.get("min_support", min_support))
+                    _check_table_settings(threshold, min_support, ("threshold", "min_support"))
+                elif line:
+                    a, b, orr = line.split()
+                    pair, orr = (int(a), int(b)), float(orr)
+                    if not 0 <= pair[0] < pair[1] < n_codes:
+                        raise ValueError(f"pair {pair} is not real codes a < b < {n_codes}")
+                    if pair in pairs:
+                        raise ValueError(f"pair {pair} is listed twice")
+                    if not threshold <= orr < np.inf:
+                        raise ValueError(f"odds ratio {orr} is not finite and >= {threshold}")
+                    pairs[pair] = orr
+            except ValueError as exc:
+                raise ValueError(f"line {ln}: {exc}") from exc
         return ComplicationTable(pairs, threshold, min_support)
     except (OSError, ValueError) as exc:
         raise DataError(f"bad complication table {path}: {exc}") from exc
@@ -378,7 +400,9 @@ def id_list(value, what: str) -> list[int]:
     return value
 
 
-def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
+def load_corpus_text(corpus_dir: str) -> CorpusBundle:
+    """A corpus directory's documents, dictionaries and splits, checked
+    against each other, with an empty complication table, to build one from."""
     def _read_lines(name: str) -> list[str]:
         with open(os.path.join(corpus_dir, name)) as fh:
             return [line.rstrip("\n") for line in fh]
@@ -415,13 +439,14 @@ def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
                     raise ValueError(f"{SPLITS_FILE}: document {i} is listed in split "
                                      f"{owner[i]!r} and {name!r}")
                 owner[i] = name
-    except DataError:
-        raise
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"bad corpus directory {corpus_dir}: {exc}") from exc
-    table = read_table(os.path.join(corpus_dir, TABLE_FILE))
-    for a, b in table.pairs:
-        if not 0 <= a < b < codes.num_real:
-            raise DataError(f"bad complication table {TABLE_FILE}: pair ({a}, {b}) names an id "
-                            f"outside the {codes.num_real} real codes")
-    return CorpusBundle(documents, codes, tokens, table, splits)
+    return CorpusBundle(documents, codes, tokens, ComplicationTable({}, OR_THRESHOLD, MIN_SUPPORT),
+                        splits)
+
+
+def load_corpus_dir(corpus_dir: str) -> CorpusBundle:
+    """load_corpus_text with the directory's complication table."""
+    bundle = load_corpus_text(corpus_dir)
+    bundle.table = read_table(os.path.join(corpus_dir, TABLE_FILE), bundle.codes.num_real)
+    return bundle

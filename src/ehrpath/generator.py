@@ -132,7 +132,7 @@ def _mixture_from_scores(gen_scores: np.ndarray, copy_scores: np.ndarray, ids: n
     return exp_gen / z + exp_copy / z, exp_gen, exp_copy, z[:, 0]
 
 
-def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: ComplicationTable | None,
+def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: ComplicationTable,
                      store: ParamStore, cfg: GeneratorConfig, tables: DecoderTables,
                      ) -> tuple[np.ndarray, list[tuple[int, ...]], MixtureCache]:
     """Next-code probabilities (R, n_total) of each row of h (R, rep) given
@@ -140,9 +140,8 @@ def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: Complicati
     read from the tables (none for a row without candidates)."""
     if min(prev_codes) < 0 or max(prev_codes) >= cfg.n_total:
         raise ValueError(f"previous codes {prev_codes} outside vocabulary of {cfg.n_total}")
-    copy_ids: list[tuple[int, ...]] = [()] * len(prev_codes)
-    if table is not None and not cfg.no_copy:
-        copy_ids = [table.partners(p) for p in prev_codes]
+    copy_ids = ([()] * len(prev_codes) if cfg.no_copy
+                else [table.partners(p) for p in prev_codes])
     ids, owner = _candidates(copy_ids)
     copy_scores = (tables.copy_key.take(ids, axis=0) * h.take(owner, axis=0)).sum(axis=1)
     probs, exp_gen, exp_copy, z = _mixture_from_scores(h.dot(store["gen.out.W"].T), copy_scores,
@@ -174,7 +173,7 @@ class StepTrace:
         return MixtureDistribution(probs, self.mix.exp_copy[0] / self.mix.z[0], copy_ids)
 
 
-def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
+def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
           x: np.ndarray, prev_codes: list[int], h_prev: np.ndarray, c_prev: np.ndarray,
           rows: np.ndarray, tables: DecoderTables) -> StepTrace:
     """One lockstep step of the documents at batch positions rows: x,
@@ -193,7 +192,7 @@ def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | No
 _ONE_ROW = np.zeros(1, dtype=np.int64)
 
 
-def generator_step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
+def generator_step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
                    x: np.ndarray, prev_code: int, h_prev: np.ndarray, c_prev: np.ndarray,
                    tables: DecoderTables | None = None) -> StepTrace:
     """One step of one document, x, h_prev, c_prev (rep,): _step on a batch
@@ -202,7 +201,7 @@ def generator_step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationT
                  tables or DecoderTables(store))
 
 
-def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
+def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
               x: np.ndarray, inputs: Sequence[Sequence[int]]) -> list[StepTrace]:
     """Teacher-forced forward of a batch in lockstep: x (B, rep) holds the
     document vectors, and document b consumes inputs[b][t] as the previous
@@ -223,7 +222,7 @@ def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable 
     return steps
 
 
-def run_steps(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
+def run_steps(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
               x: np.ndarray, input_codes: Sequence[int]) -> list[StepTrace]:
     """Teacher-forced forward of one document, x (rep,): run_batch on a
     batch of one."""
@@ -277,7 +276,7 @@ class DecodedPath:
         return self.codes[:self.valid_len]
 
 
-def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
+def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
                        x: np.ndarray, first: StepTrace | None = None, row: int = 0,
                        ) -> tuple[DecodedPath, list[StepTrace]]:
     """Greedy decode with repetition masking: already-emitted codes and UNK
@@ -307,7 +306,7 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
     return DecodedPath(tuple(codes), np.max(probs, axis=0)[:cfg.n_codes], valid), traces
 
 
-def decode_path(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable | None,
+def decode_path(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
                 x: np.ndarray, first: StepTrace | None = None, row: int = 0) -> DecodedPath:
     path, _ = decode_path_traced(store, cfg, table, x, first, row)
     return path
@@ -324,12 +323,16 @@ def step_losses(steps: Sequence[StepTrace], targets: np.ndarray,
     return (weights * -np.log(np.maximum(p, PROB_FLOOR))).cumsum(axis=1)[:, -1]
 
 
+def _one_document(step_targets: Sequence[tuple[int, float] | None]) -> tuple[np.ndarray, ...]:
+    """(target, weight) or None per step as (1, T) targets and weights, 0 for None."""
+    pairs = np.array([tw or (0, 0.0) for tw in step_targets])
+    return pairs[None, :, 0].astype(np.int64), pairs[None, :, 1]
+
+
 def path_loss(traces: Sequence[StepTrace],
               step_targets: Sequence[tuple[int, float] | None]) -> float:
-    """Sum of weight * (-log p(target)) over one document's steps with a
-    target, p floored at PROB_FLOOR."""
-    return float(sum(tw[1] * -np.log(max(float(trace.probs[0, tw[0]]), PROB_FLOOR))
-                     for trace, tw in zip(traces, step_targets) if tw is not None))
+    """One document's run_steps loss: step_losses on a batch of one."""
+    return float(step_losses(traces, *_one_document(step_targets))[0])
 
 
 def _mixture_backward(store: ParamStore, step: StepTrace, target: np.ndarray,
@@ -407,6 +410,4 @@ def sequence_backward(store: ParamStore, cfg: GeneratorConfig, traces: Sequence[
     """Backward through one document's run_steps traces: batch_backward on
     a batch of one; returns the gradient with respect to its representation
     (rep,)."""
-    pairs = np.array([tw or (0, 0.0) for tw in step_targets])
-    return batch_backward(store, cfg, traces, pairs[None, :, 0].astype(np.int64),
-                          pairs[None, :, 1])[0]
+    return batch_backward(store, cfg, traces, *_one_document(step_targets))[0]

@@ -9,6 +9,7 @@ prediction file format and the flat metric report table.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -73,17 +74,9 @@ def micro_macro_prf(records: Sequence[PredictionRecord],
                     labels: Sequence[int]) -> dict[str, Prf]:
     """Micro pools TP/FP/FN over every (doc, label) decision; macro averages
     per-label metrics over the label universe, with 0/0 defined as 0."""
-    tp = {c: 0 for c in labels}
-    fp = {c: 0 for c in labels}
-    fn = {c: 0 for c in labels}
-    for rec in records:
-        for c in labels:
-            if c in rec.predicted and c in rec.gold:
-                tp[c] += 1
-            elif c in rec.predicted:
-                fp[c] += 1
-            elif c in rec.gold:
-                fn[c] += 1
+    tp = Counter(c for rec in records for c in rec.predicted & rec.gold)
+    fp = Counter(c for rec in records for c in rec.predicted - rec.gold)
+    fn = Counter(c for rec in records for c in rec.gold - rec.predicted)
 
     def prf(t: int, p: int, n: int) -> Prf:
         prec = t / (t + p) if t + p else 0.0
@@ -91,7 +84,7 @@ def micro_macro_prf(records: Sequence[PredictionRecord],
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
         return Prf(prec, rec, f1)
 
-    micro = prf(sum(tp.values()), sum(fp.values()), sum(fn.values()))
+    micro = prf(*(sum(count[c] for c in labels) for count in (tp, fp, fn)))
     per_label = [prf(tp[c], fp[c], fn[c]) for c in labels]
     macro = Prf(*(float(np.mean([m[i] for m in per_label])) for i in range(3)))
     return {"micro": micro, "macro": macro}
@@ -119,11 +112,10 @@ def auc(records: Sequence[PredictionRecord],
     Codes without a score count as score 0."""
     if len(records) == 0:
         raise ValueError("no records to score")
-    per_label_scores = {c: np.array([rec.scores.get(c, 0.0) for rec in records]) for c in labels}
-    per_label_rel = {c: np.array([c in rec.gold for rec in records]) for c in labels}
-    micro = _binary_auc(np.concatenate([per_label_scores[c] for c in labels]),
-                        np.concatenate([per_label_rel[c] for c in labels]))
-    per_label = [_binary_auc(per_label_scores[c], per_label_rel[c]) for c in labels]
+    scores = np.array([[rec.scores.get(c, 0.0) for rec in records] for c in labels])
+    relevant = np.array([[c in rec.gold for rec in records] for c in labels])
+    micro = _binary_auc(scores.ravel(), relevant.ravel())
+    per_label = [_binary_auc(s, r) for s, r in zip(scores, relevant)]
     scorable = [a for a in per_label if a is not None]
     macro = float(np.mean(scorable)) if scorable else None
     return {"micro": micro, "macro": macro}
@@ -149,11 +141,8 @@ def metric_table(records: Sequence[PredictionRecord], table: ComplicationTable,
 
 
 def format_metric_table(values: dict[str, float | None]) -> str:
-    lines = []
-    for key in REPORT_KEYS:
-        val = values.get(key)
-        lines.append(f"{key} {'nan' if val is None else format(val, '.6f')}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} {'nan' if values.get(key) is None else format(values[key], '.6f')}\n"
+                   for key in REPORT_KEYS)
 
 
 def write_predictions(path: str, records: Sequence[PredictionRecord]) -> None:
@@ -191,8 +180,9 @@ def _corpus_mismatch(rec: PredictionRecord, bundle: CorpusBundle, seen: set[int]
 def read_predictions(path: str, bundle: CorpusBundle) -> list[PredictionRecord]:
     """The records of a prediction file made from the corpus bundle. Each
     record must name a distinct corpus document, carry that document's gold
-    codes, and hold real code ids and scores in [0, 1]; the first record that
-    does not is a DataError naming its line."""
+    codes, and hold real code ids and JSON-number scores in [0, 1], keyed by
+    the code id's decimal text; the first that does not is a DataError naming
+    its line."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -207,11 +197,15 @@ def read_predictions(path: str, bundle: CorpusBundle) -> list[PredictionRecord]:
             rec = json.loads(line)
             if type(rec["doc"]) is not int:
                 raise ValueError(f"'doc' must be one JSON integer, got {rec['doc']!r}")
+            scores = rec.get("scores", {})
+            if any(type(v) not in (int, float) or str(int(k)) != k for k, v in scores.items()):
+                raise ValueError("'scores' must map code ids, as decimal text, to JSON numbers, "
+                                 f"got {scores!r:.60}")
             record = PredictionRecord(
                 rec["doc"],
                 frozenset(id_list(rec["pred"], "'pred'")),
                 frozenset(id_list(rec["gold"], "'gold'")),
-                {int(c): float(s) for c, s in rec.get("scores", {}).items()},
+                {int(k): float(v) for k, v in scores.items()},
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise DataError(f"bad prediction file {path}, line {ln}: {exc}") from exc

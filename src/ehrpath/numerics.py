@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import zlib
 from copy import deepcopy
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -164,34 +163,25 @@ def add_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     target[ids[starts]] += groups @ rows
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
+# Adam's moment decays and denominator guard (Kingma and Ba, arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 # elements per Adam tile: its parameter, gradient, moments and scratch (640 KB) stay in L2
 ADAM_TILE = 16384
 
 
-def adam_step(store: ParamStore, cfg: AdamConfig) -> ParamStore:
-    """One bias-corrected Adam update over every slot, on zero gradients if
-    the store holds none; drops the gradients and increments the step
-    counter. Raises on non-finite gradients. The steps of
-    `lr * (m / bc1) / (sqrt(v / bc2) + eps)` run in that order in one
-    scratch buffer and the spent gradient, with no other temporary, over
-    tiles of ADAM_TILE columns of the store's buffer; a tile may span slots,
-    as every step is elementwise."""
+def adam_step(store: ParamStore, learning_rate: float) -> ParamStore:
+    """One bias-corrected Adam update at learning_rate (finite and > 0)
+    over every slot, on zero gradients if the store holds none; drops the
+    gradients and increments the step counter. Raises on non-finite
+    gradients. The steps of `lr * (m / bc1) / (sqrt(v / bc2) + eps)` run in
+    that order in one scratch buffer and the spent gradient, with no other
+    temporary, over tiles of ADAM_TILE columns of the store's buffer; a tile
+    may span slots, as every step is elementwise."""
+    if not 0 < learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     store._flush_all()
     grads = store._grad_buffer
     if grads is None:
@@ -200,20 +190,20 @@ def adam_step(store: ParamStore, cfg: AdamConfig) -> ParamStore:
         bad = next(n for n, g in store._grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient in slot {bad!r}")
     store.step += 1
-    bc1 = 1.0 - cfg.beta1 ** store.step
-    bc2 = 1.0 - cfg.beta2 ** store.step
+    bc1 = 1.0 - ADAM_BETA1 ** store.step
+    bc2 = 1.0 - ADAM_BETA2 ** store.step
     scratch = np.empty(ADAM_TILE)
     for lo in range(0, grads.size, ADAM_TILE):
         p, m, v = store._buffer[:, lo:lo + ADAM_TILE]
         g = grads[lo:lo + ADAM_TILE]
         buf = scratch[:g.size]
-        m *= cfg.beta1
-        m += np.multiply(g, 1.0 - cfg.beta1, out=buf)
-        v *= cfg.beta2
-        v += np.multiply(np.multiply(g, 1.0 - cfg.beta2, out=buf), g, out=buf)
-        np.multiply(np.divide(m, bc1, out=buf), cfg.learning_rate, out=buf)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=buf), g, out=buf)
+        np.multiply(np.divide(m, bc1, out=buf), learning_rate, out=buf)
         np.sqrt(np.divide(v, bc2, out=g), out=g)
-        g += cfg.epsilon
+        g += ADAM_EPSILON
         p -= np.divide(buf, g, out=buf)
     store.zero_grads()
     return store

@@ -39,7 +39,7 @@ from .encoder import encode_backward, encode_ehr  # noqa: F401
 from .generator import path_loss, run_steps, sequence_backward  # noqa: F401
 from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import PredictionRecord, metric_table
-from .numerics import AdamConfig, ParamStore, adam_step, named_rng
+from .numerics import ParamStore, adam_step, named_rng
 
 
 # `train` flags not named after their TrainConfig field; None keeps a field
@@ -66,10 +66,6 @@ class TrainConfig:
     d_code: int = 100
     n_filters: int = 100
     kernel_sizes: tuple[int, ...] = (3, 4, 5)
-
-    @property
-    def adam(self) -> AdamConfig:
-        return AdamConfig(self.learning_rate)
 
     @property
     def ablation(self) -> str:
@@ -258,7 +254,7 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
                                        np.repeat(fwd.x, 2, axis=0), model.disc_store,
                                        model.disc_cfg, with_grads=True)
         model.disc_store.clip_grads(cfg.clip_norm)
-        adam_step(model.disc_store, cfg.adam)
+        adam_step(model.disc_store, cfg.learning_rate)
 
         # rewards of the generated prefixes from the updated scorer; the
         # baseline is their batch mean
@@ -273,7 +269,7 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
     _decoder_backward(model, fwd, weight, *policy)
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
-    adam_step(model.gen_store, cfg.adam)
+    adam_step(model.gen_store, cfg.learning_rate)
     return {"gen": sum(fwd.losses()) / len(batch), "pg": pg_total / len(batch),
             "disc": disc_loss}
 
@@ -284,7 +280,7 @@ DECODE_SLICE = 256
 
 
 def decode_predictions(model: Model, docs: Sequence[EhrDocument],
-                       table: ComplicationTable | None) -> list[PredictionRecord]:
+                       table: ComplicationTable) -> list[PredictionRecord]:
     """Eval-mode decode of every document into a prediction record. The
     per-code confidence is the code's highest mixture probability over the
     decode steps. Each slice of documents is encoded and takes its first

@@ -14,7 +14,7 @@ from ehrpath.encoder import EncoderConfig, embed_tokens
 from ehrpath.generator import (PROB_FLOOR, DecoderTables, MixtureCache, MixtureDistribution,
                                StepTrace, _candidates, _mixture_forward, _mixture_from_scores)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
-from ehrpath.numerics import (AdamConfig, ParamStore, Slots, adam_step, add_rows, named_rng,
+from ehrpath.numerics import (ParamStore, Slots, adam_step, add_rows, named_rng,
                               uniform_init)
 from ehrpath.trainer import _aligned_forward, _decoder_backward, _epoch, _start
 
@@ -120,16 +120,17 @@ def document_encode_backward(dx: np.ndarray, cache: DocumentEncodeCache, store: 
 
 
 def adam_update_with_temporaries(params: np.ndarray, grad: np.ndarray, m: np.ndarray,
-                                 v: np.ndarray, step: int, cfg: AdamConfig) -> None:
+                                 v: np.ndarray, step: int, learning_rate: float) -> None:
     """One Adam update of one slot in place, as one expression with its
-    temporaries: the reference for numerics.adam_step's scratch buffer."""
-    bc1 = 1.0 - cfg.beta1 ** step
-    bc2 = 1.0 - cfg.beta2 ** step
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grad * grad
-    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+    temporaries, at the textbook decays 0.9 and 0.999 and epsilon 1e-8: the
+    reference for numerics.adam_step's scratch buffer."""
+    bc1 = 1.0 - 0.9 ** step
+    bc2 = 1.0 - 0.999 ** step
+    m *= 0.9
+    m += (1.0 - 0.9) * grad
+    v *= 0.999
+    v += (1.0 - 0.999) * grad * grad
+    params -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
 def generator_step_loss(probs: np.ndarray, target: int) -> float:
@@ -139,6 +140,18 @@ def generator_step_loss(probs: np.ndarray, target: int) -> float:
     if not 0 <= target < probs.shape[0]:
         raise ValueError(f"target {target} outside distribution of {probs.shape[0]}")
     return float(-np.log(max(float(probs[target]), PROB_FLOOR)))
+
+
+def path_loss_loop(traces: Sequence[StepTrace],
+                   step_targets: Sequence[tuple[int, float] | None]) -> float:
+    """Sum of weight * (-log p(target)) over one document's steps with a
+    target, p floored at PROB_FLOOR, added one step after another: the
+    loop-form reference for ehrpath.generator.path_loss."""
+    total = 0.0
+    for trace, tw in zip(traces, step_targets):
+        if tw is not None:
+            total += tw[1] * -np.log(max(float(trace.probs[0, tw[0]]), PROB_FLOOR))
+    return float(total)
 
 
 def pla_loss(probs: Sequence[np.ndarray], alignment: Mapping[int, int]) -> float:
@@ -219,7 +232,7 @@ def supervised_batch(model, batch, table, cfg, dropout_rng) -> float:
     _decoder_backward(model, fwd, 1.0)
     model.gen_store.scale_grads(1.0 / len(batch))
     model.gen_store.clip_grads(cfg.clip_norm)
-    adam_step(model.gen_store, cfg.adam)
+    adam_step(model.gen_store, cfg.learning_rate)
     return sum(fwd.losses()) / len(batch)
 
 

@@ -20,8 +20,7 @@ from ehrpath.generator import (GeneratorConfig, generator_slots, path_loss, run_
                                sequence_backward)
 from ehrpath.metrics import (PredictionRecord, auc, complication_ratio, jaccard,
                              metric_table, micro_macro_prf)
-from ehrpath.numerics import (AdamConfig, ParamStore, adam_step, finite_diff_check,
-                              named_rng)
+from ehrpath.numerics import ParamStore, adam_step, finite_diff_check, named_rng
 from ehrpath.trainer import TrainConfig, adversarial_round, build_model, decode_predictions, train
 from oracles import mixture_forward_row, mixture_scores_row, pretrain_generator
 
@@ -158,7 +157,7 @@ def test_criterion_2_mixture_validity():
         store = ParamStore(generator_slots(cfg, rng))
         a = int(rng.integers(0, n_codes))
         partners = [c for c in range(n_codes) if c != a][:int(rng.integers(0, 3))]
-        table = None
+        table = ComplicationTable({}, 2.0, 1)
         if partners:
             table = ComplicationTable({tuple(sorted((a, p))): 5.0 for p in partners}, 2.0, 1)
         prev = a if rng.random() < 0.5 else int(rng.integers(0, cfg.n_total))
@@ -338,12 +337,12 @@ def test_criterion_7_adversarial_sanity():
     positive, rows = [True, False] * len(docs), np.stack(rows)
     disc_cfg = model.disc_cfg
     disc = model.disc_store
-    adam = AdamConfig(learning_rate=1e-3)  # dedicated scorer run, 200 updates
+    learning_rate = 1e-3  # dedicated scorer run, 200 updates
     losses = []
     for _ in range(200):
         disc.zero_grads()
         losses.append(discriminator_loss(paths, positive, rows, disc, disc_cfg, with_grads=True))
-        adam_step(disc, adam)
+        adam_step(disc, learning_rate)
     fell_below = next((i for i, v in enumerate(losses) if v < math.log(2.0)), None)
     converged = losses[-1] < math.log(2.0) and losses[-1] < losses[0]
 

@@ -9,7 +9,8 @@ import pytest
 from ehrpath import trainer
 from ehrpath.checkpoint import load_checkpoint, save_checkpoint
 from ehrpath.cli import build_parser, main
-from ehrpath.corpus import CORPUS_FILE, CODES_FILE, SPLITS_FILE, TABLE_FILE, TOKENS_FILE
+from ehrpath.corpus import (CORPUS_FILE, CODES_FILE, SPLITS_FILE, TABLE_FILE, TOKENS_FILE,
+                            load_corpus_dir, write_table)
 from ehrpath.generator import generator_slots
 from ehrpath.numerics import named_rng
 
@@ -350,8 +351,8 @@ class TestEvalCommand:
                                      "scores": {str(c): 1.0 for c in gold}}) + "\n")
         out = tmp_path / "eval"
         out.mkdir()
-        rc = main(["eval", "--corpus", str(corpus), "--from-predictions", str(preds),
-                   "--out", str(out)])
+        rc = main(["report", "--corpus", str(corpus), "--predictions", str(preds),
+                   "--out", str(out / "metrics.txt")])
         assert rc == 0
         values = dict(ln.split() for ln in (out / "metrics.txt").read_text().strip().split("\n"))
         for key, val in values.items():
@@ -565,7 +566,7 @@ class TestCorpusCrossChecks:
 
 
 class TestReportAndBuildTable:
-    def test_report_matches_eval_from_predictions(self, tmp_path, capsys):
+    def test_report_scores_a_prediction_file(self, tmp_path, capsys):
         corpus = gen_corpus(tmp_path)
         lines = (corpus / CORPUS_FILE).read_text().strip().split("\n")
         preds = tmp_path / "p.jsonl"
@@ -602,10 +603,9 @@ class TestReportAndBuildTable:
                                     "gold": [c for c in range(6) if c not in g[0]]}, "differs"),
     }
 
-    @pytest.mark.parametrize("command", ["report", "eval"])
     @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
     def test_prediction_record_off_the_corpus_exits_3_naming_its_line(
-            self, tmp_path, capsys, command, case):
+            self, tmp_path, capsys, case):
         corpus = gen_corpus(tmp_path)
         lines = (corpus / CORPUS_FILE).read_text().strip().split("\n")
         golds = [json.loads(line)["codes"] for line in lines[:2]]
@@ -613,12 +613,8 @@ class TestReportAndBuildTable:
         good = {"doc": 1, "pred": golds[1], "gold": golds[1]}
         preds = tmp_path / "p.jsonl"
         preds.write_text(json.dumps(good) + "\n" + json.dumps(record(golds)) + "\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        argv = {"report": ["report", "--predictions", str(preds)],
-                "eval": ["eval", "--from-predictions", str(preds), "--out", str(out)]}[command]
         capsys.readouterr()
-        assert main(argv + ["--corpus", str(corpus)]) == 3
+        assert main(["report", "--predictions", str(preds), "--corpus", str(corpus)]) == 3
         captured = capsys.readouterr()
         assert "line 2:" in captured.err and words in captured.err
         assert captured.out == ""
@@ -647,6 +643,75 @@ class TestReportAndBuildTable:
         assert "bad corpus directory" in capsys.readouterr().err
 
 
+def edit_table_lines(corpus, edit):
+    """Apply edit to the list of complications.txt's lines (header first)."""
+    path = corpus / TABLE_FILE
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def perfect_predictions(corpus, tmp_path):
+    """A prediction file of one correct record, for document 0."""
+    gold = json.loads((corpus / CORPUS_FILE).read_text().split("\n")[0])["codes"]
+    preds = tmp_path / "p.jsonl"
+    preds.write_text(json.dumps({"doc": 0, "pred": gold, "gold": gold}) + "\n")
+    return preds
+
+
+class TestStrictTable:
+    """A complication table's header passes the rule of build-table's flags,
+    and each pair is listed once, with an odds ratio that is finite and at
+    least the header's threshold. Each edit below used to load; each must
+    end with exit 3 and a message naming the file, the line and the fault.
+    gen-data's table here is the header and the pairs 0 1 and 2 3."""
+
+    # case -> (line, words of the message, edit of the table's lines)
+    TABLE_EDITS = {
+        "header-nan-threshold": (1, "threshold must be finite",
+                                 lambda t: t.__setitem__(0, "# threshold=nan min_support=-4")),
+        "header-negative-support": (1, "min_support must be >= 0",
+                                    lambda t: t.__setitem__(0, "# threshold=2.0 min_support=-4")),
+        "header-unknown-key": (1, "unknown header keys ['colour']",
+                               lambda t: t.__setitem__(0, t[0] + " colour=blue")),
+        "or-nan": (2, "odds ratio nan", lambda t: t.__setitem__(1, "0 1 nan")),
+        "or-inf": (2, "odds ratio inf", lambda t: t.__setitem__(1, "0 1 inf")),
+        "or-below-threshold": (2, "odds ratio -3.0", lambda t: t.__setitem__(1, "0 1 -3.0")),
+        "pair-twice": (4, "listed twice", lambda t: t.append("0 1 99.0")),
+        "header-after-pairs": (4, "before the pairs", lambda t: t.append(t[0])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TABLE_EDITS))
+    def test_table_edit_exits_3_naming_file_and_line(self, tmp_path, capsys, case):
+        corpus = gen_corpus(tmp_path)
+        line, words, edit = self.TABLE_EDITS[case]
+        edit_table_lines(corpus, edit)
+        preds = perfect_predictions(corpus, tmp_path)
+        capsys.readouterr()
+        assert main(["report", "--predictions", str(preds), "--corpus", str(corpus)]) == 3
+        err = capsys.readouterr().err
+        assert TABLE_FILE in err and f"line {line}:" in err and words in err, err
+
+    def test_written_tables_read_back_unchanged(self, tmp_path):
+        # the table gen-data wrote, then one build-table wrote
+        corpus = gen_corpus(tmp_path)
+        for rebuild in (False, True):
+            if rebuild:
+                assert main(["build-table", "--corpus", str(corpus), "--or-threshold", "1.5",
+                             "--min-support", "2"]) == 0
+            written = (corpus / TABLE_FILE).read_text()
+            write_table(str(tmp_path / "again.txt"), load_corpus_dir(str(corpus)).table)
+            assert (tmp_path / "again.txt").read_text() == written
+
+    def test_build_table_repairs_a_table_that_does_not_load(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        before = (corpus / TABLE_FILE).read_text()
+        edit_table_lines(corpus, lambda t: t.append("0 1 x"))
+        assert main(["build-table", "--corpus", str(corpus), "--min-support", "3"]) == 0
+        assert (corpus / TABLE_FILE).read_text() == before
+        load_corpus_dir(str(corpus))
+
+
 def edit_corpus_line(corpus, key, value):
     """Set one field of the third record of corpus.jsonl."""
     path = corpus / CORPUS_FILE
@@ -673,9 +738,10 @@ def digit_string_split(splits):
 
 class TestStrictIdLists:
     """Every id list in the corpus, split and prediction files is a JSON list
-    of integers. Each edit below reads as other ids under int(...) coercion;
-    each must end with exit 3 and a message naming the file, and the line
-    for line-delimited files."""
+    of integers, and a prediction's scores map the decimal text of a code id
+    to a JSON number. Each edit below reads as other ids or scores under
+    int(...) or float(...) coercion; each must end with exit 3 and a message
+    naming the file, and the line for line-delimited files."""
 
     # case -> (file the message names, the words that locate it, edit)
     CORPUS_EDITS = {
@@ -706,6 +772,15 @@ class TestStrictIdLists:
     PREDICTION_EDITS = {
         "pred-digit-string": lambda g: {"doc": 0, "pred": "12", "gold": g[0]},
         "doc-float": lambda g: {"doc": 15.7, "pred": g[15], "gold": g[15]},
+        # scores: keys the decimal text of a code id, values JSON numbers
+        "score-key-space": lambda g: {"doc": 0, "pred": g[0], "gold": g[0],
+                                      "scores": {" 1": 0.5}},
+        "score-key-leading-zero": lambda g: {"doc": 0, "pred": g[0], "gold": g[0],
+                                             "scores": {"01": 0.5}},
+        "score-key-plus": lambda g: {"doc": 0, "pred": g[0], "gold": g[0],
+                                     "scores": {"+1": 0.5}},
+        "score-bool": lambda g: {"doc": 0, "pred": g[0], "gold": g[0], "scores": {"1": True}},
+        "score-string": lambda g: {"doc": 0, "pred": g[0], "gold": g[0], "scores": {"2": "0.25"}},
     }
 
     @pytest.mark.parametrize("case", sorted(PREDICTION_EDITS))

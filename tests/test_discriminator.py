@@ -8,7 +8,7 @@ import oracles
 from ehrpath.discriminator import (CLAMP, DiscriminatorConfig, discriminator_loss,
                                    discriminator_slots, reward, score_paths)
 from ehrpath.lstm import lstm_step
-from ehrpath.numerics import AdamConfig, ParamStore, adam_step, finite_diff_check, named_rng
+from ehrpath.numerics import ParamStore, adam_step, finite_diff_check, named_rng
 
 CFG = DiscriminatorConfig(n_codes=6, d_code=5, hidden=8, rep_dim=7)
 
@@ -255,10 +255,9 @@ class TestLoss:
                 batch.append((a, b))
                 positive.append(False)
         x = np.zeros((len(batch), cfg.rep_dim))
-        adam = AdamConfig(learning_rate=1e-2)
         losses = []
         for _ in range(200):
             store.zero_grads()
             losses.append(discriminator_loss(batch, positive, x, store, cfg, with_grads=True))
-            adam_step(store, adam)
+            adam_step(store, 1e-2)
         assert losses[-1] < 0.3

@@ -12,10 +12,11 @@ from ehrpath.lstm import lstm_slots, lstm_step, lstm_step_backward
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
 from oracles import (GATES, four_gate_lstm_step, four_gate_lstm_step_backward,
                      four_gate_lstm_slots, fuse_forward, generator_step_loss, mixture_forward_row,
-                     mixture_scores_row, softmax_stable, step_row)
+                     mixture_scores_row, path_loss_loop, softmax_stable, step_row)
 
 CFG = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8)
 TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
+EMPTY = ComplicationTable({}, 2.0, 5)
 
 
 def make_store(seed=0, cfg=CFG):
@@ -200,7 +201,7 @@ class TestMixture:
             partners = tuple(sorted(rng.choice(cfg.n_codes, size=rng.integers(0, 3),
                                                replace=False).tolist()))
             partners = tuple(p for p in partners if p != prev)
-            table = None
+            table = EMPTY
             if partners:
                 anchor = prev if prev < cfg.n_codes else 0
                 pairs = {tuple(sorted((anchor, p))): 9.0 for p in partners if p != anchor}
@@ -398,6 +399,20 @@ class TestSequenceGradients:
                                 rng=np.random.default_rng(3))
         assert err < 1e-4
 
+    def test_path_loss_equals_the_loop_form_bit_for_bit(self):
+        # steps without a target (None) and negative weights, as the
+        # policy-gradient terms carry
+        rng = np.random.default_rng(21)
+        store = make_store(seed=5)
+        for _ in range(30):
+            x = rng.normal(size=CFG.rep_dim)
+            inputs = [CFG.stop_id] + rng.integers(0, CFG.n_codes, size=rng.integers(0, 6)).tolist()
+            targets = [None if rng.random() < 0.3 else
+                       (int(rng.integers(0, CFG.n_total)), float(rng.normal() * 2.0))
+                       for _ in inputs]
+            traces = run_steps(store, CFG, TABLE, x, inputs)
+            assert path_loss(traces, targets) == path_loss_loop(traces, targets)
+
     def test_weighted_targets_scale_gradients(self):
         cfg = GeneratorConfig(n_codes=4, d_code=3, rep_dim=5)
         store = ParamStore(generator_slots(cfg, named_rng(9, "init")))
@@ -405,7 +420,7 @@ class TestSequenceGradients:
         inputs = [cfg.stop_id, 1]
 
         store.zero_grads()
-        traces = store_traces = run_steps(store, cfg, None, x, inputs)
+        traces = store_traces = run_steps(store, cfg, EMPTY, x, inputs)
         sequence_backward(store, cfg, traces, [(1, 2.0), (0, 2.0)])
         doubled = {n: store.grad(n).copy() for n in store.names()}
         store.zero_grads()
@@ -421,16 +436,16 @@ class TestSequenceGradients:
         targets = [(2, 1.0), (cfg.stop_id, 1.0)]
 
         store.zero_grads()
-        traces = run_steps(store, cfg, None, x, inputs)
+        traces = run_steps(store, cfg, EMPTY, x, inputs)
         dx = sequence_backward(store, cfg, traces, targets)
         eps = 1e-6
         for i in range(cfg.rep_dim):
             xp = x.copy()
             xp[i] += eps
-            up = path_loss(run_steps(store, cfg, None, xp, inputs), targets)
+            up = path_loss(run_steps(store, cfg, EMPTY, xp, inputs), targets)
             xm = x.copy()
             xm[i] -= eps
-            dn = path_loss(run_steps(store, cfg, None, xm, inputs), targets)
+            dn = path_loss(run_steps(store, cfg, EMPTY, xm, inputs), targets)
             assert dx[i] == pytest.approx((up - dn) / (2 * eps), abs=1e-5)
 
 
