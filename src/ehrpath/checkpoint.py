@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import atomic_write
 from .errors import DataError
 
-MAGIC = b"CRNNET-CKPT-2"
+MAGIC = b"CRNNET-CKPT-3"
 BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 

@@ -208,9 +208,9 @@ def _report(records, bundle, out: str | None) -> int:
 def cmd_eval(args) -> int:
     _require_dir(args.corpus, "corpus")
     _require_dir(args.out, "output")
-    bundle = load_corpus_dir(args.corpus)
     if not args.checkpoint:  # argparse does not require it: a --config file may supply it
         raise ConfigError("eval needs --checkpoint")
+    bundle = load_corpus_dir(args.corpus)
     stored, slots = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(stored, slots)
     _compat_check(stored, args.corpus)

@@ -352,11 +352,18 @@ def write_table(path: str, table: ComplicationTable) -> None:
             fh.write(f"{a} {b} {table.pairs[(a, b)]!r}\n")
 
 
+def decimal_int(text: str) -> int:
+    """The integer text spells as str(int) writes it; '+1', '01' or ' 1' is a ValueError."""
+    if str(value := int(text)) != text:
+        raise ValueError(f"{text!r} is not an integer in plain decimal text")
+    return value
+
+
 def read_table(path: str, n_codes: int) -> ComplicationTable:
-    """A table file as write_table writes it: a header, if any, whose values
-    pass _check_table_settings, then one line per pair of real codes a < b,
-    each pair once, its odds ratio finite and at least the threshold. A line
-    that breaks a rule is a DataError naming the file and line."""
+    """A table file as write_table writes it: a header, if any, each key once
+    and its values passing _check_table_settings, then one line per pair of
+    real codes a < b, each pair once, its odds ratio finite and >= the
+    threshold, ids by decimal_int. A broken rule is a DataError naming the line."""
     threshold, min_support = OR_THRESHOLD, MIN_SUPPORT
     pairs: dict[tuple[int, int], float] = {}
     try:
@@ -366,17 +373,19 @@ def read_table(path: str, n_codes: int) -> ComplicationTable:
             line = line.strip()
             try:
                 if line.startswith("#"):
-                    header = dict(part.partition("=")[::2] for part in line[1:].split())
+                    parts = [part.partition("=")[::2] for part in line[1:].split()]
+                    if len(header := dict(parts)) < len(parts):
+                        raise ValueError("a header key is given twice")
                     if unknown := sorted(header.keys() - {"threshold", "min_support"}):
                         raise ValueError(f"unknown header keys {unknown}")
                     if pairs:
                         raise ValueError("the header must come before the pairs")
                     threshold = float(header.get("threshold", threshold))
-                    min_support = int(header.get("min_support", min_support))
+                    min_support = decimal_int(header.get("min_support", str(min_support)))
                     _check_table_settings(threshold, min_support, ("threshold", "min_support"))
                 elif line:
                     a, b, orr = line.split()
-                    pair, orr = (int(a), int(b)), float(orr)
+                    pair, orr = (decimal_int(a), decimal_int(b)), float(orr)
                     if not 0 <= pair[0] < pair[1] < n_codes:
                         raise ValueError(f"pair {pair} is not real codes a < b < {n_codes}")
                     if pair in pairs:

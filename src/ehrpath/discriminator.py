@@ -31,7 +31,6 @@ class DiscriminatorConfig(CodeIds):
     d_code: int = 100
     hidden: int = 300
     rep_dim: int = 300
-    candidate_activation: str = "relu"
 
 
 def discriminator_slots(cfg: DiscriminatorConfig, rng: np.random.Generator | None) -> Slots:
@@ -79,7 +78,7 @@ def score_paths(paths: Sequence[tuple[int, ...]], x: np.ndarray, store: ParamSto
         codes = [maximal[r][t] for r in rows]
         states[rows, t + 1], c[rows], cache = lstm_step(
             store, "disc.lstm", states[rows, t], c[rows],
-            store["disc.code_embed"].take(codes, axis=0), cfg.candidate_activation)
+            store["disc.code_embed"].take(codes, axis=0))
         steps.append((rows, codes, cache))
     feats = np.hstack([states[path_of, last + 1], np.repeat(x, [len(p) for p in paths], axis=0)])
     logits = feats.dot(store["disc.reward.W"]) + store["disc.reward.b"][0]
@@ -95,12 +94,11 @@ def reward(paths: Sequence[tuple[int, ...]], x: np.ndarray, store: ParamStore,
 
 
 def discriminator_loss(paths: Sequence[tuple[int, ...]], positive: Sequence[bool],
-                       x: np.ndarray, store: ParamStore, cfg: DiscriminatorConfig,
-                       with_grads: bool = False) -> float:
+                       x: np.ndarray, store: ParamStore, cfg: DiscriminatorConfig) -> float:
     """Mean binary cross-entropy over every prefix of every path, each with
-    its path's label, probabilities clamped to [1e-12, 1 - 1e-12]. With
-    with_grads, accumulates gradients for the scorer parameters only; the
-    document rows are treated as data.
+    its path's label, probabilities clamped to [1e-12, 1 - 1e-12].
+    Accumulates gradients for the scorer parameters only; the document rows
+    are treated as data.
     """
     if not any(paths):
         raise ValueError("empty discriminator batch")
@@ -110,8 +108,6 @@ def discriminator_loss(paths: Sequence[tuple[int, ...]], positive: Sequence[bool
     clamped = np.clip(p, CLAMP, 1.0 - CLAMP)
     scale = 1.0 / len(p)
     total = float(np.where(positive, -np.log(clamped), -np.log(1.0 - clamped)).sum())
-    if not with_grads:
-        return total * scale
     # d(-log p)/dlogit = p - 1 for positives, p for negatives; zero when
     # the clamp is active (the loss is locally constant there)
     dlogit = np.where((CLAMP <= p) & (p <= 1.0 - CLAMP), scale * (p - positive), 0.0)

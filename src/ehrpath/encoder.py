@@ -70,13 +70,14 @@ class EncodeCache:
     gate: np.ndarray               # (B, rep_dim) dropout mask where the ReLU is open, else 0
 
 
-def encode_batch(token_lists, store: ParamStore, cfg: EncoderConfig, train_mode: bool = False,
+def encode_batch(token_lists, store: ParamStore, cfg: EncoderConfig,
                  dropout_rng: np.random.Generator | None = None
                  ) -> tuple[np.ndarray, EncodeCache]:
     """B documents' token ids -> representations (B, rep_dim) plus backward
     cache. Documents shorter than the largest kernel are right-padded with
-    the zero-embedding pad token. Train mode draws one (B, rep_dim) dropout
-    mask from dropout_rng; eval mode is deterministic."""
+    the zero-embedding pad token. Given a dropout_rng (train mode), draws one
+    (B, rep_dim) dropout mask from it; without one, eval mode is
+    deterministic."""
     k_max, nf = max(cfg.kernel_sizes), cfg.n_filters
     docs = [list(tokens) + [PAD_TOKEN] * (k_max - len(tokens)) for tokens in token_lists]
     bounds = np.cumsum([0] + [len(ids) for ids in docs])
@@ -109,9 +110,7 @@ def encode_batch(token_lists, store: ParamStore, cfg: EncoderConfig, train_mode:
 
     # gradient passes where the winning window's ReLU was open (pooled value > 0)
     gate = (pooled > 0.0).astype(float)
-    if train_mode and cfg.dropout > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train-mode encoding needs a dropout rng")
+    if dropout_rng is not None and cfg.dropout > 0.0:
         mask = (dropout_rng.random(pooled.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
         return pooled * mask, EncodeCache(padded, chunks, starts, gate * mask)
     return pooled, EncodeCache(padded, chunks, starts, gate)
@@ -141,10 +140,10 @@ def encode_batch_backward(dX: np.ndarray, cache: EncodeCache, store: ParamStore,
     demb[PAD_TOKEN] = 0.0  # pad embedding is pinned at zero
 
 
-def encode_ehr(tokens, store: ParamStore, cfg: EncoderConfig, train_mode: bool = False,
+def encode_ehr(tokens, store: ParamStore, cfg: EncoderConfig,
                dropout_rng: np.random.Generator | None = None) -> tuple[np.ndarray, EncodeCache]:
     """One document as a batch of one: representation (rep_dim,) plus cache."""
-    x, cache = encode_batch([tokens], store, cfg, train_mode, dropout_rng)
+    x, cache = encode_batch([tokens], store, cfg, dropout_rng)
     return x[0], cache
 
 

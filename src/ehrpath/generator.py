@@ -36,8 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CodeIds, ComplicationTable
-from .lstm import (CANDIDATE_ACTIVATIONS, LstmCache, lstm_slots, lstm_step,
-                   lstm_step_backward)
+from .lstm import LstmCache, lstm_slots, lstm_step, lstm_step_backward
 from .numerics import ParamStore, Slots, add_rows, uniform_init
 
 PROB_FLOOR = 1e-12
@@ -48,14 +47,10 @@ class GeneratorConfig(CodeIds):
     n_codes: int                      # real codes; STOP and UNK are appended
     d_code: int = 100
     rep_dim: int = 300
-    candidate_activation: str = "relu"
     no_copy: bool = False
     max_len: int = 8
 
     def validate(self) -> None:
-        if self.candidate_activation not in CANDIDATE_ACTIVATIONS:
-            raise ValueError(f"candidate_activation must be one of {CANDIDATE_ACTIVATIONS}, "
-                             f"got {self.candidate_activation!r}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
@@ -182,8 +177,7 @@ def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
     code_vec = tables.code_vec.take(prev_codes, axis=0)
     fused = np.tanh(x.dot(tables.A.T) + tables.code_part.take(prev_codes, axis=0)
                     + (x * code_vec).dot(tables.M.T))
-    h, c, lstm_cache = lstm_step(store, "gen.lstm", h_prev, c_prev, fused * code_vec,
-                                 cfg.candidate_activation)
+    h, c, lstm_cache = lstm_step(store, "gen.lstm", h_prev, c_prev, fused * code_vec)
     probs, copy_ids, mix_cache = _mixture_forward(h, prev_codes, table, store, cfg, tables)
     return StepTrace(rows, prev_codes, x, fused, lstm_cache, h, c, probs, copy_ids, mix_cache,
                      tables)
@@ -233,7 +227,7 @@ def _concat(records: Sequence):
     """One record holding the rows of several of one dataclass, in order:
     array fields are concatenated, list fields joined, nested records
     likewise; any other field must be equal in all (the tables: one
-    object, the activation), and stays."""
+    object), and stays."""
     parts = {}
     for f in fields(records[0]):
         values = [getattr(r, f.name) for r in records]

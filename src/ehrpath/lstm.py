@@ -4,12 +4,11 @@ Shared by the path decoder and the path scorer. Each cell has one weight
 slot `{prefix}.W` of shape (4H, H + in), acting on the concatenation
 [h_prev, x_in], and one bias slot `{prefix}.b` of shape (4H,); their row
 blocks belong to the forget, input, candidate and output gates, in that
-order. The candidate activation defaults to ReLU with tanh available
-behind a flag. A step takes a batch of rows in lockstep (2-D arrays, one
-row each; one sequence is a batch of one), so all four gates are one GEMM
-over the batch. The forward product uses `ndarray.dot`, which gives the
-same result as `@` with less fixed cost per call; greedy decoding steps
-one row at a time, where that cost shows.
+order. The candidate activation is ReLU. A step takes a batch of rows in
+lockstep (2-D arrays, one row each; one sequence is a batch of one), so
+all four gates are one GEMM over the batch. The forward product uses
+`ndarray.dot`, which gives the same result as `@` with less fixed cost per
+call; greedy decoding steps one row at a time, where that cost shows.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import numpy as np
 from scipy.special import expit
 
 from .numerics import ParamStore, Slots, uniform_init
-
-CANDIDATE_ACTIVATIONS = ("relu", "tanh")
 
 
 def lstm_slots(prefix: str, input_dim: int, hidden: int, rng: np.random.Generator | None) -> Slots:
@@ -43,31 +40,25 @@ class LstmCache:
     o: np.ndarray
     c_prev: np.ndarray
     tau: np.ndarray      # tanh(c)
-    activation: str
 
 
 def lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_prev: np.ndarray,
-              x_in: np.ndarray, activation: str = "relu") -> tuple[np.ndarray, np.ndarray, LstmCache]:
+              x_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, LstmCache]:
     """(h_prev, c_prev, x_in) -> (h, c, cache), each (rows, .).
 
-    f, i, o are sigmoid gates over [h_prev, x_in]; the candidate uses
-    `activation`; c = f*c_prev + i*candidate; h = o*tanh(c).
+    f, i, o are sigmoid gates and the candidate a ReLU, all over
+    [h_prev, x_in]; c = f*c_prev + i*candidate; h = o*tanh(c).
     """
     hidden = h_prev.shape[1]
     z = np.concatenate([h_prev, x_in], axis=1)
     a = z.dot(store[f"{prefix}.W"].T) + store[f"{prefix}.b"]
     f, i, g_pre, o = (a[:, k * hidden:(k + 1) * hidden] for k in range(4))
     f, i, o = expit(f), expit(i), expit(o)
-    if activation == "relu":
-        g = np.maximum(g_pre, 0.0)
-    elif activation == "tanh":
-        g = np.tanh(g_pre)
-    else:
-        raise ValueError(f"unknown candidate activation {activation!r}")
+    g = np.maximum(g_pre, 0.0)
     c = f * c_prev + i * g
     tau = np.tanh(c)
     h = o * tau
-    return h, c, LstmCache(z, f, i, g_pre, g, o, c_prev, tau, activation)
+    return h, c, LstmCache(z, f, i, g_pre, g, o, c_prev, tau)
 
 
 def lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray, dc_in: np.ndarray,
@@ -81,12 +72,8 @@ def lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray, dc_in: np
     di = dc * cache.g
     dg = dc * cache.i
     dc_prev = dc * cache.f
-    if cache.activation == "relu":
-        da_g = dg * (cache.g_pre > 0.0)
-    else:
-        da_g = dg * (1.0 - cache.g ** 2)
-    da = np.concatenate([df * cache.f * (1.0 - cache.f), di * cache.i * (1.0 - cache.i), da_g,
-                         do * cache.o * (1.0 - cache.o)], axis=1)
+    da = np.concatenate([df * cache.f * (1.0 - cache.f), di * cache.i * (1.0 - cache.i),
+                         dg * (cache.g_pre > 0.0), do * cache.o * (1.0 - cache.o)], axis=1)
     store.add_outer(f"{prefix}.W", da, cache.z)
     store.grad(f"{prefix}.b")[:] += da.sum(axis=0)
     dz = da @ store[f"{prefix}.W"]

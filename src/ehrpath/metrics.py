@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ComplicationTable, CorpusBundle, atomic_write, id_list
+from .corpus import ComplicationTable, CorpusBundle, atomic_write, decimal_int, id_list
 from .errors import DataError
 
 REPORT_KEYS = ("jaccard", "complication",
@@ -197,15 +197,14 @@ def read_predictions(path: str, bundle: CorpusBundle) -> list[PredictionRecord]:
             rec = json.loads(line)
             if type(rec["doc"]) is not int:
                 raise ValueError(f"'doc' must be one JSON integer, got {rec['doc']!r}")
-            scores = rec.get("scores", {})
-            if any(type(v) not in (int, float) or str(int(k)) != k for k, v in scores.items()):
-                raise ValueError("'scores' must map code ids, as decimal text, to JSON numbers, "
-                                 f"got {scores!r:.60}")
+            scores = {decimal_int(k): v for k, v in rec.get("scores", {}).items()}
+            if any(type(v) not in (int, float) for v in scores.values()):
+                raise ValueError(f"'scores' must map code ids to JSON numbers, got {scores!r:.60}")
             record = PredictionRecord(
                 rec["doc"],
                 frozenset(id_list(rec["pred"], "'pred'")),
                 frozenset(id_list(rec["gold"], "'gold'")),
-                {int(k): float(v) for k, v in scores.items()},
+                {k: float(v) for k, v in scores.items()},
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise DataError(f"bad prediction file {path}, line {ln}: {exc}") from exc

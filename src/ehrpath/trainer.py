@@ -37,7 +37,6 @@ from .generator import (DecodedPath, GeneratorConfig, StepTrace, batch_backward,
 # lines on tracing.py in CHANGES.md); drop them together with those swaps
 from .encoder import encode_backward, encode_ehr  # noqa: F401
 from .generator import path_loss, run_steps, sequence_backward  # noqa: F401
-from .lstm import CANDIDATE_ACTIVATIONS
 from .metrics import PredictionRecord, metric_table
 from .numerics import ParamStore, adam_step, named_rng
 
@@ -59,7 +58,6 @@ class TrainConfig:
     no_arl: bool = False
     supervised_weight: float = 1.0   # weight of the aligned loss inside adversarial updates
     clip_norm: float = 5.0
-    candidate_activation: str = "relu"
     dropout: float = 0.5
     # model sizes; defaults are the published configuration, shrink for desk runs
     d_embed: int = 100
@@ -81,9 +79,7 @@ class TrainConfig:
                  lambda v: v >= 1),
                 (("learning_rate", "clip_norm"), "finite and > 0", lambda v: 0 < v < np.inf),
                 (("supervised_weight",), "finite and >= 0", lambda v: 0 <= v < np.inf),
-                (("dropout",), "in [0, 1)", lambda v: 0 <= v < 1),
-                (("candidate_activation",), "one of " + "|".join(CANDIDATE_ACTIVATIONS),
-                 lambda v: v in CANDIDATE_ACTIVATIONS)):
+                (("dropout",), "in [0, 1)", lambda v: 0 <= v < 1)):
             for name in names:
                 if not ok(getattr(self, name)):
                     flag = TRAIN_FLAG_NAMES.get(name, name).replace("_", "-")
@@ -138,8 +134,7 @@ def _new_model(enc_cfg: EncoderConfig, gen_cfg: GeneratorConfig, has_discriminat
                   ParamStore(encoder_slots(enc_cfg, rng) + generator_slots(gen_cfg, rng)))
     if has_discriminator:
         model.disc_cfg = DiscriminatorConfig(n_codes=gen_cfg.n_codes, d_code=gen_cfg.d_code,
-                                             hidden=enc_cfg.rep_dim, rep_dim=enc_cfg.rep_dim,
-                                             candidate_activation=gen_cfg.candidate_activation)
+                                             hidden=enc_cfg.rep_dim, rep_dim=enc_cfg.rep_dim)
         model.disc_store = ParamStore(discriminator_slots(model.disc_cfg, rng))
     return model
 
@@ -151,9 +146,8 @@ def build_model(bundle: CorpusBundle, cfg: TrainConfig) -> Model:
                             kernel_sizes=cfg.kernel_sizes, n_filters=cfg.n_filters,
                             dropout=cfg.dropout)
     gen_cfg = GeneratorConfig(n_codes=bundle.codes.num_real, d_code=cfg.d_code,
-                              rep_dim=enc_cfg.rep_dim,
-                              candidate_activation=cfg.candidate_activation,
-                              no_copy=cfg.no_copy, max_len=cfg.max_len)
+                              rep_dim=enc_cfg.rep_dim, no_copy=cfg.no_copy,
+                              max_len=cfg.max_len)
     return _new_model(enc_cfg, gen_cfg, not cfg.no_arl, named_rng(cfg.seed, "init"))
 
 
@@ -186,8 +180,7 @@ def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: Complica
     label, so every content step is supervised, and the surplus step right
     after them is supervised toward STOP."""
     store, gen_cfg = model.gen_store, model.gen_cfg
-    x, enc_cache = encode_batch([doc.tokens for doc in batch], store, model.enc_cfg,
-                                train_mode=True, dropout_rng=dropout_rng)
+    x, enc_cache = encode_batch([doc.tokens for doc in batch], store, model.enc_cfg, dropout_rng)
     golds = [sorted(doc.gold_codes) for doc in batch]
     inputs = [[gen_cfg.stop_id] + gold[:gen_cfg.max_len - 1] for gold in golds]
     steps = run_batch(store, gen_cfg, table, x, inputs)
@@ -252,7 +245,7 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         model.disc_store.zero_grads()
         disc_loss = discriminator_loss(scored, [True, False] * len(batch),
                                        np.repeat(fwd.x, 2, axis=0), model.disc_store,
-                                       model.disc_cfg, with_grads=True)
+                                       model.disc_cfg)
         model.disc_store.clip_grads(cfg.clip_norm)
         adam_step(model.disc_store, cfg.learning_rate)
 

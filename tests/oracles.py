@@ -59,10 +59,11 @@ class DocumentEncodeCache:
     dropout_mask: np.ndarray | None
 
 
-def document_encode(tokens, store: ParamStore, cfg: EncoderConfig, train_mode: bool = False,
+def document_encode(tokens, store: ParamStore, cfg: EncoderConfig,
                     dropout_rng: np.random.Generator | None = None
                     ) -> tuple[np.ndarray, DocumentEncodeCache]:
-    """Document token ids -> representation (rep_dim,) plus backward cache."""
+    """Document token ids -> representation (rep_dim,) plus backward cache;
+    a dropout_rng means train mode."""
     ids = list(tokens)
     k_max = max(cfg.kernel_sizes)
     if len(ids) < k_max:
@@ -87,7 +88,7 @@ def document_encode(tokens, store: ParamStore, cfg: EncoderConfig, train_mode: b
     x = np.concatenate(parts)
 
     mask = None
-    if train_mode and cfg.dropout > 0.0:
+    if dropout_rng is not None and cfg.dropout > 0.0:
         mask = (dropout_rng.random(cfg.rep_dim) >= cfg.dropout) / (1.0 - cfg.dropout)
         x = x * mask
     return x, DocumentEncodeCache(padded, windows, pooled, argmax, mask)
@@ -174,8 +175,7 @@ def aligned_losses(fwd) -> list[float]:
 def step_row(record, b: int):
     """Row b of a lockstep step as a one-row step, the inverse of
     ehrpath.generator._concat: every array and list field is sliced to row
-    b, nested records likewise; any other field (the tables, the
-    activation) stays."""
+    b, nested records likewise; any other field (the tables) stays."""
     parts = {}
     for f in fields(record):
         value = getattr(record, f.name)
@@ -262,29 +262,22 @@ def four_gate_lstm_slots(prefix: str, input_dim: int, hidden: int,
 
 
 def four_gate_lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_prev: np.ndarray,
-                        x_in: np.ndarray, activation: str = "relu",
-                        ) -> tuple[np.ndarray, np.ndarray, LstmCache]:
+                        x_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, LstmCache]:
     """(h_prev, c_prev, x_in) -> (h, c, cache), each (rows, .).
 
-    f, i, o are sigmoid gates over [h_prev, x_in]; the candidate uses
-    `activation`; c = f*c_prev + i*candidate; h = o*tanh(c).
+    f, i, o are sigmoid gates and the candidate a ReLU, all over
+    [h_prev, x_in]; c = f*c_prev + i*candidate; h = o*tanh(c).
     """
     z = np.concatenate([h_prev, x_in], axis=1)
     f = expit(z.dot(store[f"{prefix}.Wf"].T) + store[f"{prefix}.bf"])
     i = expit(z.dot(store[f"{prefix}.Wi"].T) + store[f"{prefix}.bi"])
     g_pre = z.dot(store[f"{prefix}.Wc"].T) + store[f"{prefix}.bc"]
-    if activation == "relu":
-        g = np.maximum(g_pre, 0.0)
-    elif activation == "tanh":
-        g = np.tanh(g_pre)
-    else:
-        raise ValueError(f"unknown candidate activation {activation!r}")
+    g = np.maximum(g_pre, 0.0)
     o = expit(z.dot(store[f"{prefix}.Wo"].T) + store[f"{prefix}.bo"])
     c = f * c_prev + i * g
     tau = np.tanh(c)
     h = o * tau
-    return h, c, LstmCache(z=z, f=f, i=i, g_pre=g_pre, g=g, o=o, c_prev=c_prev, tau=tau,
-                           activation=activation)
+    return h, c, LstmCache(z=z, f=f, i=i, g_pre=g_pre, g=g, o=o, c_prev=c_prev, tau=tau)
 
 
 def four_gate_lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray,
@@ -303,10 +296,7 @@ def four_gate_lstm_step_backward(store: ParamStore, prefix: str, dh: np.ndarray,
     da_f = df * cache.f * (1.0 - cache.f)
     da_i = di * cache.i * (1.0 - cache.i)
     da_o = do * cache.o * (1.0 - cache.o)
-    if cache.activation == "relu":
-        da_g = dg * (cache.g_pre > 0.0)
-    else:
-        da_g = dg * (1.0 - cache.g ** 2)
+    da_g = dg * (cache.g_pre > 0.0)
 
     dz = np.zeros_like(cache.z)
     for gate, da in (("f", da_f), ("i", da_i), ("c", da_g), ("o", da_o)):
@@ -331,8 +321,7 @@ def encode_path(prefix: Sequence[int], store: ParamStore,
     c = np.zeros((1, cfg.hidden))
     caches = []
     for code in prefix:
-        h, c, cache = lstm_step(store, "disc.lstm", h, c, store["disc.code_embed"][[code]],
-                                cfg.candidate_activation)
+        h, c, cache = lstm_step(store, "disc.lstm", h, c, store["disc.code_embed"][[code]])
         caches.append(cache)
     return h[0], caches
 
@@ -346,12 +335,11 @@ def reward(prefix: Sequence[int], x: np.ndarray, store: ParamStore,
 
 
 def discriminator_loss(paths: Sequence[Sequence[int]], positive: Sequence[bool], x: np.ndarray,
-                       store: ParamStore, cfg: DiscriminatorConfig,
-                       with_grads: bool = False) -> float:
+                       store: ParamStore, cfg: DiscriminatorConfig) -> float:
     """Mean binary cross-entropy over every prefix of every path, each with
     its path's label and document row, probabilities clamped to
-    [1e-12, 1 - 1e-12]. With with_grads, accumulates gradients for the
-    scorer parameters only; the document rows are treated as data.
+    [1e-12, 1 - 1e-12]. Accumulates gradients for the scorer parameters
+    only; the document rows are treated as data.
     """
     prefixes = [(tuple(path[:k]), label, row) for path, label, row in zip(paths, positive, x)
                 for k in range(1, len(path) + 1)]
@@ -366,8 +354,6 @@ def discriminator_loss(paths: Sequence[Sequence[int]], positive: Sequence[bool],
         p = float(expit(float(w @ feats + store["disc.reward.b"][0])))
         clamped = min(max(p, CLAMP), 1.0 - CLAMP)
         total += -np.log(clamped) if label else -np.log(1.0 - clamped)
-        if not with_grads:
-            continue
         # d(-log p)/dlogit = p - 1 for positives, p for negatives; zero when
         # the clamp is active (the loss is locally constant there)
         if CLAMP <= p <= 1.0 - CLAMP:

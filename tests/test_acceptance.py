@@ -134,7 +134,7 @@ def test_criterion_1_gradient_correctness():
         return discriminator_loss(batch, positive, rows, s, disc_cfg)
 
     disc.zero_grads()
-    discriminator_loss(batch, positive, rows, disc, disc_cfg, with_grads=True)
+    discriminator_loss(batch, positive, rows, disc, disc_cfg)
     analytic3 = {n: disc.grad(n).copy() for n in disc.names()}
     err_disc = finite_diff_check(disc_fn, disc, analytic3, eps=1e-5, num_samples=120,
                                  rng=np.random.default_rng(2))
@@ -341,7 +341,7 @@ def test_criterion_7_adversarial_sanity():
     losses = []
     for _ in range(200):
         disc.zero_grads()
-        losses.append(discriminator_loss(paths, positive, rows, disc, disc_cfg, with_grads=True))
+        losses.append(discriminator_loss(paths, positive, rows, disc, disc_cfg))
         adam_step(disc, learning_rate)
     fell_below = next((i for i, v in enumerate(losses) if v < math.log(2.0)), None)
     converged = losses[-1] < math.log(2.0) and losses[-1] < losses[0]

@@ -31,7 +31,7 @@ class TestCheckpointFile:
     def test_header_is_versioned(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), {}, sample_slots())
-        assert path.read_bytes().startswith(b"CRNNET-CKPT-2\n")
+        assert path.read_bytes().startswith(b"CRNNET-CKPT-3\n")
 
     def test_same_inputs_identical_bytes(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -212,8 +212,7 @@ class TestTrainCommand:
             ("--epochs", 200), ("--pretrain-epochs", 10), ("--batch-size", 32),
             ("--lr", 1e-4), ("--max-len", 8), ("--seed", 0), ("--no-copy", False),
             ("--no-arl", False), ("--supervised-weight", 1.0), ("--clip-norm", 5.0),
-            ("--candidate-activation", "relu"), ("--dropout", 0.5), ("--d-embed", 100),
-            ("--d-code", 100), ("--n-filters", 100),
+            ("--dropout", 0.5), ("--d-embed", 100), ("--d-code", 100), ("--n-filters", 100),
         ]
 
     def test_malformed_flag_value_exits_2(self, tmp_path):
@@ -238,8 +237,8 @@ class TestTrainCommand:
         ("--supervised-weight", "nan"), ("--supervised-weight", "-1"),
         ("--supervised-weight", "inf"), ("--d-embed", "0"), ("--d-code", "0"),
         ("--n-filters", "0"), ("--lr", "inf"), ("--lr", "nan"), ("--lr", "0"),
-        ("--dropout", "1"), ("--dropout", "nan"), ("--candidate-activation", "bogus"),
-        ("--seed", "-1"), ("--epochs", "1.5"), ("--batch-size", "x")])
+        ("--dropout", "1"), ("--dropout", "nan"), ("--seed", "-1"), ("--epochs", "1.5"),
+        ("--batch-size", "x")])
     def test_out_of_range_value_exits_2_naming_flag_before_training(
             self, tmp_path, capsys, monkeypatch, flag, value):
         corpus = gen_corpus(tmp_path)
@@ -256,7 +255,7 @@ class TestTrainCommand:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,message", [
-        ("candidate_activation=bogus", "--candidate-activation must be one of relu|tanh"),
+        ("dropout=1", "--dropout must be in [0, 1), got 1.0"),
         ("clip_norm=big", "--clip-norm: cannot read 'big' as float"),
         ("no_arl=ture", "--no-arl: cannot read 'ture' as bool")],
         ids=["out-of-range", "malformed", "misspelled-bool"])
@@ -421,12 +420,13 @@ class TestEvalCommand:
         assert self._eval(corpus, ckpt, tmp_path) == 3
         assert "digest" in capsys.readouterr().err
 
-    def test_older_format_exits_3_naming_its_version(self, tmp_path, capsys):
+    @pytest.mark.parametrize("magic", ["CRNNET-CKPT-1", "CRNNET-CKPT-2"])
+    def test_older_format_exits_3_naming_its_version(self, tmp_path, capsys, magic):
         corpus, ckpt = self._train(tmp_path)
         _magic, rest = ckpt.read_bytes().split(b"\n", 1)
-        ckpt.write_bytes(b"CRNNET-CKPT-1\n" + rest)
+        ckpt.write_bytes(magic.encode() + b"\n" + rest)
         assert self._eval(corpus, ckpt, tmp_path) == 3
-        assert "CRNNET-CKPT-1" in capsys.readouterr().err
+        assert magic in capsys.readouterr().err
 
     def test_edited_complication_table_exits_4_naming_it(self, tmp_path, capsys):
         # same code and token dictionaries, so every size still agrees
@@ -456,8 +456,7 @@ class TestEvalCommand:
         assert rc == 3
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("candidate_activation", "foo"), ("max_len", "0")],
-                             ids=["unknown-activation", "zero-max-len"])
+    @pytest.mark.parametrize("key, value", [("max_len", "0")], ids=["zero-max-len"])
     def test_unrunnable_config_value_exits_3_naming_key(self, tmp_path, capsys, key, value):
         # values that parse but cannot build a working model
         corpus, ckpt = self._train(tmp_path)
@@ -508,8 +507,13 @@ class TestEvalCommand:
         assert "--split must be one of train|test|validation" in capsys.readouterr().err
         assert not (out / "predictions.jsonl").exists()
 
-    def test_eval_without_checkpoint_or_predictions_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("bad_corpus_line", [False, True],
+                             ids=["good-corpus", "bad-corpus-line"])
+    def test_eval_without_checkpoint_or_predictions_exits_2(self, tmp_path, bad_corpus_line):
+        # the missing checkpoint is found before the corpus is read
         corpus = gen_corpus(tmp_path)
+        if bad_corpus_line:
+            edit_corpus_line(corpus, "codes", "12")
         out = tmp_path / "eval"
         out.mkdir()
         rc = main(["eval", "--corpus", str(corpus), "--out", str(out)])
@@ -660,9 +664,10 @@ def perfect_predictions(corpus, tmp_path):
 
 
 class TestStrictTable:
-    """A complication table's header passes the rule of build-table's flags,
-    and each pair is listed once, with an odds ratio that is finite and at
-    least the header's threshold. Each edit below used to load; each must
+    """A complication table's header gives each key once and passes the rule
+    of build-table's flags, each pair is listed once, with an odds ratio that
+    is finite and at least the header's threshold, and every integer is
+    written as str(int) writes it. Each edit below used to load; each must
     end with exit 3 and a message naming the file, the line and the fault.
     gen-data's table here is the header and the pairs 0 1 and 2 3."""
 
@@ -679,6 +684,13 @@ class TestStrictTable:
         "or-below-threshold": (2, "odds ratio -3.0", lambda t: t.__setitem__(1, "0 1 -3.0")),
         "pair-twice": (4, "listed twice", lambda t: t.append("0 1 99.0")),
         "header-after-pairs": (4, "before the pairs", lambda t: t.append(t[0])),
+        # every integer as str(int) writes it, each header key once
+        "pair-signed-padded-ids": (2, "'+0' is not an integer in plain decimal",
+                                   lambda t: t.__setitem__(1, "+0 01 301.0")),
+        "header-padded-support": (1, "'05' is not an integer in plain decimal",
+                                  lambda t: t.__setitem__(0, "# threshold=2.0 min_support=05")),
+        "header-key-twice": (1, "a header key is given twice", lambda t: t.__setitem__(
+            0, "# threshold=2.0 min_support=5 threshold=3.0")),
     }
 
     @pytest.mark.parametrize("case", sorted(TABLE_EDITS))

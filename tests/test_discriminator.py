@@ -145,12 +145,11 @@ class TestLockstepMatchesOracle:
         assert np.flatnonzero(clamped).tolist() == [len(flat) - 2, len(flat) - 1]
 
         store.zero_grads()
-        loss = discriminator_loss(self.PATHS, self.POSITIVE, x, store, CFG, with_grads=True)
+        loss = discriminator_loss(self.PATHS, self.POSITIVE, x, store, CFG)
         grads = {name: store.grad(name).copy() for name in store.names()}
         store.zero_grads()
         assert loss == pytest.approx(
-            oracles.discriminator_loss(self.PATHS, self.POSITIVE, x, store, CFG,
-                                       with_grads=True),
+            oracles.discriminator_loss(self.PATHS, self.POSITIVE, x, store, CFG),
             rel=0.0, abs=1e-12)
         for name in store.names():
             assert np.abs(grads[name]).max() > 1e-4, name
@@ -169,12 +168,11 @@ class TestLockstepMatchesOracle:
 
         batch = [gold[0], (), gold[1], ()]
         store.zero_grads()
-        loss = discriminator_loss(batch, [True, False] * 2, np.repeat(x, 2, axis=0), store, CFG,
-                                  with_grads=True)
+        loss = discriminator_loss(batch, [True, False] * 2, np.repeat(x, 2, axis=0), store, CFG)
         grads = {name: store.grad(name).copy() for name in store.names()}
         store.zero_grads()
         assert loss == pytest.approx(
-            oracles.discriminator_loss(gold, [True, True], x, store, CFG, with_grads=True),
+            oracles.discriminator_loss(gold, [True, True], x, store, CFG),
             rel=0.0, abs=1e-12)
         for name in store.names():
             np.testing.assert_allclose(grads[name], store.grad(name), rtol=0.0, atol=1e-12,
@@ -233,7 +231,7 @@ class TestLoss:
             return discriminator_loss(batch, positive, x, s, CFG)
 
         store.zero_grads()
-        discriminator_loss(batch, positive, x, store, CFG, with_grads=True)
+        discriminator_loss(batch, positive, x, store, CFG)
         analytic = {n: store.grad(n).copy() for n in store.names()}
         err = finite_diff_check(f, store, analytic, eps=1e-5, num_samples=250,
                                 rng=np.random.default_rng(4))
@@ -258,6 +256,6 @@ class TestLoss:
         losses = []
         for _ in range(200):
             store.zero_grads()
-            losses.append(discriminator_loss(batch, positive, x, store, cfg, with_grads=True))
+            losses.append(discriminator_loss(batch, positive, x, store, cfg))
             adam_step(store, 1e-2)
         assert losses[-1] < 0.3

@@ -126,25 +126,18 @@ class TestEncode:
         store = small_store()
         tokens = [3, 9, 1, 7]
         x_eval, _ = encode_ehr(tokens, store, SMALL)
-        a, _ = encode_ehr(tokens, store, SMALL, train_mode=True,
-                          dropout_rng=np.random.default_rng(42))
-        b, _ = encode_ehr(tokens, store, SMALL, train_mode=True,
-                          dropout_rng=np.random.default_rng(42))
+        a, _ = encode_ehr(tokens, store, SMALL, dropout_rng=np.random.default_rng(42))
+        b, _ = encode_ehr(tokens, store, SMALL, dropout_rng=np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
         # inverted dropout is unbiased: the mask average approaches eval output
         rng = np.random.default_rng(7)
         acc = np.zeros_like(x_eval)
         n = 10000
         for _ in range(n):
-            xt, _ = encode_ehr(tokens, store, SMALL, train_mode=True, dropout_rng=rng)
+            xt, _ = encode_ehr(tokens, store, SMALL, dropout_rng=rng)
             acc += xt
         scale = np.linalg.norm(acc / n - x_eval) / max(np.linalg.norm(x_eval), 1e-12)
         assert scale < 0.02
-
-    def test_train_mode_without_rng_rejected(self):
-        store = small_store()
-        with pytest.raises(ValueError):
-            encode_ehr([3, 4], store, SMALL, train_mode=True)
 
 
 class TestEncoderGradients:
@@ -175,13 +168,11 @@ class TestEncoderGradients:
         weights = named_rng(5, "probe").normal(size=cfg.rep_dim)
 
         def f(s):
-            x, _ = encode_ehr(tokens, s, cfg, train_mode=True,
-                              dropout_rng=np.random.default_rng(9))
+            x, _ = encode_ehr(tokens, s, cfg, dropout_rng=np.random.default_rng(9))
             return float(weights @ x)
 
         store.zero_grads()
-        _, cache = encode_ehr(tokens, store, cfg, train_mode=True,
-                              dropout_rng=np.random.default_rng(9))
+        _, cache = encode_ehr(tokens, store, cfg, dropout_rng=np.random.default_rng(9))
         encode_backward(weights, cache, store, cfg)
         analytic = {n: store.grad(n).copy() for n in store.names()}
         err = finite_diff_check(f, store, analytic, eps=1e-6, num_samples=100,
@@ -212,13 +203,13 @@ class TestBatchMatchesDocumentOracle:
         docs = [rng.integers(1, cfg.vocab_size, size=n).tolist() for n in lengths]
         upstream = rng.normal(size=(len(docs), cfg.rep_dim))
 
-        X, cache = encode_batch(docs, store, cfg, train_mode, np.random.default_rng(9))
+        X, cache = encode_batch(docs, store, cfg, np.random.default_rng(9) if train_mode else None)
         store.zero_grads()
         encode_batch_backward(upstream, cache, store, cfg)
         batch_grads = {n: store.grad(n).copy() for n in store.names()}
 
-        doc_rng = np.random.default_rng(9)  # one draw per document, in order
-        encoded = [document_encode(d, store, cfg, train_mode, doc_rng) for d in docs]
+        doc_rng = np.random.default_rng(9) if train_mode else None  # one draw per document
+        encoded = [document_encode(d, store, cfg, doc_rng) for d in docs]
         store.zero_grads()
         for dx, (_, doc_cache) in zip(upstream, encoded):
             document_encode_backward(dx, doc_cache, store, cfg)
@@ -252,7 +243,7 @@ class TestBatchMatchesDocumentOracle:
         monkeypatch.setattr(encoder, "ROW_BUDGET", 16)
         docs = [[1, 2, 3, 4, 5, 6], [7, 8, 9], list(range(10, 21)), [5, 4, 3, 2, 1, 9, 8, 7]]
         store = small_store(3, self.CFG)
-        X_train, _ = encode_batch(docs, store, self.CFG, True, np.random.default_rng(9))
+        X_train, _ = encode_batch(docs, store, self.CFG, np.random.default_rng(9))
         X_eval, _ = encode_batch(docs, store, self.CFG)
         draws = np.random.default_rng(9)
         per_doc = [(draws.random(self.CFG.rep_dim) >= 0.4) / 0.6 for _ in docs]
@@ -274,11 +265,11 @@ class TestBatchMatchesDocumentOracle:
         weights = named_rng(7, "probe").normal(size=(len(docs), cfg.rep_dim))
 
         def f(s):
-            X, _ = encode_batch(docs, s, cfg, True, np.random.default_rng(11))
+            X, _ = encode_batch(docs, s, cfg, np.random.default_rng(11))
             return float(np.sum(weights * X))
 
         store.zero_grads()
-        _, cache = encode_batch(docs, store, cfg, True, np.random.default_rng(11))
+        _, cache = encode_batch(docs, store, cfg, np.random.default_rng(11))
         encode_batch_backward(weights, cache, store, cfg)
         analytic = {n: store.grad(n).copy() for n in store.names()}
         err = finite_diff_check(f, store, analytic, eps=1e-6, num_samples=200,

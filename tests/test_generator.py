@@ -119,13 +119,6 @@ class TestLstmStep:
             assert c[row] == pytest.approx(c_row, rel=1e-12)
             assert h[row] == pytest.approx(o * math.tanh(c_row), rel=1e-12)
 
-    def test_tanh_candidate_flag(self):
-        store = ParamStore(lstm_slots("z", 2, 3, named_rng(3, "init")))
-        store["z.b"][6:9] = -2.0  # the candidate's block
-        _, _, cache = lstm_step(store, "z", np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 2)),
-                                activation="tanh")
-        assert np.all(cache.g < 0.0)  # relu would clamp these to zero
-
 
 class TestFusedLstmMatchesFourGateOracle:
     """The fused cell against the four-gate reference cell in oracles.py,
@@ -143,9 +136,8 @@ class TestFusedLstmMatchesFourGateOracle:
             np.testing.assert_array_equal(fused["z.W"][block], gates[f"z.W{gate}"])
             np.testing.assert_array_equal(fused["z.b"][block], gates[f"z.b{gate}"])
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("rows", [1, 5])
-    def test_step_and_backward_match(self, rows, activation):
+    def test_step_and_backward_match(self, rows):
         hidden, rng = self.HIDDEN, named_rng(6, "x")
         # unit-scale weights, so that every gate leaves its linear region and
         # the ReLU candidate is cut on some rows and units
@@ -156,10 +148,9 @@ class TestFusedLstmMatchesFourGateOracle:
         h_prev, c_prev, dh, dc = rng.normal(size=(4, rows, hidden))
         x = rng.normal(size=(rows, self.D_IN))
 
-        h, c, cache = lstm_step(fused, "z", h_prev, c_prev, x, activation)
-        h_ref, c_ref, cache_ref = four_gate_lstm_step(gates, "z", h_prev, c_prev, x, activation)
-        if activation == "relu":
-            assert 0 < np.sum(cache.g_pre > 0.0) < cache.g_pre.size
+        h, c, cache = lstm_step(fused, "z", h_prev, c_prev, x)
+        h_ref, c_ref, cache_ref = four_gate_lstm_step(gates, "z", h_prev, c_prev, x)
+        assert 0 < np.sum(cache.g_pre > 0.0) < cache.g_pre.size
         np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
         backward = lstm_step_backward(fused, "z", dh, dc, cache)
@@ -367,16 +358,6 @@ class TestStepRow:
             row = step_row(step, b)
             assert row.dist.copy_ids == step.copy_ids[b]
             assert len(row.dist.copy_ids) == count
-
-
-class TestStackSteps:
-    def test_steps_with_differing_settings_rejected(self):
-        store = make_store()
-        x = named_rng(6, "x").normal(size=CFG.rep_dim)
-        _, traces = decode_path_traced(store, replace(CFG, max_len=1), TABLE, x)
-        tanh = replace(traces[0], lstm=replace(traces[0].lstm, activation="tanh"))
-        with pytest.raises(ValueError, match="activation"):
-            stack_steps([traces, [tanh]])
 
 
 class TestSequenceGradients:

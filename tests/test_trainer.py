@@ -400,7 +400,7 @@ class TestCheckpointRoundtrip:
         assert model_config_kv(model, 3) == {
             "vocab_size": "60", "num_codes": "6", "d_embed": "10", "d_code": "8",
             "rep_dim": "12", "kernel_sizes": "2,3", "n_filters": "6", "dropout": "0.2",
-            "candidate_activation": "relu", "no_copy": "0", "max_len": "5",
+            "no_copy": "0", "max_len": "5",
             "has_discriminator": "1", "seed": "3",
         }
 
