@@ -7,8 +7,8 @@ import pytest
 from conftest import tiny_bundle
 from oracles import complication_pairs, synthetic_documents
 from ehrpath.corpus import (ComplicationTable, CorpusBundle, CorpusConfig, EhrDocument,
-                            build_complication_table, filter_top_k, generate_synthetic_corpus,
-                            load_corpus_dir, split_indices, synthetic_bundle, write_corpus_dir)
+                            build_complication_table, decimal_int, filter_top_k,
+                            generate_synthetic_corpus, load_corpus_dir, split_indices, synthetic_bundle, write_corpus_dir)
 from ehrpath.errors import ConfigError, DataError
 from ehrpath.trainer import TrainConfig, build_model
 
@@ -227,6 +227,17 @@ class TestCorpusIo:
         (tmp_path / "corpus.jsonl").write_text(bad + "\n")
         with pytest.raises(DataError):
             load_corpus_dir(str(tmp_path))
+
+
+class TestDecimalInt:
+    def test_plain_decimal_text_is_read(self):
+        for text, value in (("0", 0), ("7", 7), ("301", 301), ("-2", -2)):
+            assert decimal_int(text) == value
+
+    @pytest.mark.parametrize("text", ["+1", "01", "-0", " 1", "1_000", "1.0", ""])
+    def test_other_spellings_rejected(self, text):
+        with pytest.raises(ValueError):
+            decimal_int(text)
 
 
 class TestDocumentInvariants:

@@ -23,9 +23,9 @@ def defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def test_every_top_level_definition_is_referenced_or_exported():
-    trees = {path: ast.parse(path.read_text())
-             for folder in (PACKAGE, ROOT / "benchmarks") for path in sorted(folder.glob("*.py"))}
+def unreferenced(trees: dict[Path, ast.Module]) -> list[str]:
+    """Each top-level name of a tree in PACKAGE that no tree reads, as
+    "file: name", leaving out ehrpath.__all__ and dunders."""
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -35,9 +35,22 @@ def test_every_top_level_definition_is_referenced_or_exported():
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    unreferenced = [f"{path.name}: {name}" for path, tree in trees.items()
-                    if path.parent == PACKAGE for node in tree.body
-                    for name in defined_names(node)
-                    if name not in referenced and name not in ehrpath.__all__
-                    and not (name.startswith("__") and name.endswith("__"))]
-    assert unreferenced == []
+    return [f"{path.name}: {name}" for path, tree in trees.items()
+            if path.parent == PACKAGE for node in tree.body
+            for name in defined_names(node)
+            if name not in referenced and name not in ehrpath.__all__
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_top_level_definition_is_referenced_or_exported():
+    trees = {path: ast.parse(path.read_text())
+             for folder in (PACKAGE, ROOT / "benchmarks") for path in sorted(folder.glob("*.py"))}
+    assert unreferenced(trees) == []
+
+
+def test_an_unread_module_constant_is_reported():
+    trees = {PACKAGE / "lstm.py": ast.parse(
+                 'CANDIDATE_ACTIVATIONS = ("relu", "tanh")\nKEPT: int = 1\n__all__ = []\n'),
+             ROOT / "benchmarks" / "run.py": ast.parse(
+                 "from ehrpath import lstm\nCANDIDATE_ACTIVATIONS = 2\nprint(lstm.KEPT)\n")}
+    assert unreferenced(trees) == ["lstm.py: CANDIDATE_ACTIVATIONS"]
