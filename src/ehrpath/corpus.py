@@ -360,8 +360,8 @@ def decimal_int(text: str) -> int:
 
 
 def read_table(path: str, n_codes: int) -> ComplicationTable:
-    """A table file as write_table writes it: a header, if any, each key once
-    and its values passing _check_table_settings, then one line per pair of
+    """A table file as write_table writes it: a header, if any, on line 1, each
+    key once and its values passing _check_table_settings, then one line per pair of
     real codes a < b, each pair once, its odds ratio finite and >= the
     threshold, ids by decimal_int. A broken rule is a DataError naming the line."""
     threshold, min_support = OR_THRESHOLD, MIN_SUPPORT
@@ -373,13 +373,13 @@ def read_table(path: str, n_codes: int) -> ComplicationTable:
             line = line.strip()
             try:
                 if line.startswith("#"):
+                    if ln > 1:
+                        raise ValueError("a header must be the first line, before the pairs")
                     parts = [part.partition("=")[::2] for part in line[1:].split()]
                     if len(header := dict(parts)) < len(parts):
                         raise ValueError("a header key is given twice")
                     if unknown := sorted(header.keys() - {"threshold", "min_support"}):
                         raise ValueError(f"unknown header keys {unknown}")
-                    if pairs:
-                        raise ValueError("the header must come before the pairs")
                     threshold = float(header.get("threshold", threshold))
                     min_support = decimal_int(header.get("min_support", str(min_support)))
                     _check_table_settings(threshold, min_support, ("threshold", "min_support"))
@@ -410,8 +410,8 @@ def id_list(value, what: str) -> list[int]:
 
 
 def load_corpus_text(corpus_dir: str) -> CorpusBundle:
-    """A corpus directory's documents, dictionaries and splits, checked
-    against each other, with an empty complication table, to build one from."""
+    """A corpus directory's documents, dictionaries (labels non-empty, unique and
+    unpadded) and splits, checked against each other, with an empty table."""
     def _read_lines(name: str) -> list[str]:
         with open(os.path.join(corpus_dir, name)) as fh:
             return [line.rstrip("\n") for line in fh]
@@ -419,6 +419,11 @@ def load_corpus_text(corpus_dir: str) -> CorpusBundle:
     try:
         tokens = TokenDictionary(_read_lines(TOKENS_FILE))
         codes = CodeDictionary(_read_lines(CODES_FILE))
+        for name, labels in ((TOKENS_FILE, tokens.labels), (CODES_FILE, codes.labels)):
+            first = {label: ln for ln, label in reversed(list(enumerate(labels, start=1)))}
+            for ln, label in enumerate(labels, start=1):
+                if not label or label != label.strip() or first[label] < ln:
+                    raise ValueError(f"{name} line {ln}: {label!r} is blank, padded or repeated")
         documents = []
         for ln, line in enumerate(_read_lines(CORPUS_FILE), start=1):
             try:

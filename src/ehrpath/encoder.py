@@ -4,8 +4,8 @@ Embeds token ids, runs one ReLU convolution bank per kernel size, max-pools
 each feature map over the document's own windows, and concatenates the
 pooled values (kernel sizes ascending, filters ascending) into one vector
 per document, with inverted dropout at train time. Per chunk of packed token
-rows and kernel, one GEMM against the filter's stacked offset blocks; the
-backward goes through a selection matrix over the distinct winning windows.
+rows and kernel, k GEMMs, one per filter offset block, accumulate in place in
+the feature map; the backward takes a CSR selection of the winning windows.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
+from scipy.sparse import csr_array
 
 from .corpus import PAD_TOKEN
 from .numerics import ParamStore, Slots, add_rows, uniform_init
@@ -57,8 +59,7 @@ def embed_tokens(tokens, store: ParamStore, cfg: EncoderConfig) -> np.ndarray:
     return store["enc.embed"][ids]
 
 
-# packed token rows encoded together: a desk batch or a few long notes, few
-# enough that a chunk's responses stay in cache
+# packed token rows encoded together: a desk batch or a few long notes, whose maps stay in cache
 ROW_BUDGET = 1024
 
 
@@ -93,19 +94,17 @@ def encode_batch(token_lists, store: ParamStore, cfg: EncoderConfig,
         E = embed_tokens(padded[bounds[first]:bounds[last]], store, cfg)
         doc_rows = bounds[first:last + 1] - bounds[first]
         for j, k in enumerate(cfg.kernel_sizes):
-            W = store[f"enc.conv{k}.W"].reshape(nf, k, -1).transpose(1, 0, 2)
-            responses = E @ W.reshape(k * nf, -1).T  # [r, off * nf + f]: row r, block off
             n_win = len(E) - k + 1
-            fmap = np.full((n_win + 1, nf), -1.0)  # the last row stands for no window
-            fmap[:-1] = store[f"enc.conv{k}.b"]
-            for off in range(k):
-                fmap[:-1] += responses[off:off + n_win, off * nf:(off + 1) * nf]
-            np.maximum(fmap[:-1], 0.0, out=fmap[:-1])
-            counts = np.diff(doc_rows) - k + 1  # each document's own windows, then no-window
-            pos = np.arange(counts.max())
-            rows = np.where(pos < counts[:, None], doc_rows[:-1, None] + pos, n_win)
-            best = doc_rows[:-1, None] + fmap[rows].argmax(axis=1)
-            pooled[first:last, j * nf:(j + 1) * nf] = fmap[best, np.arange(nf)]
+            fmap = np.empty((nf, n_win))  # [f, r]: filter f on the window from row r
+            fmap[:] = store[f"enc.conv{k}.b"][:, None]
+            # in place into fmap.T (F-contiguous): += E[off:off + n_win] @ w.T per offset block w
+            for off, w in enumerate(store[f"enc.conv{k}.W"].reshape(nf, k, -1).swapaxes(0, 1)):
+                dgemm(1.0, E[off:off + n_win].T, w.T, 1.0, fmap.T, trans_a=1, overwrite_c=True)
+            np.maximum(fmap, 0.0, out=fmap)
+            counts = np.diff(doc_rows) - k + 1  # each document's windows, then its last again
+            rows = doc_rows[:-1, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+            best = doc_rows[:-1, None] + np.take(fmap, rows, axis=1).argmax(axis=2).T
+            pooled[first:last, j * nf:(j + 1) * nf] = fmap[np.arange(nf), best]
             starts[first:last, j * nf:(j + 1) * nf] = best + bounds[first]
 
     # gradient passes where the winning window's ReLU was open (pooled value > 0)
@@ -120,23 +119,29 @@ def encode_batch_backward(dX: np.ndarray, cache: EncodeCache, store: ParamStore,
                           cfg: EncoderConfig) -> None:
     """Accumulate encoder gradients for an upstream dX (B, rep_dim)."""
     coef = dX * cache.gate
-    nf, d = cfg.n_filters, cfg.d_embed
-    dE = np.zeros((len(cache.padded_ids), d))  # gradient of every packed token row
+    nf, d, k_max = cfg.n_filters, cfg.d_embed, max(cfg.kernel_sizes)
+    ids = np.append(cache.padded_ids, [PAD_TOKEN] * (k_max - 1))  # room for the widest window
+    dE = np.zeros((len(ids), d))  # gradient of every packed token row
+    W = np.vstack([np.hstack((store[f"enc.conv{k}.W"], np.zeros((nf, (k_max - k) * d))))
+                   for k in cfg.kernel_sizes])  # every kernel's filters, zero past its own k
     for first, last in cache.chunks:
+        c, s = coef[first:last].ravel(), cache.starts[first:last].ravel()
+        hit = np.flatnonzero(c)[np.argsort(s[c != 0], kind="stable")]  # open winners, by window
+        win = s[hit]
+        rows = np.flatnonzero(win != np.concatenate(([-1], win[:-1])))  # where a window starts
+        wins = win[rows]
+        select = csr_array((c[hit], hit % cfg.rep_dim, np.append(rows, len(win))),
+                           shape=(len(wins), cfg.rep_dim))
+        windows = store["enc.embed"][ids[wins[:, None] + np.arange(k_max)]]
+        dW = select.T @ windows.reshape(len(wins), k_max * d)
+        dwin = select @ W
+        for off in range(k_max):
+            dE[wins + off] += dwin[:, off * d:(off + 1) * d]
         for j, k in enumerate(cfg.kernel_sizes):
-            c = coef[first:last, j * nf:(j + 1) * nf]
-            store.grad(f"enc.conv{k}.b")[:] += c.sum(axis=0)
-            doc, f = np.nonzero(c)
-            wins, inv = np.unique(cache.starts[first + doc, j * nf + f], return_inverse=True)
-            select = np.zeros((len(wins), nf))  # one row per distinct winning window
-            select[inv, f] = c[doc, f]
-            windows = store["enc.embed"][cache.padded_ids[wins[:, None] + np.arange(k)]]
-            store.grad(f"enc.conv{k}.W")[:] += select.T @ windows.reshape(len(wins), k * d)
-            dwin = select @ store[f"enc.conv{k}.W"]
-            for off in range(k):
-                dE[wins + off] += dwin[:, off * d:(off + 1) * d]
+            store.grad(f"enc.conv{k}.W")[:] += dW[j * nf:(j + 1) * nf, :k * d]
+            store.grad(f"enc.conv{k}.b")[:] += coef[first:last, j * nf:(j + 1) * nf].sum(axis=0)
     demb = store.grad("enc.embed")
-    add_rows(demb, cache.padded_ids, dE)
+    add_rows(demb, ids, dE)
     demb[PAD_TOKEN] = 0.0  # pad embedding is pinned at zero
 
 

@@ -2,7 +2,7 @@
 vectorized code against."""
 
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -118,6 +118,38 @@ def document_encode_backward(dx: np.ndarray, cache: DocumentEncodeCache, store: 
     demb = store.grad("enc.embed")
     add_rows(demb, cache.padded_ids, dX)
     demb[PAD_TOKEN] = 0.0
+
+
+def per_slot_errors(f: Callable[[ParamStore], float], store: ParamStore,
+                    analytic: Mapping[str, np.ndarray], rng: np.random.Generator,
+                    eps: float = 1e-6, per_slot: int = 16) -> dict[str, float]:
+    """Central differences of f against the analytic gradient of each slot
+    named in `analytic`, on per_slot coordinates of the slot: half of them
+    drawn among its nonzero analytic entries (all of them, if fewer), the
+    rest uniformly within it, so that a gradient dropped to zero is still
+    sampled where the numeric one is not. Returns, per slot, the relative
+    error ||n - a|| / max(||n||, ||a||) over its coordinates, or 0 where
+    both norms are 0."""
+    errors = {}
+    for name, grad in analytic.items():
+        flat = np.asarray(grad).reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        coords = np.concatenate([
+            rng.choice(nonzero, size=min(per_slot // 2, nonzero.size), replace=False),
+            rng.choice(flat.size, size=min(per_slot - per_slot // 2, flat.size), replace=False)])
+        p = store[name].reshape(-1)
+        numeric = np.empty(coords.size)
+        for j, i in enumerate(coords):
+            old = p[i]
+            p[i] = old + eps
+            f_plus = f(store)
+            p[i] = old - eps
+            f_minus = f(store)
+            p[i] = old
+            numeric[j] = (f_plus - f_minus) / (2.0 * eps)
+        scale = max(np.linalg.norm(numeric), np.linalg.norm(flat[coords]))
+        errors[name] = float(np.linalg.norm(numeric - flat[coords]) / scale) if scale else 0.0
+    return errors
 
 
 def adam_update_with_temporaries(params: np.ndarray, grad: np.ndarray, m: np.ndarray,

@@ -131,6 +131,7 @@ def test_criterion_1_gradient_correctness():
     rows = np.stack([x, x2, x, x2])
 
     def disc_fn(s):
+        s.zero_grads()  # the loss accumulates the scorer's gradients: drop each call's
         return discriminator_loss(batch, positive, rows, s, disc_cfg)
 
     disc.zero_grads()

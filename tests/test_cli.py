@@ -647,9 +647,10 @@ class TestReportAndBuildTable:
         assert "bad corpus directory" in capsys.readouterr().err
 
 
-def edit_table_lines(corpus, edit):
-    """Apply edit to the list of complications.txt's lines (header first)."""
-    path = corpus / TABLE_FILE
+def edit_table_lines(corpus, edit, name=TABLE_FILE):
+    """Apply edit to the list of lines of a corpus file, complications.txt's
+    by default (header first)."""
+    path = corpus / name
     lines = path.read_text().splitlines()
     edit(lines)
     path.write_text("".join(line + "\n" for line in lines))
@@ -691,6 +692,9 @@ class TestStrictTable:
                                   lambda t: t.__setitem__(0, "# threshold=2.0 min_support=05")),
         "header-key-twice": (1, "a header key is given twice", lambda t: t.__setitem__(
             0, "# threshold=2.0 min_support=5 threshold=3.0")),
+        # one header, on the first line: a second one used to win
+        "header-twice": (2, "the first line",
+                         lambda t: t.insert(1, "# threshold=1.0 min_support=0")),
     }
 
     @pytest.mark.parametrize("case", sorted(TABLE_EDITS))
@@ -722,6 +726,42 @@ class TestStrictTable:
         assert main(["build-table", "--corpus", str(corpus), "--min-support", "3"]) == 0
         assert (corpus / TABLE_FILE).read_text() == before
         load_corpus_dir(str(corpus))
+
+
+class TestStrictDictionaries:
+    """tokens.txt and codes.txt hold one label per line, the line number
+    less one its id: each label non-empty, unique and without surrounding
+    whitespace. Each edit below used to load, as a dictionary of other
+    size or with two ids of one name; each must end with exit 3 and a
+    message naming the file and the line. gen-data's codes.txt here holds
+    6 labels and tokens.txt 60."""
+
+    # case -> (file, line, edit of its lines)
+    DICTIONARY_EDITS = {
+        "codes-repeated-label": (CODES_FILE, 7, lambda t: t.append(t[1])),
+        "codes-blank-line": (CODES_FILE, 3, lambda t: t.insert(2, "")),
+        "codes-padded-label": (CODES_FILE, 1, lambda t: t.__setitem__(0, t[0] + " ")),
+        "tokens-repeated-label": (TOKENS_FILE, 6, lambda t: t.__setitem__(5, t[4])),
+        "tokens-blank-last-line": (TOKENS_FILE, 61, lambda t: t.append("")),
+        "tokens-padded-label": (TOKENS_FILE, 2, lambda t: t.__setitem__(1, " " + t[1])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DICTIONARY_EDITS))
+    def test_dictionary_edit_exits_3_naming_file_and_line(self, tmp_path, capsys, case):
+        corpus = gen_corpus(tmp_path)
+        name, line, edit = self.DICTIONARY_EDITS[case]
+        edit_table_lines(corpus, edit, name)
+        preds = perfect_predictions(corpus, tmp_path)
+        capsys.readouterr()
+        assert main(["report", "--predictions", str(preds), "--corpus", str(corpus)]) == 3
+        err = capsys.readouterr().err
+        assert f"{name} line {line}:" in err and "blank, padded or repeated" in err, err
+
+    def test_written_dictionaries_read_back_unchanged(self, tmp_path):
+        corpus = gen_corpus(tmp_path)
+        bundle = load_corpus_dir(str(corpus))
+        assert (corpus / CODES_FILE).read_text().splitlines() == bundle.codes.labels
+        assert (corpus / TOKENS_FILE).read_text().splitlines() == bundle.tokens.labels
 
 
 def edit_corpus_line(corpus, key, value):

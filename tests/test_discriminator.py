@@ -228,6 +228,7 @@ class TestLoss:
         batch, positive = [(0, 2), (4, 1, 3)], [True, False]
 
         def f(s):
+            s.zero_grads()  # the loss accumulates the scorer's gradients: drop each call's
             return discriminator_loss(batch, positive, x, s, CFG)
 
         store.zero_grads()

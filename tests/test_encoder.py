@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from ehrpath import encoder
 from ehrpath.encoder import (EncoderConfig, embed_tokens, encode_backward, encode_batch,
                              encode_batch_backward, encode_ehr, encoder_slots)
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
-from oracles import conv_feature_map, document_encode, document_encode_backward, max_pool
+from oracles import (conv_feature_map, document_encode, document_encode_backward, max_pool,
+                     per_slot_errors)
 
 SMALL = EncoderConfig(vocab_size=30, d_embed=6, kernel_sizes=(2, 3), n_filters=4, dropout=0.5)
 
@@ -194,14 +197,15 @@ class TestBatchMatchesDocumentOracle:
     CFG = EncoderConfig(vocab_size=40, d_embed=6, kernel_sizes=(2, 3, 5), n_filters=5,
                         dropout=0.4)
 
-    def check(self, lengths, train_mode=False, seed=0):
-        cfg = self.CFG
+    def check(self, lengths, train_mode=False, seed=0, cfg=CFG, prepare=None):
         store = small_store(seed, cfg)
         rng = np.random.default_rng(seed)
         # unit-scale embeddings, so that most filters' ReLUs are open
         store["enc.embed"][1:] = rng.normal(size=(cfg.vocab_size - 1, cfg.d_embed))
         docs = [rng.integers(1, cfg.vocab_size, size=n).tolist() for n in lengths]
         upstream = rng.normal(size=(len(docs), cfg.rep_dim))
+        if prepare is not None:
+            prepare(store, upstream)
 
         X, cache = encode_batch(docs, store, cfg, np.random.default_rng(9) if train_mode else None)
         store.zero_grads()
@@ -250,6 +254,38 @@ class TestBatchMatchesDocumentOracle:
         np.testing.assert_array_equal(X_train, X_eval * np.stack(per_doc))
         self.check([6, 3, 11, 8], train_mode=True)
 
+    def test_sparse_selection_of_long_notes(self):
+        # three notes of 200-400 tokens: a few hundred winning windows among
+        # about 900 per kernel, so the selection is sparse
+        cache = self.check([231, 389, 302])
+        assert len(np.unique(cache.starts)) < 0.2 * len(cache.padded_ids)
+
+    def test_one_filter(self):
+        self.check([4, 9, 2, 6, 5], cfg=dataclasses.replace(self.CFG, n_filters=1))
+
+    @pytest.mark.parametrize("n_filters", [1, 5])
+    def test_chunk_of_one_document_of_exactly_the_largest_kernel(self, monkeypatch, n_filters):
+        # one window of kernel 5 in the chunk, so its feature map has one row
+        # per filter: the in-place products see their smallest shapes
+        monkeypatch.setattr(encoder, "ROW_BUDGET", 5)
+        cache = self.check([5, 8, 5], cfg=dataclasses.replace(self.CFG, n_filters=n_filters))
+        assert cache.chunks == [(0, 1), (1, 2), (2, 3)]
+
+    def test_kernel_without_an_open_winner(self):
+        def close_kernel_3(store, upstream):
+            store["enc.conv3.b"][:] = -100.0  # every ReLU of kernel 3 stays shut
+
+        self.check([6, 11, 3, 8], prepare=close_kernel_3)
+
+    def test_chunk_without_an_open_winner(self, monkeypatch):
+        monkeypatch.setattr(encoder, "ROW_BUDGET", 16)
+
+        def no_upstream_for_second_chunk(store, upstream):
+            upstream[2:4] = 0.0
+
+        cache = self.check([9, 7, 8, 6, 10], prepare=no_upstream_for_second_chunk)
+        assert (2, 4) in cache.chunks
+
     def test_empty_batch(self):
         X, cache = encode_batch([], small_store(), SMALL)
         assert X.shape == (0, SMALL.rep_dim) and cache.chunks == []
@@ -275,3 +311,45 @@ class TestBatchMatchesDocumentOracle:
         err = finite_diff_check(f, store, analytic, eps=1e-6, num_samples=200,
                                 rng=np.random.default_rng(2))
         assert err < 1e-4
+
+
+class TestPerSlotOracle:
+    """oracles.per_slot_errors on every encoder slot, at desk sizes and on a
+    batch of long notes whose selection is sparse: the true gradient passes
+    at 1e-4, and the check fails when any one slot's analytic gradient is
+    scaled by 1.01, by 0 or by 2."""
+
+    BOUND = 1e-4
+    DESK = EncoderConfig(vocab_size=200, d_embed=24, kernel_sizes=(3, 4, 5), n_filters=20,
+                         dropout=0.1)
+    CASES = {"desk": (DESK, [int(n) for n in np.random.default_rng(1).integers(12, 31, 16)]),
+             "long-notes": (dataclasses.replace(DESK, vocab_size=1000), [231, 389, 302])}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_true_gradient_passes_and_each_scaled_slot_fails(self, case):
+        cfg, lengths = self.CASES[case]
+        store = small_store(8, cfg)
+        rng = named_rng(8, "probe")
+        docs = [rng.integers(1, cfg.vocab_size, size=n).tolist() for n in lengths]
+        weights = rng.normal(size=(len(docs), cfg.rep_dim))
+
+        def f(s):
+            X, _ = encode_batch(docs, s, cfg, np.random.default_rng(11))
+            return float(np.sum(weights * X))
+
+        store.zero_grads()
+        _, cache = encode_batch(docs, store, cfg, np.random.default_rng(11))
+        encode_batch_backward(weights, cache, store, cfg)
+        analytic = {n: store.grad(n).copy() for n in store.names()}
+        true = per_slot_errors(f, store, analytic, np.random.default_rng(0))
+        assert sorted(true) == sorted(store.names())
+        assert max(true.values()) <= self.BOUND, true
+        scaled = {(name, factor): per_slot_errors(f, store, {name: analytic[name] * factor},
+                                                  np.random.default_rng(0))[name]
+                  for name in store.names() for factor in (1.01, 0.0, 2.0)}
+        weakest = min(scaled, key=scaled.get)
+        print(f"\nper-slot oracle, {case}: true gradient at most {max(true.values()):.1e}, "
+              f"{self.BOUND / max(true.values()):.0f}x inside {self.BOUND:.0e}; weakest "
+              f"mutation {weakest[0]} x{weakest[1]} at {scaled[weakest]:.1e}, "
+              f"{scaled[weakest] / self.BOUND:.0f}x outside")
+        assert all(err > self.BOUND for err in scaled.values()), scaled
