@@ -647,7 +647,7 @@ class TestReportAndBuildTable:
         assert "bad corpus directory" in capsys.readouterr().err
 
 
-def edit_table_lines(corpus, edit, name=TABLE_FILE):
+def edit_file_lines(corpus, edit, name=TABLE_FILE):
     """Apply edit to the list of lines of a corpus file, complications.txt's
     by default (header first)."""
     path = corpus / name
@@ -701,7 +701,7 @@ class TestStrictTable:
     def test_table_edit_exits_3_naming_file_and_line(self, tmp_path, capsys, case):
         corpus = gen_corpus(tmp_path)
         line, words, edit = self.TABLE_EDITS[case]
-        edit_table_lines(corpus, edit)
+        edit_file_lines(corpus, edit)
         preds = perfect_predictions(corpus, tmp_path)
         capsys.readouterr()
         assert main(["report", "--predictions", str(preds), "--corpus", str(corpus)]) == 3
@@ -722,7 +722,7 @@ class TestStrictTable:
     def test_build_table_repairs_a_table_that_does_not_load(self, tmp_path, capsys):
         corpus = gen_corpus(tmp_path)
         before = (corpus / TABLE_FILE).read_text()
-        edit_table_lines(corpus, lambda t: t.append("0 1 x"))
+        edit_file_lines(corpus, lambda t: t.append("0 1 x"))
         assert main(["build-table", "--corpus", str(corpus), "--min-support", "3"]) == 0
         assert (corpus / TABLE_FILE).read_text() == before
         load_corpus_dir(str(corpus))
@@ -750,7 +750,7 @@ class TestStrictDictionaries:
     def test_dictionary_edit_exits_3_naming_file_and_line(self, tmp_path, capsys, case):
         corpus = gen_corpus(tmp_path)
         name, line, edit = self.DICTIONARY_EDITS[case]
-        edit_table_lines(corpus, edit, name)
+        edit_file_lines(corpus, edit, name)
         preds = perfect_predictions(corpus, tmp_path)
         capsys.readouterr()
         assert main(["report", "--predictions", str(preds), "--corpus", str(corpus)]) == 3
