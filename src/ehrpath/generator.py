@@ -6,14 +6,17 @@ feature concatenation and tanh projection, gated elementwise by the
 projected code vector, and fed to an LSTM. The new hidden state scores the
 next code under two competing modes sharing one normalizer: a generate
 mode over the whole code vocabulary (plus STOP and UNK) and a copy mode
-restricted to the previous code's complication partners. Decoding is
-greedy with repetition masking and terminates at STOP.
+restricted to the previous code's complication partners, dense over the
+code table: every id is scored under both modes, and the copy scores off
+the partners are masked to -inf. Decoding is greedy with repetition
+masking and ends at STOP, or with STOP when no allowed id has any mass.
 
 The fusion is folded into three blocks, and every code-only product is
 taken for all code ids at once (`DecoderTables`) by each `run_batch` call
 and each standalone decode or step; the batch's steps (greedy ones from its
 first step too) carry them into the backward pass, which reads its code
-rows from them again; nothing keeps them.
+rows from them again; nothing keeps them. The fusion's document term is
+taken once per document and pass.
 
 Teacher-forced steps run a batch of documents in lockstep: step t feeds
 the documents that still have an input at t through one GEMM per weight
@@ -65,23 +68,34 @@ def generator_slots(cfg: GeneratorConfig, rng: np.random.Generator | None) -> Sl
             ("gen.copy.W", uniform_init((cfg.rep_dim, cfg.rep_dim), rng))]
 
 
+# each of the six blocks of gen.fuse.W in the folded blocks A, C and M, one row each
+_FOLD = np.array([[1, 0, 0, 1, 1, -1], [0, 1, 0, 1, -1, 1], [0, 0, 1, 0, 0, 0]], dtype=float)
+
+
 class DecoderTables:
     """Products of the decoder's weights that do not depend on the document:
     [x, c, x*c, x+c, x-c, c-x] W^T = x A^T + c C^T + (x*c) M^T, A = W1+W4+W5-W6,
-    C = W2+W4-W5+W6, M = W3 (contiguous: one BLAS call each), and per code id
-    its projected vector c, its fusion part c C^T and its copy key."""
+    C = W2+W4-W5+W6, M = W3 (contiguous, folded in one pass); per code id its
+    projected vector c, its fusion part c C^T and its copy key; `head`, the
+    generate weights over the copy keys; `copy_mask`, whether id j is a copy
+    candidate after id i (none under no_copy); and `score_mask`, added to a
+    row of `head` scores after id i: -inf at its non-candidates' copy scores."""
 
-    def __init__(self, store: ParamStore) -> None:
-        w = np.hsplit(store["gen.fuse.W"], 6)
-        self.A, self.C = w[0] + w[3], w[1] + w[3]
-        self.A += w[4]
-        self.A -= w[5]
-        self.C -= w[4]
-        self.C += w[5]
-        self.M = w[2].copy()
+    def __init__(self, store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable) -> None:
+        rep = cfg.rep_dim
+        folded = np.empty((3, rep, rep))
+        np.matmul(_FOLD, store["gen.fuse.W"].reshape(rep, 6, rep), out=folded.transpose(1, 0, 2))
+        self.A, self.C, self.M = folded
         self.code_vec = store["gen.code_embed"].dot(store["gen.code_proj"].T)
         self.code_part = self.code_vec.dot(self.C.T)
         self.copy_key = np.tanh(self.code_vec.dot(store["gen.copy.W"]))
+        self.head = np.vstack([store["gen.out.W"], self.copy_key])
+        self.copy_mask = np.zeros((cfg.n_total, cfg.n_total), dtype=bool)
+        if not cfg.no_copy:
+            for a, b in table.pairs:
+                self.copy_mask[a, b] = self.copy_mask[b, a] = True
+        self.score_mask = np.zeros((cfg.n_total, 2 * cfg.n_total))
+        self.score_mask[:, cfg.n_total:][~self.copy_mask] = -np.inf
 
 
 @dataclass
@@ -93,94 +107,70 @@ class MixtureDistribution:
     copy_ids: tuple[int, ...]
 
 
-@dataclass
-class MixtureCache:
-    """Backward cache of the mixture head over R rows; the candidates' rows
-    are read again from the tables."""
-    exp_gen: np.ndarray            # (R, n_total) shifted exps of generate scores
-    exp_copy: np.ndarray           # (R, n_total) shifted exps of copy scores, 0 off the candidates
-    z: np.ndarray                  # (R,) shifted normalizers
+def _mixture_from_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both score families of each row, (R, 2 n_total): the generate scores,
+    then the copy scores, -inf off the row's copy candidates, under one
+    shared-shift normalizer. Returns the probabilities (R, n_total) and the
+    shares (R, 2 n_total), each id's probability from each mode."""
+    shares = np.exp(scores - scores.max(axis=1, keepdims=True))
+    shares /= shares.sum(axis=1, keepdims=True)
+    n_total = scores.shape[1] // 2
+    return shares[:, :n_total] + shares[:, n_total:], shares
 
 
-def _candidates(copy_ids: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """The copy candidate ids of all rows, concatenated, and the row of each."""
-    ids = [c for row in copy_ids for c in row]
-    owner = [r for r, row in enumerate(copy_ids) for _ in row]
-    return np.array(ids, dtype=np.int64), np.array(owner, dtype=np.int64)
-
-
-def _mixture_from_scores(gen_scores: np.ndarray, copy_scores: np.ndarray, ids: np.ndarray,
-                         owner: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Combine the two score families of each row under one shared-shift
-    normalizer: gen_scores (R, n_total), copy_scores (M,) for the copy
-    candidates ids of rows owner (distinct within a row; see _candidates).
-    Returns the probabilities (R, n_total), and the shifted exps, the copy
-    ones placed at their ids, and their per-row sums, which the backward
-    reuses."""
-    shift = gen_scores.max(axis=1, keepdims=True)
-    exp_copy = np.zeros(gen_scores.shape)
-    if copy_scores.size:
-        np.maximum.at(shift[:, 0], owner, copy_scores)
-        exp_copy[owner, ids] = np.exp(copy_scores - shift[owner, 0])
-    exp_gen = np.exp(gen_scores - shift)
-    z = exp_gen.sum(axis=1, keepdims=True) + exp_copy.sum(axis=1, keepdims=True)
-    return exp_gen / z + exp_copy / z, exp_gen, exp_copy, z[:, 0]
-
-
-def _mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table: ComplicationTable,
-                     store: ParamStore, cfg: GeneratorConfig, tables: DecoderTables,
-                     ) -> tuple[np.ndarray, list[tuple[int, ...]], MixtureCache]:
-    """Next-code probabilities (R, n_total) of each row of h (R, rep) given
-    its previous code, and each row's copy candidates, whose copy keys are
-    read from the tables (none for a row without candidates)."""
-    if min(prev_codes) < 0 or max(prev_codes) >= cfg.n_total:
-        raise ValueError(f"previous codes {prev_codes} outside vocabulary of {cfg.n_total}")
-    copy_ids = ([()] * len(prev_codes) if cfg.no_copy
-                else [table.partners(p) for p in prev_codes])
-    ids, owner = _candidates(copy_ids)
-    copy_scores = (tables.copy_key.take(ids, axis=0) * h.take(owner, axis=0)).sum(axis=1)
-    probs, exp_gen, exp_copy, z = _mixture_from_scores(h.dot(store["gen.out.W"].T), copy_scores,
-                                                       ids, owner)
-    return probs, copy_ids, MixtureCache(exp_gen, exp_copy, z)
+def _mixture_forward(h: np.ndarray, prev_codes: list[int],
+                     tables: DecoderTables) -> tuple[np.ndarray, np.ndarray]:
+    """_mixture_from_scores of each row of h (R, rep) after its previous code."""
+    scores = h.dot(tables.head.T)
+    scores += tables.score_mask.take(prev_codes, axis=0)
+    return _mixture_from_scores(scores)
 
 
 @dataclass
 class StepTrace:
     """One decoder step of a batch in lockstep, one row per document (a
     document alone is a batch of one) in every array and list; the backward
-    reads the previous codes' and copy candidates' rows from the tables."""
+    reads the previous codes' rows and the copy keys from the tables."""
     rows: np.ndarray              # (R,) batch positions
     prev_codes: list[int]
     x: np.ndarray                 # document vectors
+    x_part: np.ndarray            # x A^T, the fusion's document term
     fused: np.ndarray             # tanh fusion output
     lstm: LstmCache
     h: np.ndarray
     c: np.ndarray
     probs: np.ndarray             # (R, n_total) next-code probabilities
-    copy_ids: list[tuple[int, ...]]  # each row's copy candidates
-    mix: MixtureCache
+    shares: np.ndarray            # (R, 2 n_total) their generate, then copy parts
     tables: DecoderTables
+
+    @property
+    def copy_ids(self) -> list[tuple[int, ...]]:
+        """Each row's copy candidates, ascending."""
+        return [tuple(np.flatnonzero(m).tolist()) for m in self.tables.copy_mask[self.prev_codes]]
 
     @property
     def dist(self) -> MixtureDistribution:
         """The distribution of a one-row step."""
         (probs,), (copy_ids,) = self.probs, self.copy_ids
-        return MixtureDistribution(probs, self.mix.exp_copy[0] / self.mix.z[0], copy_ids)
+        return MixtureDistribution(probs, self.shares[0, len(probs):], copy_ids)
 
 
-def _step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
-          x: np.ndarray, prev_codes: list[int], h_prev: np.ndarray, c_prev: np.ndarray,
-          rows: np.ndarray, tables: DecoderTables) -> StepTrace:
-    """One lockstep step of the documents at batch positions rows: x,
-    h_prev, c_prev (R, rep) and one previous code each; every weight matrix
-    is one product over the rows, or a read of the tables."""
+def _step(store: ParamStore, tables: DecoderTables, x: np.ndarray, x_part: np.ndarray,
+          prev_codes: list[int], h_prev: np.ndarray, c_prev: np.ndarray,
+          rows: np.ndarray) -> StepTrace:
+    """One lockstep step of the documents at batch positions rows: x, their
+    fusion terms x_part, h_prev, c_prev (R, rep) and one previous code each;
+    every weight matrix is one product over the rows, or a read of the
+    tables."""
+    n_total = len(tables.copy_mask)
+    if min(prev_codes) < 0 or max(prev_codes) >= n_total:
+        raise ValueError(f"previous codes {prev_codes} outside vocabulary of {n_total}")
     code_vec = tables.code_vec.take(prev_codes, axis=0)
-    fused = np.tanh(x.dot(tables.A.T) + tables.code_part.take(prev_codes, axis=0)
+    fused = np.tanh(x_part + tables.code_part.take(prev_codes, axis=0)
                     + (x * code_vec).dot(tables.M.T))
     h, c, lstm_cache = lstm_step(store, "gen.lstm", h_prev, c_prev, fused * code_vec)
-    probs, copy_ids, mix_cache = _mixture_forward(h, prev_codes, table, store, cfg, tables)
-    return StepTrace(rows, prev_codes, x, fused, lstm_cache, h, c, probs, copy_ids, mix_cache,
-                     tables)
+    probs, shares = _mixture_forward(h, prev_codes, tables)
+    return StepTrace(rows, prev_codes, x, x_part, fused, lstm_cache, h, c, probs, shares, tables)
 
 
 _ONE_ROW = np.zeros(1, dtype=np.int64)
@@ -188,11 +178,14 @@ _ONE_ROW = np.zeros(1, dtype=np.int64)
 
 def generator_step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
                    x: np.ndarray, prev_code: int, h_prev: np.ndarray, c_prev: np.ndarray,
-                   tables: DecoderTables | None = None) -> StepTrace:
+                   tables: DecoderTables | None = None,
+                   x_part: np.ndarray | None = None) -> StepTrace:
     """One step of one document, x, h_prev, c_prev (rep,): _step on a batch
-    of one, on the given tables or its own."""
-    return _step(store, cfg, table, x[None], [prev_code], h_prev[None], c_prev[None], _ONE_ROW,
-                 tables or DecoderTables(store))
+    of one, on the given tables and fusion term x A^T or on its own."""
+    tables = tables or DecoderTables(store, cfg, table)
+    x_part = x.dot(tables.A.T) if x_part is None else x_part
+    return _step(store, tables, x[None], x_part[None], [prev_code], h_prev[None], c_prev[None],
+                 _ONE_ROW)
 
 
 def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
@@ -201,15 +194,16 @@ def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
     document vectors, and document b consumes inputs[b][t] as the previous
     code at step t, so step t covers the documents with more than t inputs.
     Starts from zero state with STOP as the BOS convention."""
-    tables = DecoderTables(store)
+    tables = DecoderTables(store, cfg, table)
+    x_part = x.dot(tables.A.T)
     lengths = np.array([len(seq) for seq in inputs])
     h = np.zeros((len(inputs), cfg.rep_dim))
     c = np.zeros_like(h)
     steps = []
     for t in range(lengths.max(initial=0)):
         rows = np.flatnonzero(lengths > t)
-        step = _step(store, cfg, table, x[rows], [inputs[b][t] for b in rows],
-                     h[rows], c[rows], rows, tables)
+        step = _step(store, tables, x[rows], x_part[rows], [inputs[b][t] for b in rows],
+                     h[rows], c[rows], rows)
         h[rows] = step.h
         c[rows] = step.c
         steps.append(step)
@@ -275,25 +269,29 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
                        ) -> tuple[DecodedPath, list[StepTrace]]:
     """Greedy decode with repetition masking: already-emitted codes and UNK
     are renormalized to zero before the argmax (ties break to the lowest
-    id); stops at STOP or cfg.max_len. The path's scores are unmasked.
+    id); stops at STOP or cfg.max_len, and emits STOP where every other id
+    has zero probability (all underflowed). The path's scores are unmasked.
     Its first step (STOP in, zero state) is row `row` of `first`, a batch's
-    first step, whose tables it decodes on, or else its own as a batch of
-    one. Returns the path and its steps: `first`, then one per further code."""
+    first step, whose tables and fusion term it decodes on, or else its own
+    as a batch of one. Returns the path and its steps: `first`, then one per
+    further code."""
     if first is None:
         (first,) = run_batch(store, cfg, table, x[None], [[cfg.stop_id]])
         row = 0
     traces, probs, h, c = [first], [first.probs[row]], first.h[row], first.c[row]
+    x_part = first.x_part[row]
     codes: list[int] = []
-    banned = {cfg.unk_id}
+    allowed = np.ones(cfg.n_total)  # 0 at UNK and at every emitted code
+    allowed[cfg.unk_id] = 0.0
     while True:
-        masked = probs[-1].copy()
-        masked[list(banned)] = 0.0
-        masked /= masked.sum()
-        codes.append(int(np.argmax(masked)))
+        masked = probs[-1] * allowed
+        total = masked.sum()
+        codes.append(int((masked / total).argmax()) if total > 0.0 else cfg.stop_id)
         if codes[-1] == cfg.stop_id or len(codes) == cfg.max_len:
             break
-        banned.add(codes[-1])
-        traces.append(generator_step(store, cfg, table, x, codes[-1], h, c, first.tables))
+        allowed[codes[-1]] = 0.0
+        traces.append(generator_step(store, cfg, table, x, codes[-1], h, c, first.tables,
+                                     x_part))
         probs.append(traces[-1].probs[0])
         h, c = traces[-1].h[0], traces[-1].c[0]
     valid = len(codes) - 1 if codes[-1] == cfg.stop_id else len(codes)
@@ -330,38 +328,37 @@ def path_loss(traces: Sequence[StepTrace],
 
 
 def _mixture_backward(store: ParamStore, step: StepTrace, target: np.ndarray,
-                      weight: np.ndarray, embed_ids: list, embed_rows: list) -> np.ndarray:
-    """Gradient of each row's weight * (-log p(target)) into the score
-    families; accumulates parameter gradients, appends code-embedding
-    gradient rows to embed_ids/embed_rows, and returns dh (R, rep). A row
-    of weight 0, or whose target probability is below the floor (the loss
-    is clamped constant there), contributes nothing."""
-    mix, tables = step.mix, step.tables
+                      weight: np.ndarray, d_key: np.ndarray) -> np.ndarray:
+    """Gradient of each row's weight * (-log p(target)) into both score
+    families, dense over the code table (zero off the copy candidates);
+    accumulates the gen.out.W gradient, adds the copy keys' (n_total, rep)
+    into d_key, and returns dh (R, rep). A row of weight 0, or whose target
+    probability is below the floor (the loss is clamped constant there),
+    contributes nothing."""
+    n_total = step.probs.shape[1]
     rows = np.arange(len(target))
-    numer = mix.exp_gen[rows, target] + mix.exp_copy[rows, target]
-    live = ~(numer / mix.z < PROB_FLOOR)
+    p = step.probs[rows, target]
+    live = ~(p < PROB_FLOOR)
     weight = np.where(live, weight, 0.0)
-    numer = np.where(live, numer, 1.0)
-    dpsi_g = weight[:, None] * mix.exp_gen / mix.z[:, None]
-    dpsi_g[rows, target] -= weight * mix.exp_gen[rows, target] / numer
-    store.add_outer("gen.out.W", dpsi_g, step.h)
-    dh = dpsi_g @ store["gen.out.W"]
-    ids, owner = _candidates(step.copy_ids)
-    if ids.size:
-        tanh_rows = tables.copy_key.take(ids, axis=0)
-        dpsi_c = weight[:, None] * mix.exp_copy / mix.z[:, None]
-        dpsi_c[rows, target] -= weight * mix.exp_copy[rows, target] / numer
-        dpsi_c = dpsi_c[owner, ids]
-        spread = np.zeros((len(rows), ids.size))
-        spread[owner, np.arange(ids.size)] = dpsi_c
-        dh += spread @ tanh_rows
-        d_pre = dpsi_c[:, None] * step.h[owner] * (1.0 - tanh_rows ** 2)
-        store.add_outer("gen.copy.W", tables.code_vec.take(ids, axis=0), d_pre)
-        d_proj = d_pre @ store["gen.copy.W"].T
-        store.add_outer("gen.code_proj", d_proj, store["gen.code_embed"].take(ids, axis=0))
-        embed_ids.append(ids)
-        embed_rows.append(d_proj @ store["gen.code_proj"])
-    return dh
+    dpsi = weight[:, None] * step.shares
+    ratio = weight / np.where(live, p, 1.0)
+    dpsi[rows, target] -= ratio * step.shares[rows, target]
+    dpsi[rows, n_total + target] -= ratio * step.shares[rows, n_total + target]
+    store.add_outer("gen.out.W", dpsi[:, :n_total], step.h)
+    d_key += dpsi[:, n_total:].T @ step.h
+    return dpsi @ step.tables.head
+
+
+def _code_backward(store: ParamStore, tables: DecoderTables, d_key: np.ndarray,
+                   d_code_vec: np.ndarray) -> None:
+    """The copy keys' gradient, d_key, and the projected code vectors', both
+    (n_total, rep) over every code id, back to gen.copy.W, gen.code_proj and
+    gen.code_embed; adds the keys' part into d_code_vec."""
+    d_pre = d_key * (1.0 - tables.copy_key ** 2)
+    store.add_outer("gen.copy.W", tables.code_vec, d_pre)
+    d_code_vec += d_pre @ store["gen.copy.W"].T
+    store.add_outer("gen.code_proj", d_code_vec, store["gen.code_embed"])
+    store.grad("gen.code_embed")[:] += d_code_vec @ store["gen.code_proj"]
 
 
 def batch_backward(store: ParamStore, cfg: GeneratorConfig, steps: Sequence[StepTrace],
@@ -370,16 +367,17 @@ def batch_backward(store: ParamStore, cfg: GeneratorConfig, steps: Sequence[Step
     weighted negative log likelihood terms: targets[b, t] and weights[b, t]
     are the target id and weight of document b at step t (weight 0 for
     none). Accumulates into store gradients and returns the gradient with
-    respect to each document representation, (B, rep)."""
+    respect to each document representation, (B, rep). The code vectors'
+    gradients are summed per code id and taken back to their weights once."""
     dx = np.zeros((len(targets), cfg.rep_dim))
     dh_next = np.zeros_like(dx)
     dc_next = np.zeros_like(dx)
-    embed_ids: list[np.ndarray] = []
-    embed_rows: list[np.ndarray] = []
+    d_key = np.zeros((cfg.n_total, cfg.rep_dim))
+    input_ids, input_rows = [], []  # each step's previous codes and their code-vector gradients
     for t, step in reversed(list(enumerate(steps))):
         rows = step.rows
         dh = dh_next[rows] + _mixture_backward(store, step, targets[rows, t], weights[rows, t],
-                                               embed_ids, embed_rows)
+                                               d_key)
         dh_prev, dc_prev, dv = lstm_step_backward(store, "gen.lstm", dh, dc_next[rows], step.lstm)
         x, c = step.x, step.tables.code_vec.take(step.prev_codes, axis=0)
         d_fused = dv * c
@@ -389,13 +387,14 @@ def batch_backward(store: ParamStore, cfg: GeneratorConfig, steps: Sequence[Step
         d_m = dq @ step.tables.M
         dx[rows] += dq @ step.tables.A + d_m * c
         d_code_vec += dq @ step.tables.C + d_m * x
-        store.add_outer("gen.code_proj", d_code_vec, store["gen.code_embed"][step.prev_codes])
-        embed_ids.append(step.prev_codes)
-        embed_rows.append(d_code_vec @ store["gen.code_proj"])
+        input_ids.append(step.prev_codes)
+        input_rows.append(d_code_vec)
         dh_next[rows] = dh_prev
         dc_next[rows] = dc_prev
-    if embed_ids:
-        add_rows(store.grad("gen.code_embed"), np.concatenate(embed_ids), np.vstack(embed_rows))
+    if steps:
+        d_code_vec = np.zeros_like(d_key)
+        add_rows(d_code_vec, np.concatenate(input_ids), np.vstack(input_rows))
+        _code_backward(store, steps[0].tables, d_key, d_code_vec)
     return dx
 
 

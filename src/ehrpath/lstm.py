@@ -52,8 +52,9 @@ def lstm_step(store: ParamStore, prefix: str, h_prev: np.ndarray, c_prev: np.nda
     hidden = h_prev.shape[1]
     z = np.concatenate([h_prev, x_in], axis=1)
     a = z.dot(store[f"{prefix}.W"].T) + store[f"{prefix}.b"]
-    f, i, g_pre, o = (a[:, k * hidden:(k + 1) * hidden] for k in range(4))
-    f, i, o = expit(f), expit(i), expit(o)
+    gates = expit(a[:, :2 * hidden])  # f and i, contiguous: one call
+    f, i = gates[:, :hidden], gates[:, hidden:]
+    g_pre, o = a[:, 2 * hidden:3 * hidden], expit(a[:, 3 * hidden:])
     g = np.maximum(g_pre, 0.0)
     c = f * c_prev + i * g
     tau = np.tanh(c)

@@ -11,8 +11,8 @@ from ehrpath.alignment import step_targets
 from ehrpath.corpus import PAD_TOKEN, CorpusConfig, EhrDocument
 from ehrpath.discriminator import CLAMP, DiscriminatorConfig
 from ehrpath.encoder import EncoderConfig, embed_tokens
-from ehrpath.generator import (PROB_FLOOR, DecoderTables, MixtureCache, MixtureDistribution,
-                               StepTrace, _candidates, _mixture_forward, _mixture_from_scores)
+from ehrpath.generator import (PROB_FLOOR, DecoderTables, MixtureDistribution, StepTrace,
+                               _mixture_forward, _mixture_from_scores)
 from ehrpath.lstm import LstmCache, lstm_step, lstm_step_backward
 from ehrpath.numerics import (ParamStore, Slots, adam_step, add_rows, named_rng,
                               uniform_init)
@@ -232,27 +232,123 @@ def fuse_forward(x: np.ndarray, code_vec: np.ndarray,
     return np.tanh(u.dot(store["gen.fuse.W"].T)), u
 
 
-def mixture_record(probs, copy_ids, mix) -> MixtureDistribution:
-    """The record StepTrace.dist builds from one row's mixture (the step's
-    other fields unset)."""
-    unset = {f.name: None for f in fields(StepTrace)}
-    return StepTrace(**{**unset, "probs": probs, "copy_ids": copy_ids, "mix": mix}).dist
-
-
 def mixture_forward_row(h, prev_code, table, store, cfg) -> MixtureDistribution:
     """_mixture_forward on one hidden state (rep,) and its previous code, as
-    the record StepTrace.dist builds."""
-    return mixture_record(*_mixture_forward(h[None], [prev_code], table, store, cfg,
-                                            DecoderTables(store)))
+    the record StepTrace.dist builds (the step's other fields unset)."""
+    tables = DecoderTables(store, cfg, table)
+    probs, shares = _mixture_forward(h[None], [prev_code], tables)
+    unset = {f.name: None for f in fields(StepTrace)}
+    return StepTrace(**{**unset, "prev_codes": [prev_code], "probs": probs, "shares": shares,
+                        "tables": tables}).dist
 
 
 def mixture_scores_row(gen_scores, copy_scores, copy_ids) -> MixtureDistribution:
     """_mixture_from_scores on one row of scores (1, n_total), its copy
     scores and copy_ids, the row's one tuple of candidates in a list, as the
-    record StepTrace.dist builds."""
-    probs, exp_gen, exp_copy, z = _mixture_from_scores(gen_scores, copy_scores,
-                                                       *_candidates(copy_ids))
-    return mixture_record(probs, copy_ids, MixtureCache(exp_gen, exp_copy, z))
+    record StepTrace.dist builds; the copy scores of the other ids are
+    -inf."""
+    (ids,) = copy_ids
+    scores = np.concatenate([gen_scores, np.full(gen_scores.shape, -np.inf)], axis=1)
+    scores[0, gen_scores.shape[1] + np.array(ids, dtype=np.int64)] = copy_scores
+    probs, shares = _mixture_from_scores(scores)
+    return MixtureDistribution(probs[0], shares[0, gen_scores.shape[1]:], tuple(ids))
+
+
+# The mixture head in candidate-list form: each row's copy candidates are
+# listed, their copy keys gathered and their scores scattered into place.
+# The reference for the dense head of ehrpath.generator, which masks the
+# copy scores of the whole code table instead.
+
+@dataclass
+class ScatterCache:
+    exp_gen: np.ndarray            # (R, n_total) shifted exps of generate scores
+    exp_copy: np.ndarray           # (R, n_total) shifted exps of copy scores, 0 off the candidates
+    z: np.ndarray                  # (R,) shifted normalizers
+
+
+def candidates(copy_ids: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The copy candidate ids of all rows, concatenated, and the row of each."""
+    ids = [c for row in copy_ids for c in row]
+    owner = [r for r, row in enumerate(copy_ids) for _ in row]
+    return np.array(ids, dtype=np.int64), np.array(owner, dtype=np.int64)
+
+
+def scatter_mixture_from_scores(gen_scores: np.ndarray, copy_scores: np.ndarray, ids: np.ndarray,
+                                owner: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Combine the two score families of each row under one shared-shift
+    normalizer: gen_scores (R, n_total), copy_scores (M,) for the copy
+    candidates ids of rows owner (distinct within a row; see candidates).
+    Returns the probabilities (R, n_total), and the shifted exps, the copy
+    ones placed at their ids, and their per-row sums, which the backward
+    reuses."""
+    shift = gen_scores.max(axis=1, keepdims=True)
+    exp_copy = np.zeros(gen_scores.shape)
+    if copy_scores.size:
+        np.maximum.at(shift[:, 0], owner, copy_scores)
+        exp_copy[owner, ids] = np.exp(copy_scores - shift[owner, 0])
+    exp_gen = np.exp(gen_scores - shift)
+    z = exp_gen.sum(axis=1, keepdims=True) + exp_copy.sum(axis=1, keepdims=True)
+    return exp_gen / z + exp_copy / z, exp_gen, exp_copy, z[:, 0]
+
+
+def scatter_mixture_forward(h: np.ndarray, prev_codes: Sequence[int], table, store: ParamStore,
+                            cfg, tables: DecoderTables) -> tuple[np.ndarray, list, ScatterCache]:
+    """Next-code probabilities (R, n_total) of each row of h (R, rep) given
+    its previous code, each row's copy candidates, whose copy keys are read
+    from the tables (none for a row without candidates), and the cache."""
+    copy_ids = ([()] * len(prev_codes) if cfg.no_copy
+                else [table.partners(p) for p in prev_codes])
+    ids, owner = candidates(copy_ids)
+    copy_scores = (tables.copy_key.take(ids, axis=0) * h.take(owner, axis=0)).sum(axis=1)
+    probs, exp_gen, exp_copy, z = scatter_mixture_from_scores(h.dot(store["gen.out.W"].T),
+                                                              copy_scores, ids, owner)
+    return probs, copy_ids, ScatterCache(exp_gen, exp_copy, z)
+
+
+def scatter_mixture_backward(store: ParamStore, h: np.ndarray, copy_ids: list,
+                             mix: ScatterCache, tables: DecoderTables, target: np.ndarray,
+                             weight: np.ndarray) -> np.ndarray:
+    """Gradient of each row's weight * (-log p(target)) through the
+    candidate-list head: accumulates the gen.out.W gradient and, through
+    each candidate's copy key, the gen.copy.W, gen.code_proj and
+    gen.code_embed ones, and returns dh (R, rep). A row of weight 0, or
+    whose target probability is below the floor, contributes nothing."""
+    rows = np.arange(len(target))
+    numer = mix.exp_gen[rows, target] + mix.exp_copy[rows, target]
+    live = ~(numer / mix.z < PROB_FLOOR)
+    weight = np.where(live, weight, 0.0)
+    numer = np.where(live, numer, 1.0)
+    dpsi_g = weight[:, None] * mix.exp_gen / mix.z[:, None]
+    dpsi_g[rows, target] -= weight * mix.exp_gen[rows, target] / numer
+    store.add_outer("gen.out.W", dpsi_g, h)
+    dh = dpsi_g @ store["gen.out.W"]
+    ids, owner = candidates(copy_ids)
+    if ids.size:
+        tanh_rows = tables.copy_key.take(ids, axis=0)
+        dpsi_c = weight[:, None] * mix.exp_copy / mix.z[:, None]
+        dpsi_c[rows, target] -= weight * mix.exp_copy[rows, target] / numer
+        dpsi_c = dpsi_c[owner, ids]
+        spread = np.zeros((len(rows), ids.size))
+        spread[owner, np.arange(ids.size)] = dpsi_c
+        dh += spread @ tanh_rows
+        d_pre = dpsi_c[:, None] * h[owner] * (1.0 - tanh_rows ** 2)
+        store.add_outer("gen.copy.W", tables.code_vec.take(ids, axis=0), d_pre)
+        d_proj = d_pre @ store["gen.copy.W"].T
+        store.add_outer("gen.code_proj", d_proj, store["gen.code_embed"].take(ids, axis=0))
+        add_rows(store.grad("gen.code_embed"), ids, d_proj @ store["gen.code_proj"])
+    return dh
+
+
+def fold_six_blocks(fuse_w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The folded fusion blocks A, C and M of gen.fuse.W in seven passes
+    over its column blocks: the reference for DecoderTables' one-pass fold."""
+    w = np.hsplit(fuse_w, 6)
+    a, c = w[0] + w[3], w[1] + w[3]
+    a += w[4]
+    a -= w[5]
+    c -= w[4]
+    c += w[5]
+    return a, c, w[2].copy()
 
 
 def supervised_batch(model, batch, table, cfg, dropout_rng) -> float:

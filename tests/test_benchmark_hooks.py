@@ -112,6 +112,20 @@ def test_copy_counter_counts_one_row_steps_with_partners(bundle):
     assert rec.get("unpaired", "copy_active_steps") == 0
 
 
+def test_copy_counter_reads_each_codes_partners(bundle):
+    # tracing._count_copy counts a step as copy-active when its
+    # dist.copy_ids is not empty: those must be the previous code's
+    # complication partners, for every id the decoder can be fed
+    model = build_model(bundle, CFG)
+    cfg = model.gen_cfg
+    x = named_rng(2, "x").normal(size=cfg.rep_dim)
+    h = np.zeros(cfg.rep_dim)
+    for p in range(cfg.n_total):
+        step = generator.generator_step(model.gen_store, cfg, bundle.table, x, p, h, h)
+        assert step.dist.copy_ids == bundle.table.partners(p)
+    assert any(bundle.table.partners(p) for p in range(cfg.n_total))
+
+
 def test_supervised_round_counts_aligned_labels(bundle):
     tracing = load_tracing()
     cfg = dataclasses.replace(CFG, no_arl=True)

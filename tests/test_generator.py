@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from ehrpath.corpus import ComplicationTable
-from ehrpath.generator import (DecoderTables, GeneratorConfig, _concat, batch_backward,
-                               decode_path, decode_path_traced, generator_slots, generator_step,
-                               path_loss, run_batch, run_steps, sequence_backward, stack_steps)
+from ehrpath.generator import (PROB_FLOOR, DecodedPath, DecoderTables, GeneratorConfig, StepTrace,
+                               _code_backward, _concat, _mixture_backward, _mixture_forward,
+                               batch_backward, decode_path, decode_path_traced, generator_slots,
+                               generator_step, path_loss, run_batch, run_steps, sequence_backward,
+                               stack_steps, step_losses)
 from ehrpath.lstm import lstm_slots, lstm_step, lstm_step_backward
 from ehrpath.numerics import ParamStore, finite_diff_check, named_rng
-from oracles import (GATES, four_gate_lstm_step, four_gate_lstm_step_backward,
+from ehrpath.trainer import _policy_terms
+from oracles import (GATES, fold_six_blocks, four_gate_lstm_step, four_gate_lstm_step_backward,
                      four_gate_lstm_slots, fuse_forward, generator_step_loss, mixture_forward_row,
-                     mixture_scores_row, path_loss_loop, softmax_stable, step_row)
+                     mixture_scores_row, path_loss_loop, per_slot_errors,
+                     scatter_mixture_backward, scatter_mixture_forward, softmax_stable, step_row)
 
 CFG = GeneratorConfig(n_codes=6, d_code=5, rep_dim=8)
 TABLE = ComplicationTable({(0, 1): 5.0, (2, 3): 4.0, (1, 4): 3.0}, 2.0, 1)
@@ -222,6 +226,47 @@ class TestMixture:
         assert dist.copy_ids == ()
         np.testing.assert_allclose(dist.probs, softmax_stable(store["gen.out.W"] @ h),
                                    atol=1e-12)
+
+
+class TestDenseHeadMatchesCandidateLists:
+    """The dense copy head against the candidate-list head of oracles.py,
+    to 1e-12 in probabilities, copy mass and every gradient: rows after
+    codes with two, one and no partners and after STOP and UNK, targets on
+    and off the copy candidates, one target below PROB_FLOOR, and no_copy."""
+
+    @pytest.mark.parametrize("no_copy", [False, True])
+    def test_probabilities_and_every_gradient(self, no_copy):
+        cfg = replace(CFG, no_copy=no_copy)
+        store = unit_store(17)
+        tables = DecoderTables(store, cfg, TABLE)
+        rng = named_rng(18, "h")
+        prev = [1, 1, 0, 2, 5, cfg.stop_id, cfg.unk_id, 4]
+        h = rng.normal(size=(len(prev), cfg.rep_dim))
+        h[-1] *= 40.0  # a row whose least likely id sits far below the floor
+        probs, shares = _mixture_forward(h, prev, tables)
+        ref_probs, copy_ids, cache = scatter_mixture_forward(h, prev, TABLE, store, cfg, tables)
+        np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shares[:, cfg.n_total:], cache.exp_copy / cache.z[:, None],
+                                   rtol=0, atol=1e-12)
+        assert [tuple(np.flatnonzero(m)) for m in tables.copy_mask[prev]] == copy_ids
+
+        # on a candidate, off the candidates (twice), STOP, UNK and a floored id
+        target = np.array([4, 3, 1, 3, 0, cfg.stop_id, cfg.unk_id, int(np.argmin(probs[-1]))])
+        assert probs[-1, target[-1]] < PROB_FLOOR
+        weight = rng.normal(size=len(prev))
+        mine, theirs = store.copy(), store.copy()
+        unset = {f.name: None for f in fields(StepTrace)}
+        step = StepTrace(**{**unset, "h": h, "probs": probs, "shares": shares, "tables": tables})
+        d_key = np.zeros((cfg.n_total, cfg.rep_dim))
+        dh = _mixture_backward(mine, step, target, weight, d_key)
+        _code_backward(mine, tables, d_key, np.zeros_like(d_key))
+        dh_ref = scatter_mixture_backward(theirs, h, copy_ids, cache, tables, target, weight)
+        np.testing.assert_allclose(dh, dh_ref, rtol=0, atol=1e-12)
+        for name in store.names():
+            np.testing.assert_allclose(mine.grad(name), theirs.grad(name), rtol=0, atol=1e-12,
+                                       err_msg=name)
+        copy_slots = ("gen.copy.W", "gen.code_proj", "gen.code_embed")
+        assert all((np.abs(theirs.grad(n)).max() > 1e-3) != no_copy for n in copy_slots)
 
 
 class TestStepLoss:
@@ -462,10 +507,24 @@ class TestBatchBackward:
 
 
 class TestDecoderTables:
+    @pytest.mark.parametrize("rep", [60, 300])  # desk and published sizes
+    def test_one_pass_fold_equals_the_seven_pass_fold_bit_for_bit(self, rep):
+        cfg = GeneratorConfig(n_codes=6, d_code=5, rep_dim=rep)
+        store = ParamStore(generator_slots(cfg, named_rng(rep, "init")))
+        rng = named_rng(rep, "w")
+        shape = store["gen.fuse.W"].shape
+        # entries over twelve decades, so that every sum rounds
+        store["gen.fuse.W"][...] = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+        tables = DecoderTables(store, cfg, TABLE)
+        theirs_all = fold_six_blocks(store["gen.fuse.W"])
+        for mine, theirs in zip((tables.A, tables.C, tables.M), theirs_all):
+            np.testing.assert_array_equal(mine, theirs)
+            assert mine.flags.c_contiguous
+
     def test_fold_equals_six_block_sums_bit_for_bit(self):
         store = unit_store(12)
         w = np.hsplit(store["gen.fuse.W"], 6)
-        tables = DecoderTables(store)
+        tables = DecoderTables(store, CFG, TABLE)
         np.testing.assert_array_equal(tables.A, w[0] + w[3] + w[4] - w[5])
         np.testing.assert_array_equal(tables.C, w[1] + w[3] - w[4] + w[5])
         np.testing.assert_array_equal(tables.M, w[2])
@@ -494,7 +553,7 @@ class TestDecoderTables:
         before = run_batch(store, CFG, TABLE, xs, inputs)
         store["gen.fuse.W"][...] += named_rng(11, "w").normal(size=store["gen.fuse.W"].shape)
         after = run_batch(store, CFG, TABLE, xs, inputs)
-        fresh = DecoderTables(store)
+        fresh = DecoderTables(store, CFG, TABLE)
         assert all(step.tables is after[0].tables for step in after)
         assert after[0].tables is not before[0].tables
         for name in ("A", "C", "M", "code_vec", "code_part", "copy_key"):
@@ -531,3 +590,78 @@ class TestDecoderTables:
         _, own = decode_path_traced(store, cfg, TABLE, xs[1])
         with pytest.raises(ValueError, match="tables"):
             stack_steps([decodes[0], own])
+
+
+class TestPerSlotOracle:
+    """oracles.per_slot_errors on every generator slot at desk sizes, through
+    an aligned backward (a teacher-forced lockstep pass) and a policy
+    backward (fixed greedy-form paths continuing a batch's first step, as
+    adversarial_round builds it), both with copy-active rows: the true
+    gradient passes at 1e-4, and the check fails when any one slot's
+    analytic gradient is scaled by 1.01, by 0 or by 2."""
+
+    BOUND = 1e-4
+    DESK = GeneratorConfig(n_codes=20, d_code=24, rep_dim=60)
+    PAIRS = ComplicationTable({(2 * i, 2 * i + 1): 9.0 for i in range(5)}, 2.0, 1)
+    STOP = DESK.stop_id
+    # after 1, 2, 9 and 6 the next code is a copy candidate; after 3, 8 and 0 it is not
+    INPUTS = [[STOP, 1, 0], [STOP, 2], [STOP, 3, 4, 5], [STOP, 9, 8], [STOP], [STOP, 6, 7]]
+    PATHS = [(1, 0, 5), (3,), (), (2, 3, 9, 8), (6, 7), (0,)]
+
+    def _aligned(self, xs):
+        """The loss of the aligned-form pass, and the pass's arguments."""
+        targets = np.zeros((len(xs), max(map(len, self.INPUTS))), dtype=np.int64)
+        weights = np.zeros(targets.shape)
+        for b, seq in enumerate(self.INPUTS):
+            targets[b, :len(seq)] = seq[1:] + [self.STOP]
+            weights[b, :len(seq)] = 1.0
+
+        def terms(s):
+            return run_batch(s, self.DESK, self.PAIRS, xs, self.INPUTS), targets, weights
+        return terms
+
+    def _policy(self, xs):
+        advantages = named_rng(19, "advantages").normal(size=sum(map(len, self.PATHS)))
+
+        def terms(s):
+            (first,) = run_batch(s, self.DESK, self.PAIRS, xs, [[self.STOP]] * len(xs))
+            decodes = []
+            for b, codes in enumerate(self.PATHS):
+                traces = [first]
+                h, c = first.h[b], first.c[b]
+                for code in codes[:-1]:  # one step after each code but the last
+                    traces.append(generator_step(s, self.DESK, self.PAIRS, xs[b], code, h, c,
+                                                 first.tables, first.x_part[b]))
+                    h, c = traces[-1].h[0], traces[-1].c[0]
+                decodes.append((DecodedPath(codes, np.zeros(0), len(codes)), traces))
+            return _policy_terms(first, decodes, advantages)
+        return terms
+
+    @pytest.mark.parametrize("case", ["aligned", "policy"])
+    def test_true_gradient_passes_and_each_scaled_slot_fails(self, case):
+        store = ParamStore(generator_slots(self.DESK, named_rng(20, "init")))
+        xs = named_rng(21, "x").normal(size=(len(self.INPUTS), self.DESK.rep_dim))
+        terms = {"aligned": self._aligned, "policy": self._policy}[case](xs)
+
+        def f(s):
+            return float(step_losses(*terms(s)).sum())
+
+        steps, targets, weights = terms(store)
+        assert any(ids for step in steps for ids in step.copy_ids)
+        store.zero_grads()
+        batch_backward(store, self.DESK, steps, targets, weights)
+        analytic = {n: store.grad(n).copy() for n in store.names()}
+        # a step of 1e-5, as criterion 1 takes: at 1e-6 the rounding of a
+        # loss near 50 reads up to 4e-5 on gradients near 1e-4
+        true = per_slot_errors(f, store, analytic, np.random.default_rng(0), eps=1e-5)
+        assert sorted(true) == sorted(store.names())
+        assert max(true.values()) <= self.BOUND, true
+        scaled = {(name, factor): per_slot_errors(f, store, {name: analytic[name] * factor},
+                                                  np.random.default_rng(0), eps=1e-5)[name]
+                  for name in store.names() for factor in (1.01, 0.0, 2.0)}
+        weakest = min(scaled, key=scaled.get)
+        print(f"\nper-slot oracle, generator {case}: true gradient at most "
+              f"{max(true.values()):.1e}, {self.BOUND / max(true.values()):.0f}x inside "
+              f"{self.BOUND:.0e}; weakest mutation {weakest[0]} x{weakest[1]} at "
+              f"{scaled[weakest]:.1e}, {scaled[weakest] / self.BOUND:.0f}x outside")
+        assert all(err > self.BOUND for err in scaled.values()), scaled

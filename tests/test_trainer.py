@@ -8,7 +8,7 @@ import pytest
 from conftest import tiny_bundle
 from oracles import aligned_losses, pretrain_generator, supervised_batch
 from ehrpath.discriminator import discriminator_loss, reward
-from ehrpath.encoder import encode_ehr
+from ehrpath.encoder import encode_batch, encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath import generator, trainer
 from ehrpath.generator import DecodedPath, decode_path_traced
@@ -374,6 +374,27 @@ class TestBatchEquivalence:
 
 
 class TestDecodePredictions:
+    def test_a_path_with_no_allowed_mass_left_ends_with_stop(self, bundle):
+        # every id but code 0 underflows to probability 0: once code 0 is
+        # emitted and banned, no allowed id keeps any mass, and the path
+        # ends there instead of emitting the banned code again
+        cfg = TrainConfig(seed=4, d_embed=10, d_code=8, n_filters=6, kernel_sizes=(2, 3),
+                          max_len=5)
+        model = build_model(bundle, cfg)
+        store, gen_cfg = model.gen_store, model.gen_cfg
+        store["gen.lstm.b"][:] = 50.0
+        store["gen.out.W"][:] = 0.0
+        store["gen.out.W"][0] = 5000.0
+        store["gen.copy.W"][:] = 0.0
+        doc = bundle.split_docs("test")[0]
+        x, _ = encode_batch([doc.tokens], store, model.enc_cfg)
+        with np.errstate(divide="raise", invalid="raise"):
+            path = generator.decode_path(store, gen_cfg, bundle.table, x[0])
+            (record,) = decode_predictions(model, [doc], bundle.table)
+        assert path.codes == (0, gen_cfg.stop_id)
+        assert path.valid_len == 1
+        assert record.predicted == frozenset({0})
+
     def test_slices_give_the_records_of_single_documents(self, bundle):
         # 300 documents span a slice boundary of the batched first step
         assert trainer.DECODE_SLICE < 300 < 2 * trainer.DECODE_SLICE
