@@ -36,8 +36,9 @@ def _train_options() -> list[tuple[str, str, type]]:
             if (dest := TRAIN_FLAG_NAMES.get(name, name))]
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(path: str) -> dict[str, tuple[int, str, str]]:
+    """Each key=value line's number, key and value, by its key read with dashes as underscores."""
+    values: dict[str, tuple[int, str, str]] = {}
     try:
         with open(path) as fh:
             for ln, line in enumerate(fh, start=1):
@@ -47,7 +48,12 @@ def _read_config_file(path: str) -> dict[str, str]:
                 key, sep, val = line.partition("=")
                 if not sep:
                     raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-                values[key.strip()] = val.strip()
+                key = key.strip()
+                dest = key.replace("-", "_")
+                if dest in values:
+                    raise ConfigError(f"{path}:{ln}: config key {key!r} given twice, on lines "
+                                      f"{values[dest][0]} and {ln}")
+                values[dest] = ln, key, val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -68,8 +74,7 @@ def _apply_config_file(subparsers: dict[str, argparse.ArgumentParser], argv: lis
     sub = subparsers[command]
     actions = {a.dest: a for a in sub._actions}
     defaults = {}
-    for key, val in _read_config_file(known.config).items():
-        dest = key.replace("-", "_")
+    for dest, (_, key, val) in _read_config_file(known.config).items():
         if dest not in actions:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
         choices = actions[dest].choices

@@ -13,17 +13,19 @@ masking and ends at STOP, or with STOP when no allowed id has any mass.
 
 The fusion is folded into three blocks, and every code-only product is
 taken for all code ids at once (`DecoderTables`) by each `run_batch` call
-and each standalone decode or step; the batch's steps (greedy ones from its
-first step too) carry them into the backward pass, which reads its code
-rows from them again; nothing keeps them. The fusion's document term is
-taken once per document and pass.
+that starts a batch and each standalone decode or step; the batch's steps
+(those continuing its first step too) carry them into the backward pass,
+which reads its code rows from them again; nothing keeps them. The
+fusion's document term is taken once per document and pass.
 
 Teacher-forced steps run a batch of documents in lockstep: step t feeds
 the documents that still have an input at t through one GEMM per weight
 matrix; one document is a batch of one (`generator_step`, `run_steps`,
 `sequence_backward`). Greedy decoding steps each document alone after its
 first step, which needs only the document vector (STOP in, zero state):
-callers batch it with `run_batch` and continue each path from its row.
+callers batch it with `run_batch` and continue each path from its row. A
+teacher-forced pass over such paths continues the same first step
+(`run_batch`'s `first`).
 
 All gradients are hand-derived; `batch_backward` runs the full backward
 pass through the mixture head, LSTM, fusion, and projections for (B, T)
@@ -33,7 +35,7 @@ the gradient with respect to each document representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -189,66 +191,38 @@ def generator_step(store: ParamStore, cfg: GeneratorConfig, table: ComplicationT
 
 
 def run_batch(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
-              x: np.ndarray, inputs: Sequence[Sequence[int]]) -> list[StepTrace]:
+              x: np.ndarray, inputs: Sequence[Sequence[int]],
+              first: StepTrace | None = None) -> list[StepTrace]:
     """Teacher-forced forward of a batch in lockstep: x (B, rep) holds the
     document vectors, and document b consumes inputs[b][t] as the previous
     code at step t, so step t covers the documents with more than t inputs.
-    Starts from zero state with STOP as the BOS convention."""
-    tables = DecoderTables(store, cfg, table)
-    x_part = x.dot(tables.A.T)
+    Starts from zero state with STOP as the BOS convention; given `first`,
+    a batch's first step, each row continues from its row of `first`, on
+    its tables and fusion term, and inputs[b] are the codes fed after it."""
+    if first is None:
+        tables = DecoderTables(store, cfg, table)
+        x_part = x.dot(tables.A.T)
+        h, c = np.zeros((2, len(inputs), cfg.rep_dim))
+    elif len(inputs) != len(first.rows):
+        raise ValueError(f"{len(inputs)} input sequences continue a first step of "
+                         f"{len(first.rows)} rows")
+    else:
+        tables, x_part, h, c = first.tables, first.x_part, first.h.copy(), first.c.copy()
     lengths = np.array([len(seq) for seq in inputs])
-    h = np.zeros((len(inputs), cfg.rep_dim))
-    c = np.zeros_like(h)
     steps = []
     for t in range(lengths.max(initial=0)):
         rows = np.flatnonzero(lengths > t)
         step = _step(store, tables, x[rows], x_part[rows], [inputs[b][t] for b in rows],
                      h[rows], c[rows], rows)
-        h[rows] = step.h
-        c[rows] = step.c
+        h[rows], c[rows] = step.h, step.c
         steps.append(step)
     return steps
 
 
 def run_steps(store: ParamStore, cfg: GeneratorConfig, table: ComplicationTable,
               x: np.ndarray, input_codes: Sequence[int]) -> list[StepTrace]:
-    """Teacher-forced forward of one document, x (rep,): run_batch on a
-    batch of one."""
+    """Teacher-forced forward of one document, x (rep,): run_batch on one row."""
     return run_batch(store, cfg, table, x[None], [input_codes])
-
-
-def _concat(records: Sequence):
-    """One record holding the rows of several of one dataclass, in order:
-    array fields are concatenated, list fields joined, nested records
-    likewise; any other field must be equal in all (the tables: one
-    object), and stays."""
-    parts = {}
-    for f in fields(records[0]):
-        values = [getattr(r, f.name) for r in records]
-        first = values[0]
-        if is_dataclass(first):
-            parts[f.name] = _concat(values)
-        elif isinstance(first, np.ndarray):
-            parts[f.name] = np.concatenate(values)
-        elif isinstance(first, list):
-            parts[f.name] = [v for value in values for v in value]
-        elif all(value == first for value in values):
-            parts[f.name] = first
-        else:
-            raise ValueError(f"cannot stack field {f.name!r}: its values differ")
-    return type(records[0])(**parts)
-
-
-def stack_steps(doc_steps: Sequence[Sequence[StepTrace]]) -> list[StepTrace]:
-    """Lockstep steps from the one-document steps of several documents,
-    such as greedy decodes: step t stacks the t-th step of every document
-    that has one."""
-    lengths = np.array([len(steps) for steps in doc_steps])
-    stacked = []
-    for t in range(lengths.max(initial=0)):
-        rows = np.flatnonzero(lengths > t)
-        stacked.append(replace(_concat([doc_steps[b][t] for b in rows]), rows=rows))
-    return stacked
 
 
 @dataclass
@@ -276,8 +250,7 @@ def decode_path_traced(store: ParamStore, cfg: GeneratorConfig, table: Complicat
     as a batch of one. Returns the path and its steps: `first`, then one per
     further code."""
     if first is None:
-        (first,) = run_batch(store, cfg, table, x[None], [[cfg.stop_id]])
-        row = 0
+        (first,), row = run_batch(store, cfg, table, x[None], [[cfg.stop_id]]), 0
     traces, probs, h, c = [first], [first.probs[row]], first.h[row], first.c[row]
     x_part = first.x_part[row]
     codes: list[int] = []

@@ -29,14 +29,13 @@ from .discriminator import (DiscriminatorConfig, discriminator_loss, discriminat
 from .encoder import (EncodeCache, EncoderConfig, encode_batch, encode_batch_backward,
                       encoder_slots)
 from .errors import ConfigError, DataError, TrainingError
-from .generator import (DecodedPath, GeneratorConfig, StepTrace, batch_backward, decode_path,
-                        decode_path_traced, generator_slots, run_batch, stack_steps,
-                        step_losses)
-# unused here, but benchmarks/tracing.py still swaps these five attributes,
-# which the lockstep engine and the packed encoder no longer call (the FOUND
-# lines on tracing.py in CHANGES.md); drop them together with those swaps
+from .generator import (GeneratorConfig, StepTrace, batch_backward, decode_path,
+                        generator_slots, run_batch, step_losses)
+# unused here, but benchmarks/tracing.py still swaps these six attributes,
+# which the trainer no longer calls (the FOUND lines on tracing.py in
+# CHANGES.md); drop them together with those swaps
 from .encoder import encode_backward, encode_ehr  # noqa: F401
-from .generator import path_loss, run_steps, sequence_backward  # noqa: F401
+from .generator import decode_path_traced, path_loss, run_steps, sequence_backward  # noqa: F401
 from .metrics import PredictionRecord, metric_table
 from .numerics import ParamStore, adam_step, named_rng
 
@@ -196,19 +195,20 @@ def _aligned_forward(model: Model, batch: Sequence[EhrDocument], table: Complica
     return _BatchForward(x, enc_cache, steps, probs, targets, weights)
 
 
-def _policy_terms(first: StepTrace, decodes: Sequence[tuple[DecodedPath, list[StepTrace]]],
+def _policy_terms(store: ParamStore, gen_cfg: GeneratorConfig, table: ComplicationTable,
+                  first: StepTrace, paths: Sequence[tuple[int, ...]],
                   advantages: np.ndarray) -> tuple[list[StepTrace], np.ndarray, np.ndarray]:
-    """The policy-gradient terms of greedy paths, at least one of them
-    non-empty, each decoded from its row of `first`: their lockstep steps,
-    `first` then the stacked later steps, and their targets (each path's
-    codes) and weights (B, T), the advantages of all codes in path order."""
-    lengths = np.array([path.valid_len for path, _ in decodes])
+    """The policy-gradient terms of greedy paths (their valid codes), at
+    least one non-empty, each decoded from its row of `first`: their steps,
+    `first` then each path replayed teacher-forced from its row, and their
+    targets (B, T), each path's codes, weighted by their advantages."""
+    lengths = np.array([len(path) for path in paths])
     held = np.arange(lengths.max()) < lengths[:, None]
     targets, weights = np.zeros(held.shape, dtype=np.int64), np.zeros(held.shape)
-    targets[held] = [c for path, _ in decodes for c in path.valid_codes]
+    targets[held] = [c for path in paths for c in path]
     weights[held] = advantages
-    later = stack_steps([traces[1:n] for (_, traces), n in zip(decodes, lengths)])
-    return [first] + later, targets, weights
+    return ([first] + run_batch(store, gen_cfg, table, first.x, [p[:-1] for p in paths], first),
+            targets, weights)
 
 
 def _decoder_backward(model: Model, fwd: _BatchForward, weight: float, *policy) -> None:
@@ -234,9 +234,8 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         weight = cfg.supervised_weight
         # greedy decode per document, continuing its row of the aligned
         # pass's first step
-        decodes = [decode_path_traced(model.gen_store, model.gen_cfg, table, x, fwd.steps[0], b)
-                   for b, x in enumerate(fwd.x)]
-        generated = [path.valid_codes for path, _ in decodes]
+        generated = [decode_path(model.gen_store, model.gen_cfg, table, x, fwd.steps[0],
+                                 b).valid_codes for b, x in enumerate(fwd.x)]
 
         # scorer update: each document's gold path positive, then its
         # generated path negative, every prefix of each scored
@@ -254,7 +253,8 @@ def adversarial_round(model: Model, batch: Sequence[EhrDocument], table: Complic
         rewards = reward(generated, fwd.x, model.disc_store, model.disc_cfg)
         if any(generated):
             advantages = np.concatenate(rewards)
-            policy = _policy_terms(fwd.steps[0], decodes, advantages - advantages.mean())
+            policy = _policy_terms(model.gen_store, model.gen_cfg, table, fwd.steps[0],
+                                   generated, advantages - advantages.mean())
             pg_total = sum(step_losses(*policy).tolist())
 
     # decoder update: aligned loss plus any reward-weighted surrogate

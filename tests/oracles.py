@@ -152,6 +152,28 @@ def per_slot_errors(f: Callable[[ParamStore], float], store: ParamStore,
     return errors
 
 
+def assert_per_slot_power(f: Callable[[ParamStore], float], store: ParamStore,
+                          analytic: Mapping[str, np.ndarray], label: str, bound: float = 1e-4,
+                          eps: float = 1e-6) -> None:
+    """per_slot_errors with the power to fail a wrong gradient: the analytic
+    gradient of every slot of the store passes at bound, and each slot's,
+    scaled by 1.01, by 0 or by 2, fails it. Each check draws its coordinates
+    from default_rng(0). Prints the true gradient's headroom and the weakest
+    mutation's margin."""
+    true = per_slot_errors(f, store, analytic, np.random.default_rng(0), eps=eps)
+    assert sorted(true) == sorted(store.names())
+    assert max(true.values()) <= bound, true
+    scaled = {(name, factor): per_slot_errors(f, store, {name: analytic[name] * factor},
+                                              np.random.default_rng(0), eps=eps)[name]
+              for name in store.names() for factor in (1.01, 0.0, 2.0)}
+    weakest = min(scaled, key=scaled.get)
+    print(f"\nper-slot oracle, {label}: true gradient at most {max(true.values()):.1e}, "
+          f"{bound / max(true.values()):.0f}x inside {bound:.0e}; weakest mutation "
+          f"{weakest[0]} x{weakest[1]} at {scaled[weakest]:.1e}, "
+          f"{scaled[weakest] / bound:.0f}x outside")
+    assert all(err > bound for err in scaled.values()), scaled
+
+
 def adam_update_with_temporaries(params: np.ndarray, grad: np.ndarray, m: np.ndarray,
                                  v: np.ndarray, step: int, learning_rate: float) -> None:
     """One Adam update of one slot in place, as one expression with its
@@ -205,9 +227,9 @@ def aligned_losses(fwd) -> list[float]:
 
 
 def step_row(record, b: int):
-    """Row b of a lockstep step as a one-row step, the inverse of
-    ehrpath.generator._concat: every array and list field is sliced to row
-    b, nested records likewise; any other field (the tables) stays."""
+    """Row b of a lockstep step as a one-row step: every array and list
+    field is sliced to row b, nested records likewise; any other field (the
+    tables) stays."""
     parts = {}
     for f in fields(record):
         value = getattr(record, f.name)

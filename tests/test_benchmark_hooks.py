@@ -52,6 +52,22 @@ def test_every_swapped_attribute_exists():
     assert missing == []
 
 
+def test_trainer_imports_unread_only_what_the_benchmark_swaps():
+    # trainer.py keeps some imports only for benchmarks/tracing.py to swap;
+    # once the benchmark drops a swap, its import is dead and must go too
+    tracing = load_tracing()
+    tree = ast.parse(open(trainer.__file__).read(), trainer.__file__)
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {"decode_path", "run_batch"} <= imported & read
+    swapped = {attr for owner, attr, _, _ in tracing.SPANS if owner is trainer} | set(PROBED)
+    unread = imported - read
+    print(f"\ntrainer imports unread but swapped by the benchmark: {sorted(unread)}")
+    assert unread <= swapped, sorted(unread - swapped)
+
+
 def package_reads(path):
     """(module, attribute) for each attribute of an ehrpath module that a
     source file reads, through names bound by `import ehrpath` or `from

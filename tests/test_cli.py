@@ -232,6 +232,28 @@ class TestTrainCommand:
                    "--config", str(conf)])
         assert rc == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("epochs=0\n# again\nepochs=1\n", ":3: config key 'epochs' given twice, on lines 1 and 3"),
+        ("pretrain-epochs=2\npretrain_epochs=3\n",
+         ":2: config key 'pretrain_epochs' given twice, on lines 1 and 2")],
+        ids=["same-spelling", "dash-and-underscore"])
+    def test_config_key_given_twice_exits_2_naming_key_and_lines(
+            self, tmp_path, capsys, monkeypatch, text, message):
+        # keys are compared as the flags read them, dashes as underscores
+        corpus = gen_corpus(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "build_model", no_training)
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out), "--config", str(conf)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {conf}{message}\n"
+
     @pytest.mark.parametrize("flag,value", [
         ("--clip-norm", "nan"), ("--clip-norm", "-1"), ("--clip-norm", "0"), ("--clip-norm", "inf"),
         ("--supervised-weight", "nan"), ("--supervised-weight", "-1"),

@@ -260,3 +260,34 @@ class TestLoss:
             losses.append(discriminator_loss(batch, positive, x, store, cfg))
             adam_step(store, 1e-2)
         assert losses[-1] < 0.3
+
+
+class TestPerSlotOracle:
+    """oracles.assert_per_slot_power on every scorer slot at desk sizes,
+    through discriminator_loss on a batch laid out as adversarial_round lays
+    it (each document's gold path, then its generated one) with paths of
+    mixed lengths, two of which extend another and one repeats another, so
+    that score_paths shares their rows: the true gradient passes at 1e-4,
+    and the check fails when any one slot's analytic gradient is scaled by
+    1.01, by 0 or by 2."""
+
+    BOUND = 1e-4
+    DESK = DiscriminatorConfig(n_codes=20, d_code=24, hidden=60, rep_dim=60)
+    PATHS = [(1, 4, 7), (1, 4), (3,), (3, 8, 2, 11), (5, 9), (), (0, 6, 12), (0, 6, 12)]
+
+    def test_true_gradient_passes_and_each_scaled_slot_fails(self):
+        cfg = self.DESK
+        store = ParamStore(discriminator_slots(cfg, named_rng(22, "init")))
+        x = np.repeat(named_rng(23, "x").normal(size=(len(self.PATHS) // 2, cfg.rep_dim)), 2,
+                      axis=0)
+        positive = [True, False] * (len(self.PATHS) // 2)
+
+        def f(s):
+            s.zero_grads()  # the loss accumulates the scorer's gradients: drop each call's
+            return discriminator_loss(self.PATHS, positive, x, s, cfg)
+
+        scored = score_paths(self.PATHS, x, store, cfg)
+        assert len(scored.steps[0][0]) < sum(map(bool, self.PATHS))  # shared rows
+        f(store)
+        analytic = {n: store.grad(n).copy() for n in store.names()}
+        oracles.assert_per_slot_power(f, store, analytic, "scorer", self.BOUND, eps=1e-5)

@@ -11,7 +11,7 @@ from ehrpath.discriminator import discriminator_loss, reward
 from ehrpath.encoder import encode_batch, encode_ehr
 from ehrpath.errors import ConfigError
 from ehrpath import generator, trainer
-from ehrpath.generator import DecodedPath, decode_path_traced
+from ehrpath.generator import DecodedPath, decode_path, decode_path_traced
 from ehrpath.numerics import named_rng
 from ehrpath.trainer import (TrainConfig, _aligned_forward, _decoder_backward, _policy_terms,
                              adversarial_round, build_model, decode_predictions,
@@ -122,10 +122,9 @@ class TestAdversarialRound:
         # supervised one
         cfg, model = self._setup(bundle)
         batch = bundle.split_docs("train")[:6]
-        monkeypatch.setattr(trainer, "decode_path_traced",
+        monkeypatch.setattr(trainer, "decode_path",
                             lambda store, gen_cfg, table, x, first, row:
-                            (DecodedPath((gen_cfg.stop_id,), first.probs[row, :gen_cfg.n_codes],
-                                         0), [first]))
+                            DecodedPath((gen_cfg.stop_id,), first.probs[row, :gen_cfg.n_codes], 0))
         rewards = []
         monkeypatch.setattr(trainer, "reward", lambda *a: rewards.append(reward(*a)) or rewards[-1])
         x = _aligned_forward(model.snapshot(), batch, bundle.table, named_rng(8, "dropout")).x
@@ -355,18 +354,15 @@ class TestBatchEquivalence:
         lengths = set()
 
         def backward(model, fwd, doc_ids):
-            decodes, advantages = [], []
+            paths, advantages = [], []
             for i, (x, b) in enumerate(zip(fwd.x, doc_ids)):
                 gen_cfg = dataclasses.replace(model.gen_cfg, max_len=2 + b % 3)
-                path, traces = decode_path_traced(model.gen_store, gen_cfg, bundle.table, x,
-                                                  fwd.steps[0], i)
-                if b == 1:
-                    path = dataclasses.replace(path, valid_len=0)
-                decodes.append((path, traces))
-                advantages += [0.3 - 0.2 * b + 0.1 * k for k in range(path.valid_len)]
-                lengths.add(path.valid_len)
-            policy = (_policy_terms(fwd.steps[0], decodes, np.array(advantages))
-                      if advantages else ())
+                path = decode_path(model.gen_store, gen_cfg, bundle.table, x, fwd.steps[0], i)
+                paths.append(path.valid_codes if b != 1 else ())
+                advantages += [0.3 - 0.2 * b + 0.1 * k for k in range(len(paths[-1]))]
+                lengths.add(len(paths[-1]))
+            policy = (_policy_terms(model.gen_store, model.gen_cfg, bundle.table, fwd.steps[0],
+                                    paths, np.array(advantages)) if advantages else ())
             _decoder_backward(model, fwd, 0.7, *policy)
 
         self._compare(bundle, backward)
